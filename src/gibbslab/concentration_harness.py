@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .floquet import NUMERICAL_FAILURES
 from .fourier_field import PeriodicField, l2_norm_sq, lp_integral
 from .gibbs_sampler import GibbsEnsemble
 from . import dirac_spectrum as ds
@@ -52,6 +53,7 @@ class StatisticSample:
     weights: np.ndarray
     statistic_name: str
     ensemble_ref: str
+    failed: int = 0  # members whose evaluation failed numerically
 
     def __post_init__(self):
         v = np.asarray(self.values, float)
@@ -72,7 +74,11 @@ class StatisticSample:
 
     def scaled(self, c: float) -> "StatisticSample":
         return StatisticSample(
-            c * self.values, self.weights, f"{c:g}*{self.statistic_name}", self.ensemble_ref
+            c * self.values,
+            self.weights,
+            f"{c:g}*{self.statistic_name}",
+            self.ensemble_ref,
+            self.failed,
         )
 
 
@@ -175,8 +181,10 @@ def collect_statistic(
     """Evaluate a statistic on every member; failures are capped at 1%.
 
     ``statistic`` is either a descriptor string for :func:`make_statistic`
-    or a callable on fields.  Member evaluations are independent, so they
-    fan out over threads and merge by index.
+    or a callable on fields.  A failure is a non-finite value or an
+    exception from ``floquet.NUMERICAL_FAILURES``; any other exception
+    propagates.  Member evaluations are independent, so they fan out over
+    threads and merge by index.
     """
     if isinstance(statistic, str):
         name, fn = make_statistic(statistic)
@@ -187,7 +195,7 @@ def collect_statistic(
     def _eval(i: int):
         try:
             return i, float(fn(ensemble.samples[i]))
-        except Exception:
+        except NUMERICAL_FAILURES:
             return i, None
 
     n = len(ensemble)
@@ -210,6 +218,7 @@ def collect_statistic(
         weights=ensemble.weights[idx],
         statistic_name=name,
         ensemble_ref=f"seed={ensemble.seed},method={ensemble.method},n={n}",
+        failed=failures,
     )
 
 
@@ -383,6 +392,8 @@ class ConcentrationReport:
     fit: SubgaussianFit
     lsi_predicted_eta: float | None
     trusted_range: float
+    members_evaluated: int
+    members_failed: int
 
     @property
     def subgaussian_pass(self) -> bool | None:
@@ -398,6 +409,8 @@ class ConcentrationReport:
             "lsi_predicted_eta": self.lsi_predicted_eta,
             "trusted_range": self.trusted_range,
             "subgaussian_pass": self.subgaussian_pass,
+            "members_evaluated": self.members_evaluated,
+            "members_failed": self.members_failed,
         }
 
 
@@ -418,4 +431,6 @@ def concentration_report(
         fit=fit,
         lsi_predicted_eta=eta_bound,
         trusted_range=trusted_t_range(sample),
+        members_evaluated=sample.values.size + sample.failed,
+        members_failed=sample.failed,
     )

@@ -22,20 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floquet import (
+    InsufficientPointsError,
+    Monodromy,
     build_models,
     contour_sum,
     locate_spectral_points,
-    rk4_transfer,
+    transfer_discriminant,
+    transfer_monodromy,
 )
-from .fourier_field import PeriodicField, l2_norm_sq
+from .fourier_field import PeriodicField, evaluate, l2_norm_sq
 
 __all__ = [
-    "Monodromy",
     "SpectralPoint",
     "SpectralDataDirac",
     "TestFunction",
     "monodromy",
-    "picard_monodromy",
     "discriminant",
     "discriminant_batch",
     "discriminant_derivative",
@@ -56,72 +57,27 @@ __all__ = [
 DEFAULT_STEPS = 2048
 
 
-class InsufficientPointsError(ValueError):
-    """Not enough spectral points for the requested two-sided index range."""
+# Psi' = (B(x) + lambda C) Psi with B = [[Q, P], [P, -Q]] and C = [[0, -1/2], [1/2, 0]]
+_DIRAC_C = (0.0, -0.5, 0.5, 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class Monodromy:
-    """Transfer matrix over one period at a fixed spectral parameter."""
-
-    matrix: np.ndarray
-    lam: complex
-    potential_hash: str
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("monodromy matrix must be 2x2")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def trace(self) -> complex:
-        return complex(self.matrix[0, 0] + self.matrix[1, 1])
-
-    @property
-    def determinant(self) -> complex:
-        m = self.matrix
-        return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
-def _pq_half_grid(field: PeriodicField, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Q = Re phi and P = Im phi sampled at x_j = j * pi / steps, j = 0..2*steps."""
-    xs = np.pi * np.arange(2 * steps + 1) / steps
-    ns = field.modes
-    vals = np.exp(1j * np.outer(xs, ns)) @ field.coeffs
-    return np.imag(vals), np.real(vals)
-
-
-def _transfer_entries(field: PeriodicField, steps: int):
-    P, Q = _pq_half_grid(field, steps)
-
-    def entries(j: int, lam: np.ndarray):
-        half = lam / 2.0
-        return (Q[j], P[j] - half, P[j] + half, -Q[j])
-
-    return entries
+def _dirac_nodes(field: PeriodicField, steps: int):
+    """B's entries at the RK4 nodes x_j = j * pi / steps, j = 0..2*steps."""
+    vals = evaluate(field, 2 * steps).values
+    vals = np.append(vals, vals[0])  # the node x = 2 pi closes the period
+    Q, P = np.real(vals), np.imag(vals)
+    return (Q, P, P, -Q)
 
 
 def monodromy(field: PeriodicField, lam: complex, steps: int = DEFAULT_STEPS) -> Monodromy:
     """Psi_lambda(2 pi) by fixed-step RK4 with the field sampled on the grid."""
-    e = _transfer_entries(field, steps)
-    m = rk4_transfer(e, 2.0 * np.pi, steps, np.asarray([lam], dtype=complex))
-    mat = np.array([[m[0][0], m[1][0]], [m[2][0], m[3][0]]])
-    return Monodromy(mat, complex(lam), field.content_hash())
+    nodes = _dirac_nodes(field, steps)
+    return transfer_monodromy(nodes, _DIRAC_C, 2.0 * np.pi, steps, lam, field.content_hash())
 
 
 def discriminant_batch(field: PeriodicField, steps: int = DEFAULT_STEPS):
     """Closure evaluating Delta on arrays of spectral parameters."""
-    e = _transfer_entries(field, steps)
-
-    def disc(lams):
-        lams = np.asarray(lams, dtype=complex)
-        m = rk4_transfer(e, 2.0 * np.pi, steps, lams)
-        return m[0] + m[3]
-
-    return disc
+    return transfer_discriminant(_dirac_nodes(field, steps), _DIRAC_C, 2.0 * np.pi, steps)
 
 
 def discriminant(field: PeriodicField, lam: complex, steps: int = DEFAULT_STEPS) -> complex:
@@ -140,66 +96,17 @@ def discriminant_derivative(
 
     The discriminant is entire in lambda, so the trapezoid rule on the
     circle converges spectrally; radius 0.5 keeps the transfer matrices
-    well inside the comfortable growth range.
+    well inside the comfortable growth range.  The circle is a disk model
+    of :func:`floquet.build_models`, whose k-th coefficient is the k-th
+    Taylor coefficient.
     """
     if not (0 <= order <= 4):
         raise ValueError("order must be between 0 and 4")
     if order == 0:
         return discriminant(field, lam, steps)
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    ring = lam + radius * np.exp(1j * theta)
-    vals = discriminant_batch(field, steps)(ring)
-    coeff = np.mean(vals * np.exp(-1j * order * theta))
-    return complex(math.factorial(order) * coeff / radius**order)
-
-
-def picard_monodromy(
-    field: PeriodicField,
-    lam: complex,
-    grid: int = 4096,
-    max_iter: int = 200,
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """Slow reference solution of the Volterra integral form of the system.
-
-    Iterates Psi <- E(x) (I + int_0^x E(-s) K(s) Psi(s) ds) with
-    E(x) = exp((lam x / 2) [[0,-1],[1,0]]) and K = [[Q, P], [P, -Q]],
-    using cumulative trapezoid quadrature.  Used only as a test oracle.
-    """
-    xs = np.linspace(0.0, 2.0 * np.pi, grid + 1)
-    ns = field.modes
-    vals = np.exp(1j * np.outer(xs, ns)) @ field.coeffs
-    P, Q = np.imag(vals), np.real(vals)
-    K = np.empty((grid + 1, 2, 2), dtype=complex)
-    K[:, 0, 0] = Q
-    K[:, 0, 1] = P
-    K[:, 1, 0] = P
-    K[:, 1, 1] = -Q
-
-    def E(x, sign=1.0):
-        a = sign * lam * x / 2.0
-        c, s = np.cos(a), np.sin(a)
-        out = np.empty(x.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = c
-        out[..., 0, 1] = -s
-        out[..., 1, 0] = s
-        out[..., 1, 1] = c
-        return out
-
-    Ex = E(xs)
-    Em = E(xs, sign=-1.0)
-    psi = Ex.copy()
-    h = xs[1] - xs[0]
-    for _ in range(max_iter):
-        G = Em @ K @ psi
-        integral = np.zeros_like(G)
-        integral[1:] = np.cumsum(0.5 * h * (G[:-1] + G[1:]), axis=0)
-        new = Ex @ (np.eye(2)[None, :, :] + integral)
-        change = np.max(np.abs(new - psi))
-        psi = new
-        if change < tol:
-            break
-    return psi[-1]
+    disc = discriminant_batch(field, steps)
+    model = build_models(disc, np.array([lam]), radius=radius, nodes=nodes)[0]
+    return complex(math.factorial(order) * model.coef[order])
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +204,15 @@ def critical_points(
 ) -> SpectralDataDirac:
     """Real zeros of Delta' in the window (free case: the integers)."""
     disc = discriminant_batch(field, steps)
-    roots, models = locate_spectral_points(
+    roots, _ = locate_spectral_points(
         disc, _scan_grid(window), levels=(), want_critical=True
     )
     vals = [r.value for r in roots if r.is_critical and window[0] <= r.value <= window[1]]
+    # |Delta'| on the Cauchy circles of discriminant_derivative, in one batch
+    checks = build_models(disc, np.array(vals), radius=0.5, nodes=32) if vals else []
     residuals = []
-    for v in vals:
-        resid = abs(discriminant_derivative(field, v, 1, steps))
+    for v, model in zip(vals, checks):
+        resid = abs(model.coef[1])
         if resid > max(refine_tol * 100.0, 1e-6):
             raise FloatingPointError(
                 f"|Delta'| residual {resid:.2e} too large at {v:.8f}"

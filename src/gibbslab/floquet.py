@@ -2,8 +2,10 @@
 
 Three layers, all pure functions over immutable inputs:
 
-* a fixed-step fourth-order (RK4) propagator for Psi' = A(x) Psi,
-  vectorized over a batch of spectral parameters;
+* a fixed-step fourth-order (RK4) propagator for the trace-free system
+  Psi' = (B(x) + lambda C) Psi, vectorized over a batch of spectral
+  parameters; the Dirac and Hill modules supply only B at the RK4 nodes
+  and the constant C;
 * local analytic "disk models": Taylor expansions of an entire function
   (the discriminant) recovered from samples on a circle, giving cheap and
   spectrally accurate access to values, derivatives and roots near the
@@ -23,13 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "Monodromy",
     "rk4_transfer",
+    "transfer_monodromy",
+    "transfer_discriminant",
     "DiskModel",
     "build_models",
     "LocatedRoot",
     "locate_spectral_points",
     "contour_sum",
     "ContourPlacementError",
+    "InsufficientPointsError",
+    "NUMERICAL_FAILURES",
 ]
 
 
@@ -37,27 +44,68 @@ class ContourPlacementError(RuntimeError):
     """A contour root count failed the integrality test."""
 
 
+class InsufficientPointsError(ValueError):
+    """Not enough spectral points for the requested two-sided index range."""
+
+
+# The failures a spectral computation may raise on a hard input; callers
+# that tolerate a few failed members catch these and let any other
+# exception (a bug) propagate.
+NUMERICAL_FAILURES = (FloatingPointError, RuntimeError, InsufficientPointsError)
+
+
 # ---------------------------------------------------------------------------
 # Batched RK4 transfer matrices
 # ---------------------------------------------------------------------------
 
-def rk4_transfer(entry_fun, length: float, steps: int, lam: np.ndarray):
-    """Transfer matrix of Psi' = A(x) Psi over [0, length], Psi(0) = I.
+@dataclass(frozen=True, eq=False)
+class Monodromy:
+    """Transfer matrix over one period at a fixed spectral parameter."""
 
-    ``entry_fun(j, lam)`` must return the four entries (a11, a12, a21, a22)
-    of A at the half-grid node x_j = j * length / (2 * steps), each
-    broadcastable against the batch ``lam``.  Returns four arrays shaped
-    like ``lam`` holding the entries of Psi(length).
+    matrix: np.ndarray
+    lam: complex
+    potential_hash: str
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.shape != (2, 2):
+            raise ValueError("monodromy matrix must be 2x2")
+        m = m.copy()
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def trace(self) -> complex:
+        return complex(self.matrix[0, 0] + self.matrix[1, 1])
+
+    @property
+    def determinant(self) -> complex:
+        m = self.matrix
+        return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+
+def rk4_transfer(b_nodes, c, length: float, steps: int, lam: np.ndarray):
+    """Transfer matrix of Psi' = (B(x) + lam C) Psi over [0, length], Psi(0) = I.
+
+    ``b_nodes`` holds the four entries (b11, b12, b21, b22) of B, each an
+    array of samples at the half-grid nodes x_j = j * length / (2 * steps),
+    j = 0..2*steps; ``c`` holds the four constant entries of C.  Returns
+    four arrays shaped like the batch ``lam`` holding the entries of
+    Psi(length).
     """
     if steps < 64:
         raise ValueError("steps must be >= 64")
     lam = np.asarray(lam, dtype=complex)
     shape = lam.shape
     h = length / steps
-    m11 = np.ones(shape, dtype=complex)
-    m12 = np.zeros(shape, dtype=complex)
-    m21 = np.zeros(shape, dtype=complex)
-    m22 = np.ones(shape, dtype=complex)
+    # Python floats multiply arrays with less overhead than numpy scalars
+    cols = [np.asarray(b).tolist() for b in b_nodes]
+    if any(len(col) != 2 * steps + 1 for col in cols):
+        raise ValueError("each entry of B needs 2 * steps + 1 node samples")
+    lam_c = [None if ci == 0 else ci * lam for ci in c]
+
+    def node(j: int):
+        return tuple(b[j] if lc is None else b[j] + lc for b, lc in zip(cols, lam_c))
 
     def mul(A, m):
         a11, a12, a21, a22 = A
@@ -68,14 +116,18 @@ def rk4_transfer(entry_fun, length: float, steps: int, lam: np.ndarray):
             a21 * m[1] + a22 * m[3],
         )
 
-    def step_add(m, k, c):
-        return (m[0] + c * k[0], m[1] + c * k[1], m[2] + c * k[2], m[3] + c * k[3])
+    def step_add(m, k, t):
+        return (m[0] + t * k[0], m[1] + t * k[1], m[2] + t * k[2], m[3] + t * k[3])
 
-    psi = (m11, m12, m21, m22)
+    psi = (
+        np.ones(shape, dtype=complex),
+        np.zeros(shape, dtype=complex),
+        np.zeros(shape, dtype=complex),
+        np.ones(shape, dtype=complex),
+    )
+    A3 = node(0)
     for j in range(steps):
-        A1 = entry_fun(2 * j, lam)
-        A2 = entry_fun(2 * j + 1, lam)
-        A3 = entry_fun(2 * j + 2, lam)
+        A1, A2, A3 = A3, node(2 * j + 1), node(2 * j + 2)
         k1 = mul(A1, psi)
         k2 = mul(A2, step_add(psi, k1, h / 2))
         k3 = mul(A2, step_add(psi, k2, h / 2))
@@ -84,11 +136,30 @@ def rk4_transfer(entry_fun, length: float, steps: int, lam: np.ndarray):
             psi[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
             for i in range(4)
         )
-    if not all(np.all(np.isfinite(c)) for c in psi):
+    if not all(np.all(np.isfinite(p)) for p in psi):
         raise FloatingPointError(
             "transfer matrix overflowed; spectral parameter too large for the step budget"
         )
     return psi
+
+
+def transfer_monodromy(
+    b_nodes, c, length: float, steps: int, lam: complex, potential_hash: str
+) -> Monodromy:
+    """Psi_lambda(length) at one spectral parameter, as a :class:`Monodromy`."""
+    m = rk4_transfer(b_nodes, c, length, steps, np.asarray([lam], dtype=complex))
+    mat = np.array([[m[0][0], m[1][0]], [m[2][0], m[3][0]]])
+    return Monodromy(mat, complex(lam), potential_hash)
+
+
+def transfer_discriminant(b_nodes, c, length: float, steps: int):
+    """Closure evaluating Delta = trace Psi_lambda(length) on arrays of lambda."""
+
+    def disc(lams):
+        m = rk4_transfer(b_nodes, c, length, steps, np.asarray(lams, dtype=complex))
+        return m[0] + m[3]
+
+    return disc
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +369,10 @@ def locate_spectral_points(
                 if w_star is not None:
                     lam = float(np.real(models[mi].center) + w_star)
                     dip = float(np.abs(models[mi](lam) ** 2 - 4.0))
-                    if dip < double_tol and vals[i] <= lam <= vals[i + 1]:
+                    # a conjugate pair kept as two real hits has equal real
+                    # parts, so the bracket is widened by imag_tol
+                    inside = vals[i] - imag_tol <= lam <= vals[i + 1] + imag_tol
+                    if dip < double_tol and inside:
                         results.append(LocatedRoot(lam, level, 2, dip))
                         i += 2
                         continue

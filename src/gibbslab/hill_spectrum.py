@@ -28,9 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import build_models, contour_sum, locate_spectral_points, rk4_transfer
+from .floquet import (
+    NUMERICAL_FAILURES,
+    Monodromy,
+    build_models,
+    contour_sum,
+    locate_spectral_points,
+    transfer_discriminant,
+    transfer_monodromy,
+)
 from .fourier_field import PeriodicField, default_grid_size, evaluate, is_real_valued
-from .dirac_spectrum import Monodromy
 
 __all__ = [
     "OddModeError",
@@ -67,40 +74,27 @@ def _check_potential(q: PeriodicField, tol: float = 1e-10) -> None:
         raise OddModeError("Hill potential must be pi-periodic (even modes only)")
 
 
-def _q_half_grid(q: PeriodicField, steps: int) -> np.ndarray:
-    xs = np.pi * np.arange(2 * steps + 1) / (2 * steps)
-    vals = np.exp(1j * np.outer(xs, q.modes)) @ q.coeffs
-    return np.real(vals)
+# f'' = (q - lambda) f as Psi' = (B(x) + lambda C) Psi on (f, f'):
+# B = [[0, 1], [q, 0]] and C = [[0, 0], [-1, 0]]
+_HILL_C = (0.0, 0.0, -1.0, 0.0)
 
 
-def _transfer_entries(q: PeriodicField, steps: int):
-    qg = _q_half_grid(q, steps)
-
-    def entries(j: int, lam: np.ndarray):
-        return (0.0, 1.0, qg[j] - lam, 0.0)
-
-    return entries
+def _hill_nodes(q: PeriodicField, steps: int):
+    """B's entries at the RK4 nodes x_j = j * pi / (2 * steps), j = 0..2*steps."""
+    qg = np.real(evaluate(q, 4 * steps).values[: 2 * steps + 1])
+    zero, one = np.zeros_like(qg), np.ones_like(qg)
+    return (zero, one, qg, zero)
 
 
 def hill_monodromy(q: PeriodicField, lam: complex, steps: int = DEFAULT_STEPS) -> Monodromy:
     """Transfer matrix of (f, f') over one period pi."""
     _check_potential(q)
-    e = _transfer_entries(q, steps)
-    m = rk4_transfer(e, np.pi, steps, np.asarray([lam], dtype=complex))
-    mat = np.array([[m[0][0], m[1][0]], [m[2][0], m[3][0]]])
-    return Monodromy(mat, complex(lam), q.content_hash())
+    return transfer_monodromy(_hill_nodes(q, steps), _HILL_C, np.pi, steps, lam, q.content_hash())
 
 
 def hill_discriminant_batch(q: PeriodicField, steps: int = DEFAULT_STEPS):
     _check_potential(q)
-    e = _transfer_entries(q, steps)
-
-    def disc(lams):
-        lams = np.asarray(lams, dtype=complex)
-        m = rk4_transfer(e, np.pi, steps, lams)
-        return m[0] + m[3]
-
-    return disc
+    return transfer_discriminant(_hill_nodes(q, steps), _HILL_C, np.pi, steps)
 
 
 def hill_discriminant(q: PeriodicField, lam: complex, steps: int = DEFAULT_STEPS):
@@ -465,7 +459,7 @@ def pw_statistic_contour(
             models = build_models(disc, np.array([center]), radius=2.0 * trust, trust=trust, nodes=nodes)
             try:
                 value, counts = contour_sum(models, lambda z: z, kernel, r, nodes=nodes)
-            except Exception:
+            except NUMERICAL_FAILURES:
                 if attempt == 1:
                     raise
                 continue

@@ -33,6 +33,56 @@ def real_even_field(cutoff: int, seed: int, scale: float = 0.1) -> PeriodicField
     return PeriodicField(cutoff, c)
 
 
+def picard_monodromy(
+    field: PeriodicField,
+    lam: complex,
+    grid: int = 4096,
+    max_iter: int = 200,
+    tol: float = 1e-12,
+) -> np.ndarray:
+    """Slow reference Dirac monodromy from the Volterra integral form of the system.
+
+    Iterates Psi <- E(x) (I + int_0^x E(-s) K(s) Psi(s) ds) with
+    E(x) = exp((lam x / 2) [[0,-1],[1,0]]) and K = [[Q, P], [P, -Q]],
+    using cumulative trapezoid quadrature.  The field is summed densely
+    from its modes, so the oracle shares no sampling code with the RK4
+    engine.
+    """
+    xs = np.linspace(0.0, 2.0 * np.pi, grid + 1)
+    vals = np.exp(1j * np.outer(xs, field.modes)) @ field.coeffs
+    P, Q = np.imag(vals), np.real(vals)
+    K = np.empty((grid + 1, 2, 2), dtype=complex)
+    K[:, 0, 0] = Q
+    K[:, 0, 1] = P
+    K[:, 1, 0] = P
+    K[:, 1, 1] = -Q
+
+    def E(x, sign=1.0):
+        a = sign * lam * x / 2.0
+        c, s = np.cos(a), np.sin(a)
+        out = np.empty(x.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = c
+        out[..., 0, 1] = -s
+        out[..., 1, 0] = s
+        out[..., 1, 1] = c
+        return out
+
+    Ex = E(xs)
+    Em = E(xs, sign=-1.0)
+    psi = Ex.copy()
+    h = xs[1] - xs[0]
+    for _ in range(max_iter):
+        G = Em @ K @ psi
+        integral = np.zeros_like(G)
+        integral[1:] = np.cumsum(0.5 * h * (G[:-1] + G[1:]), axis=0)
+        new = Ex @ (np.eye(2)[None, :, :] + integral)
+        change = np.max(np.abs(new - psi))
+        psi = new
+        if change < tol:
+            break
+    return psi[-1]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -49,6 +49,31 @@ class TestCollect:
         sample = ch.collect_statistic(ens, mostly, name="mostly", failure_cap=0.01)
         assert sample.values.size == 298
 
+    def test_type_error_propagates(self):
+        ens = gaussian_ensemble(count=50)
+
+        def wrong_type(f):
+            return "1.0" + f.mode(1)
+
+        with pytest.raises(TypeError):
+            ch.collect_statistic(ens, wrong_type, name="wrong_type")
+
+    def test_failure_counted_in_report(self):
+        ens = gaussian_ensemble(count=200)
+        target = ens.samples[17]
+
+        def one_bad(f):
+            if f is target:
+                raise FloatingPointError("overflow")
+            return float(np.real(f.mode(1)))
+
+        sample = ch.collect_statistic(ens, one_bad, name="one_bad")
+        assert sample.values.size == 199 and sample.failed == 1
+        report = ch.concentration_report(sample, bootstrap=20).to_json()
+        assert report["members_evaluated"] == 200
+        assert report["members_failed"] == 1
+        assert ch.concentration_report(sample.scaled(2.0), bootstrap=20).members_failed == 1
+
     def test_workers_deterministic(self):
         ens = gaussian_ensemble(count=200)
         s1 = ch.collect_statistic(ens, "l2", workers=1)

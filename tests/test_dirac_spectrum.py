@@ -6,7 +6,7 @@ import pytest
 from gibbslab import dirac_spectrum as ds
 from gibbslab.fourier_field import PeriodicField, field_from_modes, zero_field
 from gibbslab.gibbs_sampler import importance_ensemble, GibbsParams
-from conftest import random_field
+from conftest import picard_monodromy, random_field
 
 
 def small_field(seed: int, cutoff: int = 3, scale: float = 0.05) -> PeriodicField:
@@ -47,7 +47,7 @@ class TestMonodromy:
         f = small_field(4, scale=0.3)
         lam = 0.7
         rk = ds.monodromy(f, lam, steps=2048).matrix
-        pic = ds.picard_monodromy(f, lam, grid=8192)
+        pic = picard_monodromy(f, lam, grid=8192)
         assert np.abs(rk - pic).max() < 1e-6
 
     def test_reality_for_real_lambda(self):
