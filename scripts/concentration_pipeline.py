@@ -24,7 +24,6 @@ def main() -> None:
     ap.add_argument("--beta", type=float, default=-1.0)
     ap.add_argument("--statistic", default="dirac:critical:lorentzian:c=3:M=3")
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--workers", type=int, default=4)
     ap.add_argument("--out", default="concentration")
     args = ap.parse_args()
 
@@ -34,9 +33,8 @@ def main() -> None:
           f"{ens.diagnostics['acceptance_rate']:.4f}")
 
     name, fn = ch.make_statistic(args.statistic)
-    sample = ch.collect_statistic(ens, fn, name=name, workers=args.workers)
-    probe = ch.lipschitz_probe(fn, ens, pair_count=200, seed=args.seed,
-                               values=sample.values)
+    sample = ch.collect_statistic(ens, fn, name=name)
+    probe = ch.lipschitz_probe(fn, ens, pair_count=200, seed=args.seed, sample=sample)
     cparams = hc.ConvexityParams(holder_bound=5.0)
     alpha = hc.lsi_lower_bound(args.beta, 4.0, args.ball, cparams, eta=0.25, route="ball")
     bound = probe["lipschitz"] ** 2 / alpha if alpha > 0 else None

@@ -18,7 +18,6 @@ import datetime
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,10 +43,6 @@ NUMERICAL_ERRORS = (
 
 def _default_seed() -> int:
     return int(os.environ.get("GIBBSLAB_SEED", "42"))
-
-
-def _default_workers() -> int:
-    return os.cpu_count() or 1
 
 
 def write_json(path: str, obj) -> None:
@@ -236,25 +231,12 @@ def cmd_convexity(args) -> int:
         delta=args.delta, gamma=args.gamma or 0.3, holder_bound=args.holder_k
     )
 
-    def _certify(i: int):
-        rep = hc.certify_convexity(
-            args.functional,
-            ens.samples[i],
-            args.beta,
-            args.p,
-            args.ball,
-            cparams,
-            weight=args.weight,
-        )
-        return i, rep.to_json()
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            reports = list(pool.map(_certify, range(len(ens))))
-    else:
-        reports = [_certify(i) for i in range(len(ens))]
-    reports.sort(key=lambda t: t[0])
-    items = [r for _, r in reports]
+    items = [
+        hc.certify_convexity(
+            args.functional, f, args.beta, args.p, args.ball, cparams, weight=args.weight
+        ).to_json()
+        for f in ens.samples
+    ]
     out = {
         "functional": args.functional,
         "weight": args.weight,
@@ -332,7 +314,6 @@ def cmd_invariance(args) -> int:
         observables,
         seed=args.seed,
         permutations=args.permutations,
-        workers=args.workers,
     )
     write_json(args.out, report.to_json())
     write_manifest(args.out, "invariance", _config_from_args(args), args.seed, args.workers)
@@ -349,7 +330,7 @@ def _parse_t_grid(spec: str) -> np.ndarray:
 
 def cmd_concentration(args) -> int:
     ens = gs.load_ensemble_jsonl(args.ensemble)
-    sample = ch.collect_statistic(ens, args.statistic, workers=args.workers)
+    sample = ch.collect_statistic(ens, args.statistic)
     t_grid = _parse_t_grid(args.t_grid) if args.t_grid else None
     report = ch.concentration_report(
         sample, t_grid, eta_bound=args.eta_bound, bootstrap=args.bootstrap, seed=args.seed
@@ -385,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             sp.add_argument("--seed", type=int, default=_default_seed())
         if workers:
-            sp.add_argument("--workers", type=int, default=_default_workers())
+            # recorded in the manifest only: evaluation runs in one thread,
+            # and results do not depend on it
+            sp.add_argument("--workers", type=int, default=1)
         if steps is not None:
             sp.add_argument("--steps", type=int, default=steps, help="integrator steps")
 

@@ -16,7 +16,6 @@ and a log-Sobolev constant.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +53,7 @@ class StatisticSample:
     statistic_name: str
     ensemble_ref: str
     failed: int = 0  # members whose evaluation failed numerically
+    members: np.ndarray | None = None  # ensemble index of each value; default 0..n-1
 
     def __post_init__(self):
         v = np.asarray(self.values, float)
@@ -62,8 +62,12 @@ class StatisticSample:
             raise ValueError("values and weights must be matching 1-d arrays")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
             raise ValueError("values and weights must be finite")
+        m = np.arange(v.size) if self.members is None else np.asarray(self.members, int)
+        if m.shape != v.shape:
+            raise ValueError("members must give one ensemble index per value")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "members", m)
 
     def weighted_mean(self) -> float:
         return float(np.average(self.values, weights=self.weights))
@@ -79,6 +83,7 @@ class StatisticSample:
             f"{c:g}*{self.statistic_name}",
             self.ensemble_ref,
             self.failed,
+            self.members,
         )
 
 
@@ -176,15 +181,13 @@ def collect_statistic(
     statistic,
     name: str | None = None,
     failure_cap: float = 0.01,
-    workers: int = 1,
 ) -> StatisticSample:
     """Evaluate a statistic on every member; failures are capped at 1%.
 
     ``statistic`` is either a descriptor string for :func:`make_statistic`
     or a callable on fields.  A failure is a non-finite value or an
     exception from ``floquet.NUMERICAL_FAILURES``; any other exception
-    propagates.  Member evaluations are independent, so they fan out over
-    threads and merge by index.
+    propagates.  The sample records the ensemble index of every value.
     """
     if isinstance(statistic, str):
         name, fn = make_statistic(statistic)
@@ -192,20 +195,15 @@ def collect_statistic(
         fn = statistic
         name = name or getattr(statistic, "__name__", "statistic")
 
-    def _eval(i: int):
-        try:
-            return i, float(fn(ensemble.samples[i]))
-        except NUMERICAL_FAILURES:
-            return i, None
-
     n = len(ensemble)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_eval, range(n)))
-    else:
-        results = [_eval(i) for i in range(n)]
-    results.sort(key=lambda t: t[0])
-    good = [(i, v) for i, v in results if v is not None and math.isfinite(v)]
+    good = []
+    for i, f in enumerate(ensemble.samples):
+        try:
+            v = float(fn(f))
+        except NUMERICAL_FAILURES:
+            continue
+        if math.isfinite(v):
+            good.append((i, v))
     failures = n - len(good)
     if failures > failure_cap * n:
         raise RuntimeError(
@@ -219,6 +217,7 @@ def collect_statistic(
         statistic_name=name,
         ensemble_ref=f"seed={ensemble.seed},method={ensemble.method},n={n}",
         failed=failures,
+        members=np.array(idx, dtype=int),
     )
 
 
@@ -337,13 +336,15 @@ def lipschitz_probe(
     ensemble: GibbsEnsemble,
     pair_count: int = 200,
     seed: int = 0,
-    values: np.ndarray | None = None,
+    sample: StatisticSample | None = None,
 ) -> dict:
     """Empirical Lipschitz constant over sampled member pairs.
 
     Returns the max ratio |X_i - X_j| / ||phi_i - phi_j||_{L^2} together
-    with the maximizing pair; coincident pairs are skipped.  Pass
-    ``values`` to reuse already-collected statistic values.
+    with the maximizing pair; coincident pairs are skipped.  Pass the
+    ``sample`` collected from this ensemble to reuse its values: each
+    member is paired with its own value, and pairs with a member whose
+    evaluation failed are skipped.
     """
     if isinstance(statistic, str):
         _, fn = make_statistic(statistic)
@@ -355,27 +356,28 @@ def lipschitz_probe(
     rng = np.random.default_rng(np.random.SeedSequence((seed, _LIPSCHITZ_TAG)))
     best = 0.0
     best_pair = (0, 1)
-    cache: dict[int, float] = {}
+    if sample is None:
+        cache: dict[int, float] = {}
+    else:
+        cache = dict(zip(sample.members.tolist(), sample.values.tolist()))
 
     def val(i: int) -> float:
-        if values is not None:
-            return float(values[i])
         if i not in cache:
             cache[i] = float(fn(ensemble.samples[i]))
         return cache[i]
 
     for _ in range(pair_count):
-        i, j = rng.integers(0, n, 2)
-        if i == j:
+        i, j = (int(x) for x in rng.integers(0, n, 2))
+        if i == j or (sample is not None and not (i in cache and j in cache)):
             continue
-        diff = ensemble.samples[int(i)] - ensemble.samples[int(j)]
+        diff = ensemble.samples[i] - ensemble.samples[j]
         dn = math.sqrt(l2_norm_sq(diff))
         if dn == 0.0:
             continue
-        ratio = abs(val(int(i)) - val(int(j))) / dn
+        ratio = abs(val(i) - val(j)) / dn
         if ratio > best:
             best = ratio
-            best_pair = (int(i), int(j))
+            best_pair = (i, j)
     return {"lipschitz": best, "pair": best_pair, "pairs_tested": pair_count}
 
 

@@ -5,7 +5,10 @@ Three layers, all pure functions over immutable inputs:
 * a fixed-step fourth-order (RK4) propagator for the trace-free system
   Psi' = (B(x) + lambda C) Psi, vectorized over a batch of spectral
   parameters; the Dirac and Hill modules supply only B at the RK4 nodes
-  and the constant C;
+  and the constant C.  A small batch also fills the arrays along x:
+  segments of the period run side by side and are multiplied in a pairwise
+  tree, so the step loop's fixed cost per array operation is paid over
+  fewer steps;
 * local analytic "disk models": Taylor expansions of an entire function
   (the discriminant) recovered from samples on a circle, giving cheap and
   spectrally accurate access to values, derivatives and roots near the
@@ -84,6 +87,21 @@ class Monodromy:
         return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
+# Most lanes (segments x spectral parameters) a small batch is spread over.
+# Below this size each array operation costs mostly its fixed Python overhead,
+# so filling the lanes along x is almost free; above it that overhead no
+# longer dominates.
+SEGMENT_LANES = 4096
+
+
+def _segment_count(steps: int, batch: int) -> int:
+    """Largest power of two k dividing ``steps`` with k * batch <= SEGMENT_LANES."""
+    k = 1
+    while steps % (2 * k) == 0 and 2 * k * batch <= SEGMENT_LANES:
+        k *= 2
+    return k
+
+
 def rk4_transfer(b_nodes, c, length: float, steps: int, lam: np.ndarray):
     """Transfer matrix of Psi' = (B(x) + lam C) Psi over [0, length], Psi(0) = I.
 
@@ -92,17 +110,30 @@ def rk4_transfer(b_nodes, c, length: float, steps: int, lam: np.ndarray):
     j = 0..2*steps; ``c`` holds the four constant entries of C.  Returns
     four arrays shaped like the batch ``lam`` holding the entries of
     Psi(length).
+
+    A small batch is spread along x: [0, length] is split into k equal
+    segments (k the largest power of two dividing ``steps`` with
+    k * lam.size <= SEGMENT_LANES), every segment is propagated from the
+    identity at once on (k, lam.size) arrays, and the k segment matrices
+    are multiplied in log2(k) pairwise levels, later segment on the left.
+    The RK4 steps are the same as for k = 1, so results agree with the
+    unsegmented loop to rounding.
     """
     if steps < 64:
         raise ValueError("steps must be >= 64")
     lam = np.asarray(lam, dtype=complex)
     shape = lam.shape
-    h = length / steps
-    # Python floats multiply arrays with less overhead than numpy scalars
-    cols = [np.asarray(b).tolist() for b in b_nodes]
-    if any(len(col) != 2 * steps + 1 for col in cols):
+    b_nodes = [np.asarray(b) for b in b_nodes]
+    if any(b.shape != (2 * steps + 1,) for b in b_nodes):
         raise ValueError("each entry of B needs 2 * steps + 1 node samples")
-    lam_c = [None if ci == 0 else ci * lam for ci in c]
+    k = _segment_count(steps, lam.size)
+    seg = steps // k
+    h = length / steps
+    # node j of every segment as a (k, 1) column; segments share end nodes
+    idx = 2 * seg * np.arange(k)[:, None] + np.arange(2 * seg + 1)
+    cols = [b[idx].T[:, :, None] for b in b_nodes]
+    row = lam.reshape(1, -1)
+    lam_c = [None if ci == 0 else ci * row for ci in c]
 
     def node(j: int):
         return tuple(b[j] if lc is None else b[j] + lc for b, lc in zip(cols, lam_c))
@@ -116,17 +147,18 @@ def rk4_transfer(b_nodes, c, length: float, steps: int, lam: np.ndarray):
             a21 * m[1] + a22 * m[3],
         )
 
-    def step_add(m, k, t):
-        return (m[0] + t * k[0], m[1] + t * k[1], m[2] + t * k[2], m[3] + t * k[3])
+    def step_add(m, d, t):
+        return (m[0] + t * d[0], m[1] + t * d[1], m[2] + t * d[2], m[3] + t * d[3])
 
+    lanes = (k, lam.size)
     psi = (
-        np.ones(shape, dtype=complex),
-        np.zeros(shape, dtype=complex),
-        np.zeros(shape, dtype=complex),
-        np.ones(shape, dtype=complex),
+        np.ones(lanes, dtype=complex),
+        np.zeros(lanes, dtype=complex),
+        np.zeros(lanes, dtype=complex),
+        np.ones(lanes, dtype=complex),
     )
     A3 = node(0)
-    for j in range(steps):
+    for j in range(seg):
         A1, A2, A3 = A3, node(2 * j + 1), node(2 * j + 2)
         k1 = mul(A1, psi)
         k2 = mul(A2, step_add(psi, k1, h / 2))
@@ -136,11 +168,13 @@ def rk4_transfer(b_nodes, c, length: float, steps: int, lam: np.ndarray):
             psi[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
             for i in range(4)
         )
+    while psi[0].shape[0] > 1:
+        psi = mul([p[1::2] for p in psi], [p[0::2] for p in psi])
     if not all(np.all(np.isfinite(p)) for p in psi):
         raise FloatingPointError(
             "transfer matrix overflowed; spectral parameter too large for the step budget"
         )
-    return psi
+    return tuple(p.reshape(shape) for p in psi)
 
 
 def transfer_monodromy(

@@ -19,7 +19,6 @@ truncated-flow statements.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,7 +291,6 @@ def invariance_check(
     seed: int = 0,
     permutations: int = 200,
     band_quantile: float = 0.99,
-    workers: int = 1,
 ) -> InvarianceReport:
     """Two-sample comparison of observable distributions before and after.
 
@@ -306,21 +304,15 @@ def invariance_check(
     if n < 8:
         raise ValueError("invariance check needs at least 8 members")
 
-    def _evolve(i: int):
+    keep: list[int] = []
+    evolved = []
+    for i, f in enumerate(ensemble.samples):
         try:
-            return i, split_step_evolve(ensemble.samples[i], params)
+            evolved.append(split_step_evolve(f, params))
         except BlowUpError:
-            return i, None
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evolved_pairs = list(pool.map(_evolve, range(n)))
-    else:
-        evolved_pairs = [_evolve(i) for i in range(n)]
-    evolved_pairs.sort(key=lambda t: t[0])
-    keep = [i for i, f in evolved_pairs if f is not None]
+            continue
+        keep.append(i)
     blowups = n - len(keep)
-    evolved = [f for _, f in evolved_pairs if f is not None]
     weights = ensemble.weights[keep]
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, _INVARIANCE_TAG)))

@@ -252,7 +252,7 @@ def test_criterion_08_concentration(focusing_ensembles):
     ):
         name, fn = ch.make_statistic(stat)
         sample_s = ch.collect_statistic(ens, fn, name=name)
-        probe = ch.lipschitz_probe(fn, ens, pair_count=150, seed=2, values=sample_s.values)
+        probe = ch.lipschitz_probe(fn, ens, pair_count=150, seed=2, sample=sample_s)
         bound = probe["lipschitz"] ** 2 / alpha
         rep_s = ch.concentration_report(sample_s, eta_bound=bound, bootstrap=100, seed=2)
         details.append(f"{name}: eta {rep_s.fit.envelope_eta:.3g} <= {bound:.3g}")

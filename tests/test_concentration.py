@@ -4,12 +4,25 @@ import numpy as np
 import pytest
 
 from gibbslab import concentration_harness as ch
+from gibbslab.fourier_field import l2_norm_sq
 from gibbslab.gibbs_sampler import GibbsParams, importance_ensemble
 
 
 def gaussian_ensemble(count=4000, cutoff=6, seed=1):
     params = GibbsParams(p=4.0, beta=0.0, ball_radius=1e9, cutoff=cutoff)
     return importance_ensemble(count, params, seed)
+
+
+def coordinate_failing_on(ens, member: int):
+    """Re c_1, raising FloatingPointError on one member of ``ens``."""
+    target = ens.samples[member]
+
+    def one_bad(f):
+        if f is target:
+            raise FloatingPointError("overflow")
+        return float(np.real(f.mode(1)))
+
+    return one_bad
 
 
 class TestCollect:
@@ -60,25 +73,15 @@ class TestCollect:
 
     def test_failure_counted_in_report(self):
         ens = gaussian_ensemble(count=200)
-        target = ens.samples[17]
-
-        def one_bad(f):
-            if f is target:
-                raise FloatingPointError("overflow")
-            return float(np.real(f.mode(1)))
-
-        sample = ch.collect_statistic(ens, one_bad, name="one_bad")
+        sample = ch.collect_statistic(ens, coordinate_failing_on(ens, 17), name="one_bad")
         assert sample.values.size == 199 and sample.failed == 1
+        assert list(sample.members) == [i for i in range(200) if i != 17]
         report = ch.concentration_report(sample, bootstrap=20).to_json()
         assert report["members_evaluated"] == 200
         assert report["members_failed"] == 1
-        assert ch.concentration_report(sample.scaled(2.0), bootstrap=20).members_failed == 1
-
-    def test_workers_deterministic(self):
-        ens = gaussian_ensemble(count=200)
-        s1 = ch.collect_statistic(ens, "l2", workers=1)
-        s8 = ch.collect_statistic(ens, "l2", workers=8)
-        assert np.array_equal(s1.values, s8.values)
+        scaled = sample.scaled(2.0)
+        assert np.array_equal(scaled.members, sample.members)
+        assert ch.concentration_report(scaled, bootstrap=20).members_failed == 1
 
 
 class TestLogMgf:
@@ -163,13 +166,28 @@ class TestLipschitzProbe:
         probe = ch.lipschitz_probe("coord:a1", ens, pair_count=150, seed=2)
         assert probe["lipschitz"] <= 1.0 + 1e-9
 
+    def test_failed_member_keeps_values_aligned(self):
+        # a failure drops member 17 from the sample; every other member must
+        # still be paired with its own value, and pairs with 17 are skipped
+        ens = gaussian_ensemble(count=200)
+        one_bad = coordinate_failing_on(ens, 17)
+        sample = ch.collect_statistic(ens, one_bad, name="one_bad")
+        probe = ch.lipschitz_probe(one_bad, ens, pair_count=400, seed=3, sample=sample)
+        assert 17 not in probe["pair"]
+        # Re c_1 is 1-Lipschitz in L^2; a neighbour's value breaks the bound
+        assert 0.0 < probe["lipschitz"] <= 1.0 + 1e-9
+        i, j = probe["pair"]
+        own = abs(one_bad(ens.samples[i]) - one_bad(ens.samples[j]))
+        dist = np.sqrt(l2_norm_sq(ens.samples[i] - ens.samples[j]))
+        assert probe["lipschitz"] == own / dist
+
     def test_stability_under_doubling(self):
         params = GibbsParams(p=4.0, beta=-1.0, ball_radius=1.0, cutoff=4)
         ens = importance_ensemble(60, params, seed=7)
         name, fn = ch.make_statistic("dirac:critical:lorentzian:c=3:M=2")
         sample = ch.collect_statistic(ens, fn, name=name)
-        p1 = ch.lipschitz_probe(fn, ens, pair_count=80, seed=3, values=sample.values)
-        p2 = ch.lipschitz_probe(fn, ens, pair_count=160, seed=3, values=sample.values)
+        p1 = ch.lipschitz_probe(fn, ens, pair_count=80, seed=3, sample=sample)
+        p2 = ch.lipschitz_probe(fn, ens, pair_count=160, seed=3, sample=sample)
         assert p1["lipschitz"] <= p2["lipschitz"] <= 3.0 * p1["lipschitz"] + 1e-12
 
 

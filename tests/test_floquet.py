@@ -5,16 +5,45 @@ from hypothesis import strategies as st
 
 from gibbslab import dirac_spectrum as ds
 from gibbslab import hill_spectrum as hs
-from gibbslab.floquet import locate_spectral_points, rk4_transfer
+from gibbslab.floquet import (
+    SEGMENT_LANES,
+    _segment_count,
+    locate_spectral_points,
+    rk4_transfer,
+)
 from gibbslab.fourier_field import PeriodicField
+from conftest import picard_monodromy, random_field, real_even_field
 
 STEPS = 1024
 TOL = 1e-9
+# 101 steps always run unsegmented; the others reach the largest segment
+# count the batch allows
+STEP_COUNTS = (64, 96, 101, 512, 1024)
+
+
+def step_tol(steps: int) -> float:
+    """TOL at 1,024 steps; det Psi - 1 of RK4 grows like h^5 over a period."""
+    return TOL * (STEPS / steps) ** 5
+
+
+def transfer(system: str, field: PeriodicField, steps: int, lam):
+    """The four monodromy entries of the Dirac or Hill system on a batch."""
+    if system == "dirac":
+        return rk4_transfer(ds._dirac_nodes(field, steps), ds._DIRAC_C, 2 * np.pi, steps, lam)
+    return rk4_transfer(hs._hill_nodes(field, steps), hs._HILL_C, np.pi, steps, lam)
+
+
+def unsegmented(system: str, field: PeriodicField, steps: int, lam: np.ndarray) -> np.ndarray:
+    """Entries at ``lam`` from a batch padded past SEGMENT_LANES / 2, so k = 1."""
+    padded = np.concatenate([lam, np.zeros(SEGMENT_LANES + 1 - lam.size)])
+    return np.array(transfer(system, field, steps, padded))[:, : lam.size]
+
 
 small = st.complex_numbers(max_magnitude=0.25, allow_nan=False, allow_infinity=False)
 dirac_fields = st.lists(small, min_size=7, max_size=7).map(lambda c: PeriodicField(3, c))
 real_lams = st.floats(min_value=-3.0, max_value=3.0)
 lams = st.builds(complex, real_lams, st.floats(min_value=-1.0, max_value=1.0))
+step_counts = st.sampled_from(STEP_COUNTS)
 
 
 @st.composite
@@ -27,6 +56,15 @@ def hill_potentials(draw):
     c[6], c[2] = z2, np.conj(z2)
     c[8], c[0] = z4, np.conj(z4)
     return PeriodicField(4, c)
+
+
+@st.composite
+def lam_batches(draw, real: bool = False):
+    """1 to 600 spectral parameters in the box |Re| <= 3, |Im| <= 1."""
+    n = draw(st.integers(min_value=1, max_value=600))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    lam = rng.uniform(-3.0, 3.0, n)
+    return lam if real else lam + 1j * rng.uniform(-1.0, 1.0, n)
 
 
 class TestNearDoublePoint:
@@ -59,15 +97,22 @@ class TestEngineProperties:
         assert abs(hs.hill_monodromy(q, lam, steps=STEPS).determinant - 1.0) < TOL
 
     @settings(max_examples=20, deadline=None)
-    @given(dirac_fields, st.lists(real_lams, min_size=1, max_size=5))
-    def test_dirac_real_on_real_axis(self, f, lam):
-        vals = ds.discriminant_batch(f, STEPS)(np.array(lam))
+    @given(dirac_fields, hill_potentials(), lam_batches(), step_counts)
+    def test_batch_unimodular(self, f, q, lam, steps):
+        for system, field in (("dirac", f), ("hill", q)):
+            m = transfer(system, field, steps, lam)
+            assert np.max(np.abs(m[0] * m[3] - m[1] * m[2] - 1.0)) < step_tol(steps)
+
+    @settings(max_examples=20, deadline=None)
+    @given(dirac_fields, lam_batches(real=True), step_counts)
+    def test_dirac_real_on_real_axis(self, f, lam, steps):
+        vals = ds.discriminant_batch(f, steps)(lam)
         assert np.max(np.abs(vals.imag)) < TOL
 
     @settings(max_examples=20, deadline=None)
-    @given(hill_potentials(), st.lists(real_lams, min_size=1, max_size=5))
-    def test_hill_real_on_real_axis(self, q, lam):
-        vals = hs.hill_discriminant_batch(q, STEPS)(np.array(lam))
+    @given(hill_potentials(), lam_batches(real=True), step_counts)
+    def test_hill_real_on_real_axis(self, q, lam, steps):
+        vals = hs.hill_discriminant_batch(q, steps)(lam)
         assert np.max(np.abs(vals.imag)) < TOL
 
     @settings(max_examples=20, deadline=None)
@@ -75,15 +120,82 @@ class TestEngineProperties:
         dirac_fields,
         st.floats(min_value=0.0, max_value=2 * np.pi),
         st.floats(min_value=0.0, max_value=2 * np.pi),
-        st.lists(lams, min_size=1, max_size=5),
+        lam_batches(),
+        step_counts,
     )
-    def test_dirac_translation_and_phase(self, f, shift, phase, lam):
-        lam = np.array(lam)
-        base = ds.discriminant_batch(f, STEPS)(lam)
+    def test_dirac_translation_and_phase(self, f, shift, phase, lam, steps):
+        base = ds.discriminant_batch(f, steps)(lam)
         moved = PeriodicField(f.cutoff, f.coeffs * np.exp(1j * f.modes * shift))
         rotated = f * np.exp(1j * phase)
         for g in (moved, rotated):
-            assert np.max(np.abs(ds.discriminant_batch(g, STEPS)(lam) - base)) < TOL
+            diff = ds.discriminant_batch(g, steps)(lam) - base
+            assert np.max(np.abs(diff)) < step_tol(steps)
+
+
+class TestSegmentation:
+    """Small batches run as k segments along x; results match k = 1 to rounding."""
+
+    FIELDS = {
+        "dirac": random_field(6, 11, scale=0.4),
+        "hill": real_even_field(8, 12, scale=1.0),
+    }
+    # Dirac: a strip around the real axis; Hill: past lambda = 112 on the
+    # right and into the growing region on the left
+    BOXES = {"dirac": ((-8.0, 8.0), (-1.0, 1.0)), "hill": ((-6.0, 120.0), (-2.0, 2.0))}
+
+    def test_segment_count(self):
+        assert _segment_count(512, 1) == 512
+        assert _segment_count(512, 32) == 128
+        assert _segment_count(1024, 300) == 8
+        assert _segment_count(96, 1) == 32
+        assert _segment_count(100, 1) == 4
+        assert _segment_count(101, 1) == 1
+        assert _segment_count(4096, 2048) == 2
+        assert _segment_count(4096, 2049) == 1
+
+    @pytest.mark.parametrize("system", ["dirac", "hill"])
+    @pytest.mark.parametrize("steps", [512, 1024])
+    def test_matches_unsegmented(self, system, steps):
+        field = self.FIELDS[system]
+        (re_lo, re_hi), (im_lo, im_hi) = self.BOXES[system]
+        rng = np.random.default_rng(steps)
+        sizes = (1, 7, 32, 300)
+        lam = rng.uniform(re_lo, re_hi, sum(sizes)) + 1j * rng.uniform(im_lo, im_hi, sum(sizes))
+        ref = unsegmented(system, field, steps, lam)
+        scale = np.max(np.abs(ref), axis=0)
+        start = 0
+        for n in sizes:
+            assert _segment_count(steps, n) > 1
+            got = np.array(transfer(system, field, steps, lam[start : start + n]))
+            err = np.abs(got - ref[:, start : start + n]) / scale[start : start + n]
+            assert np.max(err) < 1e-12, (n, np.max(err))
+            start += n
+
+    @pytest.mark.parametrize("steps", [96, 100, 101])
+    def test_steps_not_a_power_of_two(self, steps):
+        f = random_field(3, 4, scale=0.3)
+        lam = np.array([0.7, -1.3 + 0.4j, 2.1 - 0.2j])
+        got = np.array(transfer("dirac", f, steps, lam))
+        assert np.max(np.abs(got - unsegmented("dirac", f, steps, lam))) < 1e-12
+        for i, mu in enumerate(lam):
+            # RK4 error at h = 2 pi / 96 is about 3e-6 against the oracle
+            ref = picard_monodromy(f, mu, grid=8192)
+            assert np.max(np.abs(got[:, i].reshape(2, 2) - ref)) < 1e-5
+
+    def test_lam_shape_preserved(self):
+        f = self.FIELDS["dirac"]
+        grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4) + 0.25j
+        flat = np.array(transfer("dirac", f, 512, grid.ravel()))
+        for lam, ref in ((grid, flat), (grid[0], flat[:, :4]), (grid[1, 2], flat[:, 6])):
+            out = transfer("dirac", f, 512, lam)
+            assert all(entry.shape == np.shape(lam) for entry in out)
+            got = np.array(out).reshape(4, -1)
+            assert np.allclose(got, ref.reshape(4, -1), rtol=1e-12, atol=1e-12)
+
+    def test_overflow_raises(self):
+        # deep in the growing region of Hill: the entries pass 1e308
+        with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
+            transfer("hill", self.FIELDS["hill"], 512, np.array([-1e6, 1.0]))
 
 
 def test_engine_rejects_wrong_node_count():

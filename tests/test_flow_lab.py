@@ -160,12 +160,3 @@ class TestInvariance:
         rep = fl.invariance_check(ens, params, {"l2": l2_norm_sq}, seed=3, permutations=100)
         assert rep.all_within_band
         assert rep.excluded_blowups == 0
-
-    def test_workers_deterministic(self):
-        ens = self._ensemble(beta=-1.0, N=1.0, count=32)
-        params = fl.FlowParams(4.0, -1.0, 1e-3, 100, 6)
-        obs = {"l2": l2_norm_sq}
-        r1 = fl.invariance_check(ens, params, obs, seed=4, permutations=50, workers=1)
-        r8 = fl.invariance_check(ens, params, obs, seed=4, permutations=50, workers=8)
-        assert r1.distances == r8.distances
-        assert r1.null_bands == r8.null_bands
