@@ -1,8 +1,10 @@
 """Command-line interface: one binary exposing all pipelines.
 
-Every run writes a JSON (or JSON-lines) result artifact plus a manifest
-``<out>.manifest.json`` echoing the fully resolved configuration, the seed
-and the code version.  Result files contain no timestamps, so identical
+Each ``cmd_*`` handler computes its result and returns it as a dict
+(``sample`` writes its own JSON-lines file and returns None).  One runner
+then writes the result to ``--out`` and a manifest ``<out>.manifest.json``
+echoing the fully resolved configuration, the seed, the worker count and
+the code version.  Result files contain no timestamps, so identical
 configurations produce bit-identical outputs regardless of the worker
 count; the manifest carries the timestamp.
 
@@ -28,17 +30,8 @@ from . import flow_lab as fl
 from . import gibbs_sampler as gs
 from . import hessian_convexity as hc
 from . import hill_spectrum as hs
+from .floquet import NUMERICAL_FAILURES
 from .fourier_field import field_to_json, l2_norm_sq, load_field
-from .floquet import ContourPlacementError
-
-NUMERICAL_ERRORS = (
-    FloatingPointError,
-    ContourPlacementError,
-    gs.RejectionBudgetError,
-    gs.DivergentWeightError,
-    fl.BlowUpError,
-    RuntimeError,
-)
 
 
 def _default_seed() -> int:
@@ -51,33 +44,36 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def write_manifest(out: str, command: str, config: dict, seed: int, workers: int) -> None:
+def _write_csv(path: str, header: list[str], *columns) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in zip(*columns):
+            w.writerow([repr(float(x)) for x in row])
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run the parsed subcommand, then write its result and its manifest."""
+    result = args.func(args)
+    if result is not None:
+        write_json(args.out, result)
     manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "workers": workers,
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
+        "seed": args.seed,
+        "workers": getattr(args, "workers", 1),
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    write_json(out + ".manifest.json", manifest)
-
-
-def _config_from_args(args: argparse.Namespace) -> dict:
-    skip = {"func", "command"}
-    out = {}
-    for k, v in sorted(vars(args).items()):
-        if k in skip:
-            continue
-        out[k] = v
-    return out
+    write_json(args.out + ".manifest.json", manifest)
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> None:
     params = gs.GibbsParams(
         p=args.p,
         beta=args.beta,
@@ -93,31 +89,23 @@ def cmd_sample(args) -> int:
     else:
         ens = gs.mcmc_ensemble(args.count, args.step_size, params, args.seed)
     gs.save_ensemble_jsonl(ens, args.out)
-    write_manifest(args.out, "sample", _config_from_args(args), args.seed, 1)
-    return 0
 
 
-def cmd_dirac_spectrum(args) -> int:
+def cmd_dirac_spectrum(args) -> dict:
     field = load_field(args.field)
     data = ds.spectral_data(
         field, (args.window[0], args.window[1]), refine_tol=args.tol, steps=args.steps
     )
     out = data.to_json()
     out["potential_hash"] = field.content_hash()
-    write_json(args.out, out)
     if args.trace_csv:
         grid = np.linspace(args.window[0], args.window[1], 481)
         vals = ds.discriminant_batch(field, args.steps)(grid.astype(complex))
-        with open(args.trace_csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda", "re_delta", "im_delta"])
-            for lam, v in zip(grid, vals):
-                w.writerow([repr(float(lam)), repr(float(v.real)), repr(float(v.imag))])
-    write_manifest(args.out, "dirac-spectrum", _config_from_args(args), args.seed, 1)
-    return 0
+        _write_csv(args.trace_csv, ["lambda", "re_delta", "im_delta"], grid, vals.real, vals.imag)
+    return out
 
 
-def cmd_hill_spectrum(args) -> int:
+def cmd_hill_spectrum(args) -> dict:
     field = load_field(args.field)
     data = hs.hill_periodic_spectrum(
         field, args.lambda_max, tol=args.tol, steps=args.steps
@@ -125,12 +113,10 @@ def cmd_hill_spectrum(args) -> int:
     out = data.to_json()
     out["potential_hash"] = field.content_hash()
     out["gap_summability"] = hs.gap_summability_report(data)
-    write_json(args.out, out)
-    write_manifest(args.out, "hill-spectrum", _config_from_args(args), args.seed, 1)
-    return 0
+    return out
 
 
-def cmd_statistic(args) -> int:
+def cmd_statistic(args) -> dict:
     field = load_field(args.field)
     g = ds.parse_test_function(args.g)
     window = (args.window[0], args.window[1])
@@ -150,23 +136,18 @@ def cmd_statistic(args) -> int:
         value = ds.linear_statistic_direct(
             np.array(data.critical_points), g, args.index_range
         )
-    write_json(
-        args.out,
-        {
-            "method": args.method,
-            "kernel": args.kernel,
-            "test_function": g.name,
-            "value": value,
-            "window": list(window),
-            "index_range": args.index_range,
-            "potential_hash": field.content_hash(),
-        },
-    )
-    write_manifest(args.out, "statistic", _config_from_args(args), args.seed, 1)
-    return 0
+    return {
+        "method": args.method,
+        "kernel": args.kernel,
+        "test_function": g.name,
+        "value": value,
+        "window": list(window),
+        "index_range": args.index_range,
+        "potential_hash": field.content_hash(),
+    }
 
 
-def cmd_borg_check(args) -> int:
+def cmd_borg_check(args) -> dict:
     field = load_field(args.field)
     lam_max = (args.n_max + 0.6) ** 2
     data = hs.hill_periodic_spectrum(field, lam_max, steps=args.steps)
@@ -174,12 +155,10 @@ def cmd_borg_check(args) -> int:
     out = report.to_json()
     out["period_convention"] = data.period_convention
     out["potential_hash"] = field.content_hash()
-    write_json(args.out, out)
-    write_manifest(args.out, "borg-check", _config_from_args(args), args.seed, 1)
-    return 0
+    return out
 
 
-def cmd_frame_bounds(args) -> int:
+def cmd_frame_bounds(args) -> dict:
     field = load_field(args.field)
     lam_max = (args.range + 0.6) ** 2
     data = hs.hill_periodic_spectrum(field, lam_max, steps=args.steps)
@@ -187,9 +166,7 @@ def cmd_frame_bounds(args) -> int:
     out = est.to_json()
     out["period_convention"] = data.period_convention
     out["potential_hash"] = field.content_hash()
-    write_json(args.out, out)
-    write_manifest(args.out, "frame-bounds", _config_from_args(args), args.seed, 1)
-    return 0
+    return out
 
 
 def _parse_index_range(spec: str) -> list[int]:
@@ -199,24 +176,19 @@ def _parse_index_range(spec: str) -> list[int]:
     return [int(x) for x in spec.split(",")]
 
 
-def cmd_pw_statistic(args) -> int:
+def cmd_pw_statistic(args) -> dict:
     field = load_field(args.field)
     records = hs.pw_statistic_contour(
         field, _parse_index_range(args.n), steps=args.steps, radius=args.radius
     )
-    write_json(
-        args.out,
-        {
-            "records": records,
-            "period_convention": hs.PERIOD_CONVENTION,
-            "potential_hash": field.content_hash(),
-        },
-    )
-    write_manifest(args.out, "pw-statistic", _config_from_args(args), args.seed, 1)
-    return 0
+    return {
+        "records": records,
+        "period_convention": hs.PERIOD_CONVENTION,
+        "potential_hash": field.content_hash(),
+    }
 
 
-def cmd_convexity(args) -> int:
+def cmd_convexity(args) -> dict:
     params = gs.GibbsParams(
         p=args.p,
         beta=args.beta,
@@ -237,7 +209,7 @@ def cmd_convexity(args) -> int:
         ).to_json()
         for f in ens.samples
     ]
-    out = {
+    return {
         "functional": args.functional,
         "weight": args.weight,
         "params": {
@@ -255,29 +227,21 @@ def cmd_convexity(args) -> int:
         "min_eigenvalue": min(r["min_eigenvalue"] for r in items),
         "lsi_lower_bound": min(r["lsi_lower_bound"] for r in items),
     }
-    write_json(args.out, out)
-    write_manifest(args.out, "convexity", _config_from_args(args), args.seed, args.workers)
-    return 0
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args) -> dict:
     field = load_field(args.field)
     cutoff = args.cutoff or field.cutoff
     steps = max(1, int(round(args.time / args.dt)))
     params = fl.FlowParams(p=args.p, beta=args.beta, dt=args.dt, steps=steps, cutoff=cutoff)
     traj = fl.evolve_trajectory(field, params, snapshots=args.snapshots)
-    drift = fl.conservation_check(traj, args.p, args.beta)
-    final = traj[-1]
-    out = {
-        "conservation": drift,
+    return {
+        "conservation": fl.conservation_check(traj, args.p, args.beta),
         "cutoff": cutoff,
         "time": params.total_time,
         "dt": args.dt,
-        "final_field": field_to_json(final.with_cutoff(cutoff)),
+        "final_field": field_to_json(traj[-1].with_cutoff(cutoff)),
     }
-    write_json(args.out, out)
-    write_manifest(args.out, "flow", _config_from_args(args), args.seed, 1)
-    return 0
 
 
 def _observables_from_spec(spec: str, p: float) -> dict:
@@ -288,19 +252,17 @@ def _observables_from_spec(spec: str, p: float) -> dict:
             continue
         if name == "l2":
             out["l2"] = l2_norm_sq
-        elif name == "V":
-            key, fn = ch.make_statistic(f"V:p={p:g}")
-            out[key] = fn
+            continue
+        if name == "V":
+            name = f"V:p={p:g}"
         elif name.startswith("stat:"):
-            key, fn = ch.make_statistic("dirac:critical:" + name[5:] + ":M=2")
-            out[key] = fn
-        else:
-            key, fn = ch.make_statistic(name)
-            out[key] = fn
+            name = "dirac:critical:" + name[5:] + ":M=2"
+        key, fn = ch.make_statistic(name)
+        out[key] = fn
     return out
 
 
-def cmd_invariance(args) -> int:
+def cmd_invariance(args) -> dict:
     ens = gs.load_ensemble_jsonl(args.ensemble)
     steps = max(1, int(round(args.time / args.dt)))
     cutoff = args.cutoff or ens.params.cutoff
@@ -309,15 +271,9 @@ def cmd_invariance(args) -> int:
     )
     observables = _observables_from_spec(args.observables, ens.params.p)
     report = fl.invariance_check(
-        ens,
-        params,
-        observables,
-        seed=args.seed,
-        permutations=args.permutations,
+        ens, params, observables, seed=args.seed, permutations=args.permutations
     )
-    write_json(args.out, report.to_json())
-    write_manifest(args.out, "invariance", _config_from_args(args), args.seed, args.workers)
-    return 0
+    return report.to_json()
 
 
 def _parse_t_grid(spec: str) -> np.ndarray:
@@ -328,24 +284,17 @@ def _parse_t_grid(spec: str) -> np.ndarray:
     return grid
 
 
-def cmd_concentration(args) -> int:
+def cmd_concentration(args) -> dict:
     ens = gs.load_ensemble_jsonl(args.ensemble)
     sample = ch.collect_statistic(ens, args.statistic)
     t_grid = _parse_t_grid(args.t_grid) if args.t_grid else None
     report = ch.concentration_report(
         sample, t_grid, eta_bound=args.eta_bound, bootstrap=args.bootstrap, seed=args.seed
     )
-    write_json(args.out, report.to_json())
     if args.curve_csv:
-        with open(args.curve_csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "log_mgf", "stderr"])
-            for t, v, s in zip(report.curve.t, report.curve.value, report.curve.stderr):
-                w.writerow([repr(float(t)), repr(float(v)), repr(float(s))])
-    write_manifest(
-        args.out, "concentration", _config_from_args(args), args.seed, args.workers
-    )
-    return 0
+        curve = report.curve
+        _write_csv(args.curve_csv, ["t", "log_mgf", "stderr"], curve.t, curve.value, curve.stderr)
+    return report.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"gibbslab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True, workers=False, steps=None):
+    def common(sp, func, workers=False, steps=None):
+        sp.set_defaults(func=func)
         sp.add_argument("--out", required=True, help="output JSON path")
-        if seed:
-            sp.add_argument("--seed", type=int, default=_default_seed())
+        sp.add_argument("--seed", type=int, default=_default_seed())
         if workers:
             # recorded in the manifest only: evaluation runs in one thread,
             # and results do not depend on it
@@ -384,23 +333,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", type=float, default=None, help="Holder exponent")
     sp.add_argument("--holder-k", type=float, default=None, help="Holder bound K")
     sp.add_argument("--pi-periodic", action="store_true")
-    common(sp)
-    sp.set_defaults(func=cmd_sample)
+    common(sp, cmd_sample)
 
     sp = sub.add_parser("dirac-spectrum", help="Dirac periodic and critical points")
     sp.add_argument("--field", required=True)
     sp.add_argument("--window", type=float, nargs=2, required=True)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--trace-csv", default=None, help="optional discriminant trace CSV")
-    common(sp, steps=ds.DEFAULT_STEPS)
-    sp.set_defaults(func=cmd_dirac_spectrum)
+    common(sp, cmd_dirac_spectrum, steps=ds.DEFAULT_STEPS)
 
     sp = sub.add_parser("hill-spectrum", help="Hill eigenvalues, gaps and midpoints")
     sp.add_argument("--field", required=True)
     sp.add_argument("--lambda-max", type=float, required=True)
     sp.add_argument("--tol", type=float, default=1e-8)
-    common(sp, steps=hs.DEFAULT_STEPS)
-    sp.set_defaults(func=cmd_hill_spectrum)
+    common(sp, cmd_hill_spectrum, steps=hs.DEFAULT_STEPS)
 
     sp = sub.add_parser("statistic", help="linear statistic, direct or contour")
     sp.add_argument("--field", required=True)
@@ -411,28 +357,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", type=float, default=0.2)
     sp.add_argument("--window", type=float, nargs=2, default=[-3.5, 3.5])
     sp.add_argument("--index-range", type=int, default=3)
-    common(sp, steps=ds.DEFAULT_STEPS)
-    sp.set_defaults(func=cmd_statistic)
+    common(sp, cmd_statistic, steps=ds.DEFAULT_STEPS)
 
     sp = sub.add_parser("borg-check", help="midpoint margins under smallness hypotheses")
     sp.add_argument("--field", required=True)
     sp.add_argument("--n-max", type=int, default=10)
-    common(sp, steps=hs.DEFAULT_STEPS)
-    sp.set_defaults(func=cmd_borg_check)
+    common(sp, cmd_borg_check, steps=hs.DEFAULT_STEPS)
 
     sp = sub.add_parser("frame-bounds", help="sampling frame bounds of the midpoints")
     sp.add_argument("--field", required=True)
     sp.add_argument("--range", type=int, default=10, help="two-sided index range J")
     sp.add_argument("--family", type=int, default=64)
-    common(sp, steps=hs.DEFAULT_STEPS)
-    sp.set_defaults(func=cmd_frame_bounds)
+    common(sp, cmd_frame_bounds, steps=hs.DEFAULT_STEPS)
 
     sp = sub.add_parser("pw-statistic", help="midpoint squares by Cauchy circles")
     sp.add_argument("--field", required=True)
     sp.add_argument("--n", default="1..4", help="index range, e.g. 1..8")
     sp.add_argument("--radius", type=float, default=0.25)
-    common(sp, steps=hs.DEFAULT_STEPS)
-    sp.set_defaults(func=cmd_pw_statistic)
+    common(sp, cmd_pw_statistic, steps=hs.DEFAULT_STEPS)
 
     sp = sub.add_parser("convexity", help="certify uniform convexity on sampled fields")
     sp.add_argument("--p", type=float, default=4.0)
@@ -445,8 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weight", choices=["l2", "h1", "h_delta"], default="h1")
     sp.add_argument("--delta", type=float, default=0.75)
     sp.add_argument("--gamma", type=float, default=0.3)
-    common(sp, workers=True)
-    sp.set_defaults(func=cmd_convexity)
+    common(sp, cmd_convexity, workers=True)
 
     sp = sub.add_parser("flow", help="evolve a field and report conservation")
     sp.add_argument("--field", required=True)
@@ -456,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--time", type=float, required=True)
     sp.add_argument("--cutoff", type=int, default=None)
     sp.add_argument("--snapshots", type=int, default=8)
-    common(sp)
-    sp.set_defaults(func=cmd_flow)
+    common(sp, cmd_flow)
 
     sp = sub.add_parser("invariance", help="distribution drift of observables under the flow")
     sp.add_argument("--ensemble", required=True)
@@ -466,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cutoff", type=int, default=None)
     sp.add_argument("--observables", default="l2,V")
     sp.add_argument("--permutations", type=int, default=200)
-    common(sp, workers=True)
-    sp.set_defaults(func=cmd_invariance)
+    common(sp, cmd_invariance, workers=True)
 
     sp = sub.add_parser("concentration", help="log-MGF curve and sub-Gaussian fit")
     sp.add_argument("--ensemble", required=True)
@@ -476,8 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta-bound", type=float, default=None)
     sp.add_argument("--bootstrap", type=int, default=200)
     sp.add_argument("--curve-csv", default=None)
-    common(sp, workers=True)
-    sp.set_defaults(func=cmd_concentration)
+    common(sp, cmd_concentration, workers=True)
 
     return ap
 
@@ -489,11 +427,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for bad flags, 0 for --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        return run(args)
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -341,7 +341,8 @@ def lipschitz_probe(
     """Empirical Lipschitz constant over sampled member pairs.
 
     Returns the max ratio |X_i - X_j| / ||phi_i - phi_j||_{L^2} together
-    with the maximizing pair; coincident pairs are skipped.  Pass the
+    with the maximizing pair and the number of pairs compared
+    (``pairs_tested``); i = j and coincident pairs are skipped.  Pass the
     ``sample`` collected from this ensemble to reuse its values: each
     member is paired with its own value, and pairs with a member whose
     evaluation failed are skipped.
@@ -366,6 +367,7 @@ def lipschitz_probe(
             cache[i] = float(fn(ensemble.samples[i]))
         return cache[i]
 
+    tested = 0
     for _ in range(pair_count):
         i, j = (int(x) for x in rng.integers(0, n, 2))
         if i == j or (sample is not None and not (i in cache and j in cache)):
@@ -375,10 +377,11 @@ def lipschitz_probe(
         if dn == 0.0:
             continue
         ratio = abs(val(i) - val(j)) / dn
+        tested += 1
         if ratio > best:
             best = ratio
             best_pair = (i, j)
-    return {"lipschitz": best, "pair": best_pair, "pairs_tested": pair_count}
+    return {"lipschitz": best, "pair": best_pair, "pairs_tested": tested}
 
 
 # ---------------------------------------------------------------------------

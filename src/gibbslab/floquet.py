@@ -157,19 +157,21 @@ def rk4_transfer(b_nodes, c, length: float, steps: int, lam: np.ndarray):
         np.zeros(lanes, dtype=complex),
         np.ones(lanes, dtype=complex),
     )
-    A3 = node(0)
-    for j in range(seg):
-        A1, A2, A3 = A3, node(2 * j + 1), node(2 * j + 2)
-        k1 = mul(A1, psi)
-        k2 = mul(A2, step_add(psi, k1, h / 2))
-        k3 = mul(A2, step_add(psi, k2, h / 2))
-        k4 = mul(A3, step_add(psi, k3, h))
-        psi = tuple(
-            psi[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-            for i in range(4)
-        )
-    while psi[0].shape[0] > 1:
-        psi = mul([p[1::2] for p in psi], [p[0::2] for p in psi])
+    # an overflow is reported once, as the FloatingPointError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        A3 = node(0)
+        for j in range(seg):
+            A1, A2, A3 = A3, node(2 * j + 1), node(2 * j + 2)
+            k1 = mul(A1, psi)
+            k2 = mul(A2, step_add(psi, k1, h / 2))
+            k3 = mul(A2, step_add(psi, k2, h / 2))
+            k4 = mul(A3, step_add(psi, k3, h))
+            psi = tuple(
+                psi[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                for i in range(4)
+            )
+        while psi[0].shape[0] > 1:
+            psi = mul([p[1::2] for p in psi], [p[0::2] for p in psi])
     if not all(np.all(np.isfinite(p)) for p in psi):
         raise FloatingPointError(
             "transfer matrix overflowed; spectral parameter too large for the step budget"

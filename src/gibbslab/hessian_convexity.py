@@ -157,39 +157,6 @@ class ConvexityReport:
 # The quadratic form and its finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def _form_batch(
-    field: PeriodicField,
-    xi_rows: np.ndarray,
-    eta_rows: np.ndarray,
-    p: float,
-    grid_size: int | None = None,
-) -> np.ndarray:
-    """Hessian form of V applied to a batch of directions (rows)."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    g = grid_size or default_grid_size(field.cutoff)
-    if g <= 2 * field.cutoff + 1:
-        raise ValueError("grid too small for the field cutoff")
-    phi = evaluate(field, g).values
-    ns = np.arange(-field.cutoff, field.cutoff + 1)
-    basis = np.exp(1j * np.outer(ns, 2 * np.pi * np.arange(g) / g))
-    delta = (xi_rows + 1j * eta_rows) @ basis  # (B, g)
-
-    absphi = np.abs(phi)
-    if p == 2.0:
-        w1 = np.ones(g)
-    else:
-        w1 = absphi ** (p - 2.0)
-    term1 = p * np.mean(w1[None, :] * np.abs(delta) ** 2, axis=1)
-    if p == 2.0:
-        return term1
-    # guarded product form of |phi|^{p-4} Re(delta conj(phi))^2
-    safe = np.maximum(absphi, SINGULAR_GUARD)
-    ratio = np.real(delta * np.conj(phi)[None, :]) / safe[None, :]
-    term2 = p * (p - 2.0) * np.mean(w1[None, :] * ratio**2, axis=1)
-    return term1 + term2
-
-
 def hessian_form_V(
     field: PeriodicField,
     direction: Direction,
@@ -203,9 +170,8 @@ def hessian_form_V(
     """
     if direction.cutoff != field.cutoff:
         direction = _embed_direction(direction, field.cutoff)
-    val = float(
-        _form_batch(field, direction.xi[None, :], direction.eta[None, :], p, grid_size)[0]
-    )
+    v = np.concatenate([direction.xi, direction.eta])
+    val = float(v @ hessian_matrix_V(field, p, grid_size) @ v)
     if val < -1e-9:
         raise FloatingPointError(f"Hessian form returned {val} < 0")
     return val
@@ -247,27 +213,28 @@ def hessian_matrix_V(
 ) -> np.ndarray:
     """Dense Hessian of V in the coordinates (a_{-M..M}, b_{-M..M}).
 
-    Assembled by applying the quadratic form to basis pairs and
-    polarizing: H_ij = (Q[e_i + e_j] - Q[e_i - e_j]) / 4.
+    The Gram matrix of the bilinear form of the module docstring over the
+    directions delta = e^{inx} (the a_n) and delta = i e^{inx} (the b_n),
+    with both integrals taken as grid means.
     """
-    M = field.cutoff
-    d = 2 * (2 * M + 1)
-    eye = np.eye(2 * M + 1)
-    zero = np.zeros((2 * M + 1, 2 * M + 1))
-    basis_xi = np.vstack([eye, zero])  # rows: d basis directions
-    basis_eta = np.vstack([zero, eye])
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    g = grid_size or default_grid_size(field.cutoff)
+    if g <= 2 * field.cutoff + 1:
+        raise ValueError("grid too small for the field cutoff")
+    phi = evaluate(field, g).values
+    ns = np.arange(-field.cutoff, field.cutoff + 1)
+    basis = np.exp(1j * np.outer(ns, 2 * np.pi * np.arange(g) / g))
+    D = np.vstack([basis, 1j * basis])  # delta of each coordinate direction, (d, g)
 
-    iu, ju = np.triu_indices(d)
-    xi_plus = basis_xi[iu] + basis_xi[ju]
-    eta_plus = basis_eta[iu] + basis_eta[ju]
-    xi_minus = basis_xi[iu] - basis_xi[ju]
-    eta_minus = basis_eta[iu] - basis_eta[ju]
-    q_plus = _form_batch(field, xi_plus, eta_plus, p, grid_size)
-    q_minus = _form_batch(field, xi_minus, eta_minus, p, grid_size)
-    H = np.zeros((d, d))
-    H[iu, ju] = (q_plus - q_minus) / 4.0
-    H[ju, iu] = H[iu, ju]
-    return H
+    absphi = np.abs(phi)
+    w1 = np.ones(g) if p == 2.0 else absphi ** (p - 2.0)
+    H = p * np.real((D * w1) @ D.conj().T) / g
+    if p == 2.0:
+        return H
+    # guarded product form of |phi|^{p-4} Re(delta conj(phi))^2
+    R = np.real(D * np.conj(phi)) / np.maximum(absphi, SINGULAR_GUARD)
+    return H + p * (p - 2.0) * ((R * w1) @ R.T) / g
 
 
 # ---------------------------------------------------------------------------

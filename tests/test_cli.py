@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,35 @@ def small_complex_field(tmp_path):
     return str(path)
 
 
+# one small run of every subcommand; {phi}, {q} and {ens} name the inputs
+SUBCOMMAND_ARGS = {
+    "sample": ["--ball", "1", "--cutoff", "4", "--count", "5"],
+    "dirac-spectrum": ["--field", "{phi}", "--window", "-1.5", "1.5", "--steps", "512"],
+    "hill-spectrum": ["--field", "{q}", "--lambda-max", "10", "--steps", "1024"],
+    "statistic": ["--field", "{phi}", "--method", "direct", "--g", "builtin:lorentzian:c=3",
+                  "--steps", "512"],
+    "borg-check": ["--field", "{q}", "--n-max", "2", "--steps", "1024"],
+    "frame-bounds": ["--field", "{q}", "--range", "2", "--family", "8", "--steps", "1024"],
+    "pw-statistic": ["--field", "{q}", "--n", "1..2", "--steps", "1024"],
+    "convexity": ["--cutoff", "4", "--samples", "2", "--workers", "2"],
+    "flow": ["--field", "{phi}", "--dt", "1e-3", "--time", "0.01"],
+    "invariance": ["--ensemble", "{ens}", "--time", "0.01", "--permutations", "10"],
+    "concentration": ["--ensemble", "{ens}", "--statistic", "coord:a1", "--bootstrap", "5",
+                      "--workers", "3"],
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    save_field(field_from_modes(2, {2: 0.1, -2: 0.1}), d / "q.json")
+    save_field(field_from_modes(2, {1: 0.05 + 0.02j, 2: 0.01}), d / "phi.json")
+    ens = d / "ens.jsonl"
+    assert main(["sample", "--beta", "0", "--ball", "1000", "--cutoff", "4",
+                 "--count", "40", "--seed", "1", "--out", str(ens)]) == 0
+    return {"q": str(d / "q.json"), "phi": str(d / "phi.json"), "ens": str(ens)}
+
+
 class TestBasics:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -65,6 +95,36 @@ class TestBasics:
             ["sample", "--ball", "-1", "--cutoff", "4", "--count", "5", "--out", out]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+    def test_every_subcommand_writes_a_manifest(self, command, inputs, tmp_path):
+        out = tmp_path / "result.json"
+        argv = [a.format(**inputs) for a in SUBCOMMAND_ARGS[command]]
+        assert main([command, *argv, "--seed", "7", "--out", str(out)]) == 0
+        assert out.exists()
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        validate(manifest, "manifest")
+        assert manifest["command"] == command
+        assert "func" not in manifest["config"] and "command" not in manifest["config"]
+        assert manifest["config"]["out"] == str(out)
+        assert manifest["seed"] == manifest["config"]["seed"] == 7
+        assert manifest["workers"] == manifest["config"].get("workers", 1)
+
+    def test_overflow_is_a_numerical_failure(self, mathieu_field, tmp_path, capsys):
+        out = tmp_path / "hill.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["hill-spectrum", "--field", mathieu_field, "--lambda-max", "1e6",
+                 "--steps", "64", "--out", str(out)]
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "numerical failure:" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
 
 
 class TestSampleCommand:

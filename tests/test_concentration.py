@@ -180,6 +180,11 @@ class TestLipschitzProbe:
         own = abs(one_bad(ens.samples[i]) - one_bad(ens.samples[j]))
         dist = np.sqrt(l2_norm_sq(ens.samples[i] - ens.samples[j]))
         assert probe["lipschitz"] == own / dist
+        # only the pairs actually compared are counted: no i = j, no member 17
+        rng = np.random.default_rng(np.random.SeedSequence((3, ch._LIPSCHITZ_TAG)))
+        drawn = [tuple(int(x) for x in rng.integers(0, 200, 2)) for _ in range(400)]
+        compared = sum(i != j and 17 not in (i, j) for i, j in drawn)
+        assert probe["pairs_tested"] == compared < 400
 
     def test_stability_under_doubling(self):
         params = GibbsParams(p=4.0, beta=-1.0, ball_radius=1.0, cutoff=4)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,7 +196,9 @@ class TestSegmentation:
 
     def test_overflow_raises(self):
         # deep in the growing region of Hill: the entries pass 1e308
-        with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
+        # and it raises the typed error alone, without numpy warnings first
+        with pytest.raises(FloatingPointError), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             transfer("hill", self.FIELDS["hill"], 512, np.array([-1e6, 1.0]))
 
 

@@ -93,13 +93,22 @@ class TestHessianForm:
         assert scaled == pytest.approx(c * c * base, rel=1e-10, abs=1e-10)
 
     def test_matrix_matches_form(self):
+        # every entry against the polarised finite-difference oracle
         f = bounded_below_field(2, 8)
-        H = hessian_matrix_V(f, 4.0)
-        assert np.abs(H - H.T).max() < 1e-12
-        for seed in range(3):
-            d = random_direction(2, 30 + seed)
-            v = np.concatenate([d.xi, d.eta])
-            assert v @ H @ v == pytest.approx(hessian_form_V(f, d, 4.0), rel=1e-9)
+        d = 2 * (2 * f.cutoff + 1)
+        basis = np.eye(d)
+
+        def fd(v, p):
+            return hessian_fd_oracle(f, Direction(v[: d // 2], v[d // 2 :]), p)
+
+        for p in (3.0, 4.0):
+            H = hessian_matrix_V(f, p)
+            assert np.abs(H - H.T).max() < 1e-12
+            for i in range(d):
+                for j in range(i, d):
+                    e_i, e_j = basis[i], basis[j]
+                    polar = (fd(e_i + e_j, p) - fd(e_i - e_j, p)) / 4.0
+                    assert H[i, j] == pytest.approx(polar, abs=1e-5 * np.abs(H).max())
 
 
 class TestPerturbations:
