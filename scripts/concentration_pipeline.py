@@ -10,6 +10,7 @@ in one process for quick iteration.
 import argparse
 import csv
 import json
+import sys
 
 from gibbslab import concentration_harness as ch
 from gibbslab import hessian_convexity as hc
@@ -38,7 +39,10 @@ def main() -> None:
     cparams = hc.ConvexityParams(holder_bound=5.0)
     alpha = hc.lsi_lower_bound(args.beta, 4.0, args.ball, cparams, eta=0.25, route="ball")
     bound = probe["lipschitz"] ** 2 / alpha if alpha > 0 else None
-    report = ch.concentration_report(sample, eta_bound=bound, seed=args.seed)
+    try:
+        report = ch.concentration_report(sample, eta_bound=bound, seed=args.seed)
+    except ch.DegenerateWeightsError as exc:
+        sys.exit(f"error: {exc}")
 
     with open(args.out + ".json", "w") as fh:
         json.dump(report.to_json(), fh, indent=2, sort_keys=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import NUMERICAL_FAILURES
+from .floquet import NUMERICAL_FAILURES, contour_sum
 from .fourier_field import PeriodicField, l2_norm_sq, lp_integral
 from .gibbs_sampler import GibbsEnsemble
 from . import dirac_spectrum as ds
@@ -37,6 +37,7 @@ __all__ = [
     "default_t_grid",
     "empirical_log_mgf",
     "subgaussian_fit",
+    "DegenerateWeightsError",
     "lipschitz_probe",
     "concentration_report",
 ]
@@ -100,8 +101,8 @@ def make_statistic(spec: str, dirac_steps: int = 512, hill_steps: int = 1024):
       'V:p=4'                       int |phi|^p dx/2pi
       'coord:a1'                    Re of mode 1 (any 'a<n>' or 'b<n>')
       'dirac:critical:<g>:M=3'      two-sided sum of g over Dirac critical
-                                    points, by the contour method on circles
-                                    at the integers -M..M
+                                    points j = -M..M, by the contour method
+                                    on circles at the member's own points
       'hill:midpoints:<g>:J=3'      sum of g over Hill gap midpoints t_n,
                                     |n| <= J (g acts on the real line)
     with <g> a test-function descriptor like 'lorentzian:c=3'.
@@ -144,13 +145,13 @@ def make_statistic(spec: str, dirac_steps: int = 512, hill_steps: int = 1024):
         window = (-m - 1.8, m + 1.8)
 
         def stat(f: PeriodicField) -> float:
-            # circles centered on the member's own critical points: the
-            # free-lattice centers only capture them for small fields
+            # circles centered on the member's own critical points (the
+            # free-lattice centers only capture them for small fields),
+            # integrated on the disk models of their |Delta'| checks
             crit = ds.critical_points(f, window, steps=dirac_steps)
             pts = ds.two_sided_slice(np.array(crit.critical_points), m)
-            return ds.linear_statistic_contour(
-                f, g, pts.astype(complex), radius=0.2, kernel="critical", steps=dirac_steps
-            )
+            models = [d for d in crit.critical_models if pts[0] <= d.center.real <= pts[-1]]
+            return contour_sum(models, g, "critical", 0.2)[0]
 
         return name, stat
     if head == "hill":
@@ -313,16 +314,26 @@ class SubgaussianFit:
         }
 
 
+class DegenerateWeightsError(ValueError):
+    """The log-MGF curve kept no nonzero t, so there is nothing to fit."""
+
+
 def subgaussian_fit(curve: LogMgfCurve, eta_bound: float | None = None) -> SubgaussianFit:
     """Fit L(t) ~ eta t^2 on the curve's grid.
 
     ``fitted_eta`` minimizes sum (L(t) - eta t^2)^2; ``envelope_eta`` is the
     smallest eta such that L(t) <= eta t^2 + stderr band at every grid
     point.  When a bound is supplied the test passes iff envelope_eta stays
-    below it.
+    below it.  A curve without a nonzero t raises DegenerateWeightsError.
     """
     t = curve.t
     nz = t != 0.0
+    if not np.any(nz):
+        raise DegenerateWeightsError(
+            f"no nonzero t survived: all {curve.trimmed} were trimmed as |t (x - mean)| "
+            "overflowed exp; the weights sit on so few members that the trusted "
+            "range 2 / std far exceeds the values' spread"
+        )
     t2 = t[nz] ** 2
     fitted = float(np.dot(curve.value[nz], t2) / np.dot(t2, t2))
     envelope = float(np.max((curve.value[nz] - curve.stderr[nz]) / t2))

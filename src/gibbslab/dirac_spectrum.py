@@ -16,6 +16,7 @@ calculus-of-residues contour integral.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ from .floquet import (
     transfer_discriminant,
     transfer_monodromy,
 )
-from .fourier_field import PeriodicField, evaluate, l2_norm_sq
+from .fourier_field import PeriodicField, evaluate
 
 __all__ = [
     "SpectralPoint",
@@ -39,14 +40,12 @@ __all__ = [
     "monodromy",
     "discriminant",
     "discriminant_batch",
-    "discriminant_derivative",
     "periodic_eigenvalues",
     "critical_points",
     "spectral_data",
     "two_sided_slice",
     "linear_statistic_direct",
     "linear_statistic_contour",
-    "lipschitz_probe_delta",
     "lorentzian",
     "cos_gauss",
     "poly_lorentzian",
@@ -84,31 +83,6 @@ def discriminant(field: PeriodicField, lam: complex, steps: int = DEFAULT_STEPS)
     return complex(discriminant_batch(field, steps)(np.asarray([lam]))[0])
 
 
-def discriminant_derivative(
-    field: PeriodicField,
-    lam: complex,
-    order: int = 1,
-    steps: int = DEFAULT_STEPS,
-    radius: float = 0.5,
-    nodes: int = 32,
-) -> complex:
-    """d^k Delta / d lambda^k via the Cauchy integral on a small circle.
-
-    The discriminant is entire in lambda, so the trapezoid rule on the
-    circle converges spectrally; radius 0.5 keeps the transfer matrices
-    well inside the comfortable growth range.  The circle is a disk model
-    of :func:`floquet.build_models`, whose k-th coefficient is the k-th
-    Taylor coefficient.
-    """
-    if not (0 <= order <= 4):
-        raise ValueError("order must be between 0 and 4")
-    if order == 0:
-        return discriminant(field, lam, steps)
-    disc = discriminant_batch(field, steps)
-    model = build_models(disc, np.array([lam]), radius=radius, nodes=nodes)[0]
-    return complex(math.factorial(order) * model.coef[order])
-
-
 # ---------------------------------------------------------------------------
 # Spectral data
 # ---------------------------------------------------------------------------
@@ -135,6 +109,8 @@ class SpectralDataDirac:
     periodic_points: tuple[SpectralPoint, ...] = ()
     critical_points: tuple[float, ...] = ()
     critical_residuals: tuple[float, ...] = ()
+    # the |Delta'| checks' disk models (trust 0.25), for contour sums; not serialized
+    critical_models: tuple = dataclasses.field(default=(), compare=False, repr=False)
 
     def periodic_values(self, with_multiplicity: bool = False) -> np.ndarray:
         if with_multiplicity:
@@ -208,8 +184,8 @@ def critical_points(
         disc, _scan_grid(window), levels=(), want_critical=True
     )
     vals = [r.value for r in roots if r.is_critical and window[0] <= r.value <= window[1]]
-    # |Delta'| on the Cauchy circles of discriminant_derivative, in one batch
-    checks = build_models(disc, np.array(vals), radius=0.5, nodes=32) if vals else []
+    # |Delta'| from fresh disk models centered on the points, in one batch
+    checks = build_models(disc, np.array(vals), 0.25) if vals else []
     residuals = []
     for v, model in zip(vals, checks):
         resid = abs(model.coef[1])
@@ -219,7 +195,10 @@ def critical_points(
             )
         residuals.append(float(resid))
     return SpectralDataDirac(
-        window=window, critical_points=tuple(vals), critical_residuals=tuple(residuals)
+        window=window,
+        critical_points=tuple(vals),
+        critical_residuals=tuple(residuals),
+        critical_models=tuple(checks),
     )
 
 
@@ -231,12 +210,7 @@ def spectral_data(
 ) -> SpectralDataDirac:
     per = periodic_eigenvalues(field, window, refine_tol, steps)
     crit = critical_points(field, window, refine_tol, steps)
-    return SpectralDataDirac(
-        window=window,
-        periodic_points=per.periodic_points,
-        critical_points=crit.critical_points,
-        critical_residuals=crit.critical_residuals,
-    )
+    return dataclasses.replace(crit, periodic_points=per.periodic_points)
 
 
 def two_sided_slice(points: np.ndarray, M: int) -> np.ndarray:
@@ -353,7 +327,6 @@ def linear_statistic_contour(
     radius: float = 0.2,
     kernel: str = "critical",
     steps: int = DEFAULT_STEPS,
-    nodes: int = 64,
 ) -> float:
     """Residue-calculus evaluation of the linear statistic.
 
@@ -366,23 +339,6 @@ def linear_statistic_contour(
         raise ValueError("contour radius must stay below 1/4")
     centers = np.asarray(centers, dtype=complex)
     disc = discriminant_batch(field, steps)
-    trust = max(0.25, radius + 0.05)
-    models = build_models(disc, centers, radius=2.0 * trust, trust=trust, nodes=nodes)
-    value, _counts = contour_sum(models, g, kernel, radius, nodes=nodes)
+    models = build_models(disc, centers, max(0.25, radius + 0.05))
+    value, _counts = contour_sum(models, g, kernel, radius)
     return value
-
-
-def lipschitz_probe_delta(
-    field_a: PeriodicField,
-    field_b: PeriodicField,
-    lambda_set,
-    steps: int = DEFAULT_STEPS,
-) -> float:
-    """max over the lambda set of |Delta_a - Delta_b| / ||phi_a - phi_b||_{L^2}."""
-    diff = math.sqrt(l2_norm_sq(field_a - field_b))
-    if diff == 0.0:
-        raise ValueError("fields are identical; Lipschitz ratio undefined")
-    lams = np.asarray(lambda_set, dtype=complex)
-    da = discriminant_batch(field_a, steps)(lams)
-    db = discriminant_batch(field_b, steps)(lams)
-    return float(np.max(np.abs(da - db)) / diff)

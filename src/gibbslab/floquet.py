@@ -12,7 +12,9 @@ Three layers, all pure functions over immutable inputs:
 * local analytic "disk models": Taylor expansions of an entire function
   (the discriminant) recovered from samples on a circle, giving cheap and
   spectrally accurate access to values, derivatives and roots near the
-  center;
+  center.  The discriminant is entire of exponential type pi (in lambda
+  for Dirac, in s = sqrt(lambda) for Hill), so the circle's node count
+  follows from the growth bound (pi r)^n / n! <= 1e-16 (see build_models);
 * window scans that bracket sign changes and near-double minima on a real
   grid, refine them through disk models, and classify multiplicities.
 
@@ -23,6 +25,7 @@ hold to model accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,7 +210,6 @@ class DiskModel:
     """Taylor model f(center + w) = sum_k coef[k] w^k, trusted for |w| <= trust."""
 
     center: complex
-    radius: float
     trust: float
     coef: np.ndarray
 
@@ -248,33 +250,41 @@ class DiskModel:
         return self._roots_of_coef(self.deriv_coef(1))
 
 
-def build_models(
-    f_batch,
-    centers: np.ndarray,
-    radius: float = 0.7,
-    trust: float = 0.35,
-    nodes: int = 64,
-    max_terms: int = 44,
-) -> list[DiskModel]:
+def _ring_nodes(radius: float) -> int:
+    """Least multiple of 8 nodes n with (pi * radius)^n / n! <= 1e-16.
+
+    The bound is compared in logarithms: the direct quotient overflows to
+    nan for a large radius.
+    """
+    log_growth, target = math.log(math.pi * radius), math.log(1e-16)
+    n = 8
+    while n * log_growth - math.lgamma(n + 1) > target:
+        n += 8
+    return n
+
+
+def build_models(f_batch, centers: np.ndarray, trust: float) -> list[DiskModel]:
     """Fit disk models at the given centers with one batched evaluation.
 
-    ``f_batch`` maps an array of complex points to function values.  The fit
-    samples ``nodes`` points on each circle of the given radius; Taylor
-    coefficients follow from one FFT per circle, with aliasing controlled by
-    radius > trust.
+    ``f_batch`` maps an array of complex points to function values and must
+    be entire of exponential type at most pi, so that its Taylor
+    coefficients on a circle of radius r fall like (pi r)^k / k!.  Each
+    circle has radius r = 2 * trust and the least multiple of 8 nodes n
+    with (pi r)^n / n! <= 1e-16, so the trapezoid rule recovers every
+    coefficient kept (one per node) to 1e-16 of the function's size on the
+    circle; the coefficients follow from one FFT per circle.  For Hill's
+    lambda plane, of exponential type 0, the bound is conservative.
     """
     centers = np.asarray(centers, dtype=complex)
+    radius = 2.0 * trust
+    nodes = _ring_nodes(radius)
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     ring = radius * np.exp(1j * theta)
     pts = (centers[:, None] + ring[None, :]).ravel()
     vals = np.asarray(f_batch(pts), dtype=complex).reshape(centers.size, nodes)
-    alpha = np.fft.fft(vals, axis=1) / nodes
-    k = np.arange(min(max_terms, nodes))
-    coefs = alpha[:, : k.size] / radius ** k[None, :]
-    return [
-        DiskModel(center=complex(c), radius=radius, trust=trust, coef=coefs[i])
-        for i, c in enumerate(centers)
-    ]
+    # r^-k underflows quietly to 0 where r^k would overflow on a wide circle
+    coefs = np.fft.fft(vals, axis=1) * (radius ** -np.arange(nodes) / nodes)
+    return [DiskModel(complex(c), trust, coefs[i]) for i, c in enumerate(centers)]
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +344,6 @@ def locate_spectral_points(
     levels=(2.0, -2.0),
     want_critical: bool = False,
     trust: float = 0.35,
-    radius: float = 0.7,
-    nodes: int = 64,
     double_tol: float = 1e-6,
     imag_tol: float = 1e-3,
     merge_window: float = 0.02,
@@ -358,7 +366,7 @@ def locate_spectral_points(
     if not cands:
         return [], []
     centers = _thin_centers(cands, 0.35 * trust)
-    models = build_models(f_batch, centers, radius=radius, trust=trust, nodes=nodes)
+    models = build_models(f_batch, centers, trust)
 
     simple_hits: list[tuple[float, int, tuple]] = []
     double_hits: list[tuple[float, int, tuple]] = []
@@ -438,26 +446,28 @@ def _critical_near(model: DiskModel, w_guess: float):
 # Contour sums
 # ---------------------------------------------------------------------------
 
+# Trapezoid nodes on each contour circle.  The integrand has poles near the
+# circle, so it needs more than a ring; evaluating models costs no RK4 work.
+CONTOUR_NODES = 64
+
+
 def contour_sum(
-    models: list[DiskModel],
-    g,
-    kernel: str,
-    radius: float,
-    nodes: int = 64,
-    count_tol: float = 0.1,
+    models: list[DiskModel], g, kernel: str, radius: float
 ) -> tuple[float, list[float]]:
     """Sum of (1/2 pi i) * contour integrals of g times a logarithmic kernel.
 
     kernel 'critical' uses Delta''/Delta' (zeros of Delta'), 'plus' uses
     Delta'/(Delta - 2) and 'minus' uses Delta'/(Delta + 2).  Each circle is
-    centered at its model's center with the given radius; the enclosed root
-    count (the same integral with g = 1) must be within ``count_tol`` of an
-    integer or the placement is rejected.
+    centered at its model's center with the given radius and integrated by
+    the trapezoid rule on CONTOUR_NODES nodes.  The enclosed root count
+    (the same integral with g = 1) must be within 0.1 of an integer or the
+    placement is rejected.
     """
     if kernel not in ("critical", "plus", "minus"):
         raise ValueError("kernel must be 'critical', 'plus' or 'minus'")
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    theta = 2.0 * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES
     phase = np.exp(1j * theta)
+    weight = radius / CONTOUR_NODES
     total = 0.0 + 0.0j
     counts: list[float] = []
     for model in models:
@@ -471,13 +481,13 @@ def contour_sum(
             num = model.eval_deriv(z, 1)
             den = model(z) - (2.0 if kernel == "plus" else -2.0)
         ratio = num / den
-        count = (radius / nodes) * np.sum(ratio * phase)
-        if abs(count - round(count.real)) > count_tol:
+        count = weight * np.sum(ratio * phase)
+        if abs(count - round(count.real)) > 0.1:
             raise ContourPlacementError(
                 f"root count {count:.4f} at center {model.center:.6g} "
                 "is not close to an integer; adjust the circles"
             )
         counts.append(float(count.real))
         gz = np.asarray(g(z), dtype=complex)
-        total += (radius / nodes) * np.sum(gz * ratio * phase)
+        total += weight * np.sum(gz * ratio * phase)
     return float(np.real(total)), counts

@@ -434,7 +434,6 @@ def pw_statistic_contour(
     indices,
     steps: int = DEFAULT_STEPS,
     radius: float = 0.25,
-    nodes: int = 64,
 ) -> list[dict]:
     """t_m^2 by the Cauchy integral around m^2 (even m: Delta=2 series; odd:
     Delta=-2), i.e. (1/4 pi i) contour of lambda Delta'/(Delta -+ 2).
@@ -452,34 +451,28 @@ def pw_statistic_contour(
             raise ValueError("indices must be positive")
         center = float(m * m)
         kernel = "plus" if m % 2 == 0 else "minus"
-        used = radius
-        record = None
+        # the second circle either gives a record or raises
         for attempt, r in enumerate((radius, 1.6 * radius)):
-            trust = r + 0.1
-            models = build_models(disc, np.array([center]), radius=2.0 * trust, trust=trust, nodes=nodes)
+            models = build_models(disc, np.array([center]), r + 0.1)
             try:
-                value, counts = contour_sum(models, lambda z: z, kernel, r, nodes=nodes)
+                value, counts = contour_sum(models, lambda z: z, kernel, r)
             except NUMERICAL_FAILURES:
                 if attempt == 1:
                     raise
                 continue
             if abs(counts[0] - 2.0) <= 0.1:
-                used = r
-                record = {
+                out.append({
                     "index": m,
                     "t_sq": 0.5 * value,
                     "count": counts[0],
-                    "radius": used,
-                    "radius_adapted": bool(attempt > 0),
-                }
+                    "radius": r,
+                    "radius_adapted": attempt > 0,
+                })
                 break
             if attempt == 1:
                 raise FloatingPointError(
                     f"circle at {center} encloses {counts[0]:.2f} roots, expected 2"
                 )
-        if record is None:
-            raise FloatingPointError(f"no valid circle found at {center}")
-        out.append(record)
     return out
 
 

@@ -154,6 +154,18 @@ class TestSubgaussianFit:
         assert ch.subgaussian_fit(curve, eta_bound=0.6).passed
         assert not ch.subgaussian_fit(curve, eta_bound=0.4).passed
 
+    def test_degenerate_weights_raise_typed_error(self):
+        # one member carries all but 1e-11 of the weight: the trusted range
+        # 2 / std is so wide that every nonzero t overflows and is trimmed
+        values = np.linspace(0.0, 1.0, 30)
+        weights = np.full(30, 1e-12)
+        weights[0] = 1.0
+        sample = ch.StatisticSample(values, weights, "degenerate", "synthetic")
+        curve = ch.empirical_log_mgf(sample, bootstrap=10)
+        assert curve.t.tolist() == [0.0] and curve.trimmed == 40
+        with pytest.raises(ch.DegenerateWeightsError, match="no nonzero t survived"):
+            ch.subgaussian_fit(curve)
+
 
 class TestLipschitzProbe:
     def test_norm_statistic(self):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gibbslab import dirac_spectrum as ds
+from gibbslab.floquet import _ring_nodes, build_models
 from gibbslab.fourier_field import PeriodicField, field_from_modes, zero_field
-from gibbslab.gibbs_sampler import importance_ensemble, GibbsParams
 from conftest import picard_monodromy, random_field
 
 
@@ -74,23 +74,44 @@ class TestDiscriminant:
         assert abs(vals.mean() - center) < 1e-7
 
     def test_derivative_free_closed_form(self):
-        z = zero_field(1)
-        got = ds.discriminant_derivative(z, 0.5, order=1)
+        disc = ds.discriminant_batch(zero_field(1))
+        got = build_models(disc, np.array([0.5]), 0.25)[0].coef[1]
         assert got == pytest.approx(-2 * math.pi, abs=1e-8)
 
     def test_derivative_order_zero(self):
         f = small_field(7)
-        assert ds.discriminant_derivative(f, 0.3, order=0) == pytest.approx(
-            ds.discriminant(f, 0.3)
-        )
+        got = build_models(ds.discriminant_batch(f), np.array([0.3]), 0.25)[0].coef[0]
+        assert got == pytest.approx(ds.discriminant(f, 0.3))
 
     def test_derivative_fd_oracle(self):
         f = small_field(8, scale=0.3)
         lam, h = 1.1, 1e-5
         disc = ds.discriminant_batch(f)
         fd = (disc(np.array([lam + h]))[0] - disc(np.array([lam - h]))[0]) / (2 * h)
-        got = ds.discriminant_derivative(f, lam, order=1)
+        got = build_models(disc, np.array([lam]), 0.25)[0].coef[1]
         assert abs(got - fd) < 1e-6
+
+    def test_ring_rule_free_taylor(self):
+        # the zero field's discriminant is 2 cos(pi lambda), entire of type
+        # pi; its closed form is sampled, so only the ring's aliasing is seen
+        # (the RK4 step error alone is about 1e-11 on the widest ring)
+        disc = lambda z: 2.0 * np.cos(np.pi * np.asarray(z))
+        centers = np.array([0.0, 0.5, -1.3, 2.2 + 0.3j])
+        assert [_ring_nodes(2.0 * t) for t in (0.25, 0.35, 0.5)] == [24, 32, 32]
+        for trust in (0.25, 0.35, 0.5, 1.5):
+            r = 2.0 * trust
+            for model in build_models(disc, centers, trust):
+                k = np.arange(model.coef.size)
+                fact = np.array([math.factorial(j) for j in k], dtype=float)
+                exact = 2.0 * np.pi**k / fact * np.cos(np.pi * model.center + k * np.pi / 2)
+                ring = model.center + r * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 256))
+                scale = np.max(np.abs(disc(ring)))
+                assert np.max(np.abs(model.coef - exact) * r**k) < 1e-13 * scale
+        # a radius far past any ring in use: the log form of the bound
+        # still stops at the least multiple of 8
+        n = _ring_nodes(400.0)
+        bound = lambda n: n * math.log(400.0 * math.pi) - math.lgamma(n + 1)
+        assert n % 8 == 0 and bound(n) <= math.log(1e-16) < bound(n - 8)
 
 
 class TestSpectralData:
@@ -130,8 +151,11 @@ class TestSpectralData:
     def test_critical_residuals_and_interlacing(self):
         f = small_field(10)
         crit = ds.critical_points(f, (-3.5, 3.5))
+        # a central difference of the direct solver, independent of the models
+        disc, h = ds.discriminant_batch(f), 1e-5
         for v in crit.critical_points:
-            assert abs(ds.discriminant_derivative(f, v, 1)) < 1e-6
+            fd = (disc(np.array([v + h]))[0] - disc(np.array([v - h]))[0]) / (2 * h)
+            assert abs(fd) < 1e-6
         per = ds.periodic_eigenvalues(f, (-3.5, 3.5))
         pv = per.periodic_values(with_multiplicity=False)
         # each critical point sits inside the matching eigenvalue cluster
@@ -209,33 +233,3 @@ class TestLinearStatistics:
             ds.linear_statistic_contour(
                 zero_field(1), g, np.array([0.0], dtype=complex), radius=0.3
             )
-
-
-class TestLipschitzProbe:
-    def test_scaled_copies(self):
-        f = small_field(30, scale=0.4)
-        ratio = ds.lipschitz_probe_delta(f, 0.5 * f, np.linspace(-3, 3, 7))
-        assert np.isfinite(ratio) and ratio > 0
-
-    def test_identical_fields_rejected(self):
-        f = small_field(31)
-        with pytest.raises(ValueError):
-            ds.lipschitz_probe_delta(f, f, [0.0])
-
-    def test_bounded_over_ball_pairs(self):
-        params = GibbsParams(p=4.0, beta=0.0, ball_radius=1.0, cutoff=4)
-        ens = importance_ensemble(12, params, seed=5)
-        lams = np.linspace(-3, 3, 7)
-        ratios = [
-            ds.lipschitz_probe_delta(ens.samples[i], ens.samples[i + 1], lams, steps=512)
-            for i in range(0, 10, 2)
-        ]
-        # recorded empirical baseline on the unit ball: observed max ~56
-        assert max(ratios) < 200.0
-
-    def test_ratio_grows_with_strip_height(self):
-        f1 = small_field(32, scale=0.3)
-        f2 = small_field(33, scale=0.3)
-        low = ds.lipschitz_probe_delta(f1, f2, np.array([1.0 + 0.0j]), steps=512)
-        high = ds.lipschitz_probe_delta(f1, f2, np.array([1.0 + 1.5j]), steps=512)
-        assert high > low

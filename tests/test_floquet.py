@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -206,3 +207,20 @@ def test_engine_rejects_wrong_node_count():
     nodes = (np.zeros(128), np.ones(128), np.zeros(128), np.zeros(128))
     with pytest.raises(ValueError):
         rk4_transfer(nodes, (0.0, 0.0, -1.0, 0.0), np.pi, 64, np.array([1.0]))
+
+
+def test_traced_argument_names_bind():
+    # the benchmark's tracer reads these arguments by name from each call;
+    # renaming one would break every traced run
+    from gibbslab import concentration_harness, floquet, flow_lab
+
+    read = {
+        floquet.rk4_transfer: ("lam", "steps"),
+        floquet.build_models: ("centers",),
+        floquet.contour_sum: ("models",),
+        flow_lab.split_step_evolve: ("params",),
+        concentration_harness.collect_statistic: ("ensemble",),
+    }
+    for fn, names in read.items():
+        bound = inspect.signature(fn).bind_partial(**dict.fromkeys(names)).arguments
+        assert set(bound) == set(names), fn.__name__

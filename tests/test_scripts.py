@@ -10,7 +10,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, args: list[str], cwd: Path) -> None:
+def run_script(name: str, args: list[str], cwd: Path, ok: bool = True):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
@@ -20,7 +20,9 @@ def run_script(name: str, args: list[str], cwd: Path) -> None:
         text=True,
         timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
+    if ok:
+        assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def csv_header(path: Path) -> list[str]:
@@ -40,6 +42,19 @@ def test_concentration_pipeline(tmp_path):
     assert report["statistic_name"] == "l2"
     assert report["members_evaluated"] == 30
     assert csv_header(Path(str(out) + ".curve.csv")) == ["t", "log_mgf", "stderr"]
+
+
+def test_concentration_pipeline_degenerate_weights(tmp_path):
+    # at ball 100 the importance weights of 30 members collapse onto one
+    proc = run_script(
+        "concentration_pipeline.py",
+        ["--count", "30", "--statistic", "l2", "--ball", "100", "--out", str(tmp_path / "c")],
+        tmp_path,
+        ok=False,
+    )
+    assert proc.returncode != 0
+    assert proc.stderr.strip().splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error: no nonzero t survived")
 
 
 def test_calibrate_embedding_constants(tmp_path):
