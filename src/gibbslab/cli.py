@@ -235,12 +235,15 @@ def cmd_flow(args) -> dict:
     steps = max(1, int(round(args.time / args.dt)))
     params = fl.FlowParams(p=args.p, beta=args.beta, dt=args.dt, steps=steps, cutoff=cutoff)
     traj = fl.evolve_trajectory(field, params, snapshots=args.snapshots)
+    final = traj[-1].with_cutoff(cutoff)
     return {
         "conservation": fl.conservation_check(traj, args.p, args.beta),
         "cutoff": cutoff,
         "time": params.total_time,
         "dt": args.dt,
-        "final_field": field_to_json(traj[-1].with_cutoff(cutoff)),
+        "final_field": field_to_json(final),
+        # mass of the evolved grid state beyond the written cutoff
+        "final_field_dropped_mass": l2_norm_sq(traj[-1]) - l2_norm_sq(final),
     }
 
 

@@ -410,6 +410,7 @@ class ConcentrationReport:
     trusted_range: float
     members_evaluated: int
     members_failed: int
+    weight_ess: float  # (sum w)^2 / sum w^2 over the members with a value
 
     @property
     def subgaussian_pass(self) -> bool | None:
@@ -427,6 +428,7 @@ class ConcentrationReport:
             "subgaussian_pass": self.subgaussian_pass,
             "members_evaluated": self.members_evaluated,
             "members_failed": self.members_failed,
+            "weight_ess": self.weight_ess,
         }
 
 
@@ -449,4 +451,5 @@ def concentration_report(
         trusted_range=trusted_t_range(sample),
         members_evaluated=sample.values.size + sample.failed,
         members_failed=sample.failed,
+        weight_ess=float(sample.weights.sum() ** 2 / np.dot(sample.weights, sample.weights)),
     )

@@ -40,7 +40,6 @@ __all__ = [
     "ConvexityParams",
     "ConvexityReport",
     "hessian_form_V",
-    "hessian_fd_oracle",
     "hessian_matrix_V",
     "w_k_perturbation",
     "y_n_perturbation",
@@ -154,7 +153,7 @@ class ConvexityReport:
 
 
 # ---------------------------------------------------------------------------
-# The quadratic form and its finite-difference oracle
+# The quadratic form
 # ---------------------------------------------------------------------------
 
 def hessian_form_V(
@@ -186,26 +185,6 @@ def _embed_direction(direction: Direction, cutoff: int) -> Direction:
     xi[cutoff - old : cutoff + old + 1] = direction.xi
     eta[cutoff - old : cutoff + old + 1] = direction.eta
     return Direction(xi, eta)
-
-
-def hessian_fd_oracle(
-    field: PeriodicField,
-    direction: Direction,
-    p: float,
-    h: float = 1e-4,
-    grid_size: int | None = None,
-) -> float:
-    """Independent check: second central difference of the L^p energy."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if direction.cutoff != field.cutoff:
-        direction = _embed_direction(direction, field.cutoff)
-    step = PeriodicField(field.cutoff, direction.xi + 1j * direction.eta)
-    g = grid_size or default_grid_size(field.cutoff)
-    vp = lp_integral(field + h * step, p, g)
-    v0 = lp_integral(field, p, g)
-    vm = lp_integral(field + (-h) * step, p, g)
-    return (vp - 2.0 * v0 + vm) / (h * h)
 
 
 def hessian_matrix_V(

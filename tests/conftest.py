@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gibbslab.fourier_field import PeriodicField, evaluate, default_grid_size
+from gibbslab.fourier_field import PeriodicField, evaluate, default_grid_size, lp_integral
 
 
 def random_field(cutoff: int, seed: int, scale: float = 1.0, decay: float = 1.0) -> PeriodicField:
@@ -81,6 +81,18 @@ def picard_monodromy(
         if change < tol:
             break
     return psi[-1]
+
+
+def hessian_fd_oracle(field: PeriodicField, direction, p: float, h: float = 1e-4) -> float:
+    """Second central difference of the L^p energy along a Direction of the field's cutoff.
+
+    Shares only ``lp_integral`` with the Hessian code in hessian_convexity.
+    """
+    step = PeriodicField(field.cutoff, direction.xi + 1j * direction.eta)
+    vp = lp_integral(field + h * step, p)
+    v0 = lp_integral(field, p)
+    vm = lp_integral(field + (-h) * step, p)
+    return (vp - 2.0 * v0 + vm) / (h * h)
 
 
 @pytest.fixture

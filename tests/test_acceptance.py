@@ -24,7 +24,7 @@ from gibbslab.fourier_field import (
     zero_field,
 )
 from gibbslab.gibbs_sampler import GibbsParams, importance_ensemble
-from conftest import bounded_below_field, random_field
+from conftest import bounded_below_field, hessian_fd_oracle, random_field
 
 
 def _report(num: int, passed: bool, detail: str) -> None:
@@ -93,7 +93,7 @@ def test_criterion_03_hessian_formula():
                 rng.standard_normal(2 * cutoff + 1), rng.standard_normal(2 * cutoff + 1)
             )
             form = hc.hessian_form_V(f, d, p)
-            fd = hc.hessian_fd_oracle(f, d, p)
+            fd = hessian_fd_oracle(f, d, p)
             worst = max(worst, abs(form - fd) / (1.0 + abs(fd)))
             cases += 1
     # p = 2 closed form

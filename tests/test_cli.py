@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from gibbslab import flow_lab as fl
 from gibbslab.cli import main
-from gibbslab.fourier_field import field_from_modes, save_field
+from gibbslab.fourier_field import field_from_json, field_from_modes, l2_norm_sq, save_field
 from gibbslab.gibbs_sampler import load_ensemble_jsonl
+from conftest import random_field
 
 try:
     import jsonschema
@@ -273,6 +275,28 @@ class TestPipelines:
         obj = json.loads(out.read_text())
         validate(obj, "flow")
         assert obj["conservation"]["l2_drift"] < 1e-10
+
+    def test_flow_records_dropped_mass(self, tmp_path):
+        f = random_field(8, 31)
+        f = f * (1.0 / l2_norm_sq(f) ** 0.5)
+        save_field(f, tmp_path / "phi.json")
+        out = tmp_path / "flow.json"
+        code = main(
+            ["flow", "--field", str(tmp_path / "phi.json"), "--p", "4", "--beta", "-1",
+             "--dt", "1e-3", "--time", "2", "--out", str(out)]
+        )
+        assert code == 0
+        obj = json.loads(out.read_text())
+        validate(obj, "flow")
+        written = l2_norm_sq(field_from_json(obj["final_field"]))
+        dropped = obj["final_field_dropped_mass"]
+        assert dropped > 0.0
+        params = fl.FlowParams(4.0, -1.0, 1e-3, 2000, 8)
+        evolved = l2_norm_sq(fl.evolve_trajectory(f, params, snapshots=8)[-1])
+        assert abs(written + dropped - evolved) <= 1e-12 * evolved
+        m0 = l2_norm_sq(f)
+        # the drift bound itself, plus rounding of the two sums
+        assert abs(written + dropped - m0) <= (obj["conservation"]["l2_drift"] + 1e-15) * m0
 
     def test_invariance(self, tmp_path):
         ens_path = tmp_path / "ens.jsonl"

@@ -5,7 +5,7 @@ import pytest
 
 from gibbslab import concentration_harness as ch
 from gibbslab.fourier_field import l2_norm_sq
-from gibbslab.gibbs_sampler import GibbsParams, importance_ensemble
+from gibbslab.gibbs_sampler import GibbsEnsemble, GibbsParams, importance_ensemble
 
 
 def gaussian_ensemble(count=4000, cutoff=6, seed=1):
@@ -82,6 +82,25 @@ class TestCollect:
         scaled = sample.scaled(2.0)
         assert np.array_equal(scaled.members, sample.members)
         assert ch.concentration_report(scaled, bootstrap=20).members_failed == 1
+
+
+    def test_weight_ess_over_members_with_a_value(self):
+        base = gaussian_ensemble(count=12, seed=3)
+        w = np.arange(1.0, 13.0)
+        ens = GibbsEnsemble(base.params, base.samples, w, base.seed, base.method)
+        sample = ch.collect_statistic(
+            ens, coordinate_failing_on(ens, 11), name="one_bad", failure_cap=0.1
+        )
+        assert sample.failed == 1
+        report = ch.concentration_report(sample, bootstrap=20).to_json()
+        kept = w[:11]  # member 11, the heaviest, failed
+        assert report["weight_ess"] == pytest.approx(kept.sum() ** 2 / (kept**2).sum(), rel=1e-14)
+        assert report["weight_ess"] == pytest.approx(66.0**2 / 506.0, rel=1e-14)
+        unweighted = GibbsEnsemble(base.params, base.samples, np.ones(12), base.seed, base.method)
+        sample = ch.collect_statistic(
+            unweighted, coordinate_failing_on(unweighted, 11), name="one_bad", failure_cap=0.1
+        )
+        assert ch.concentration_report(sample, bootstrap=20).weight_ess == pytest.approx(11.0)
 
 
 class TestLogMgf:

@@ -8,8 +8,9 @@ from gibbslab.fourier_field import (
     PeriodicField,
     field_from_modes,
     l2_norm_sq,
+    lp_integral,
 )
-from gibbslab.gibbs_sampler import GibbsParams, importance_ensemble
+from gibbslab.gibbs_sampler import GibbsEnsemble, GibbsParams, importance_ensemble
 from conftest import random_field
 
 
@@ -160,3 +161,62 @@ class TestInvariance:
         rep = fl.invariance_check(ens, params, {"l2": l2_norm_sq}, seed=3, permutations=100)
         assert rep.all_within_band
         assert rep.excluded_blowups == 0
+
+
+@pytest.mark.filterwarnings(  # numpy reports the deliberate overflow of member BAD
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
+class TestBlockedInvariance:
+    """The ensemble flow runs in blocks of rows; each member keeps its own bits."""
+
+    COUNT, BAD = 150, 75  # three blocks of 64 rows at cutoff 8; BAD sits in the second
+
+    def _ensemble(self):
+        rng = np.random.default_rng(17)
+        samples = [unit_mass_field(8, 100 + i) for i in range(self.COUNT)]
+        samples[self.BAD] = PeriodicField(8, np.full(17, 1e200 + 0j))
+        return GibbsEnsemble(
+            GibbsParams(p=4.0, beta=-1.0, ball_radius=1.0, cutoff=8),
+            samples, rng.uniform(0.5, 1.5, self.COUNT), seed=0, method="importance",
+        )
+
+    def test_rows_match_single_member_runs(self):
+        ens = self._ensemble()
+        params = fl.FlowParams(4.0, -1.0, 1e-3, 40, 8)
+        assert self.COUNT > 2 * fl.BLOCK_LANES // fl._padded_size(8)
+        seen = []  # the observable sees every kept member before and after the flow
+        rep = fl.invariance_check(
+            ens, params, {"seen": lambda f: seen.append(f) or 0.0}, seed=5, permutations=20
+        )
+        assert rep.excluded_blowups == 1
+        evolved = [f for f in seen if f.cutoff == 31]  # the full 64-point grid
+        assert len(seen) == 2 * len(evolved) == 2 * (self.COUNT - 1)
+        with pytest.raises(fl.BlowUpError):
+            fl.split_step_evolve(ens.samples[self.BAD], params)
+        keep = [i for i in range(self.COUNT) if i != self.BAD]
+        for f, i in zip(evolved, keep):
+            assert np.array_equal(f.coeffs, fl.split_step_evolve(ens.samples[i], params).coeffs)
+
+    def test_report_matches_single_member_runs(self):
+        ens = self._ensemble()
+        params = fl.FlowParams(4.0, -1.0, 1e-3, 40, 8)
+        observables = {"l2": l2_norm_sq, "V": lambda f: lp_integral(f, 4.0)}
+        seed, permutations = 5, 30
+        rep = fl.invariance_check(ens, params, observables, seed=seed, permutations=permutations)
+        assert rep.excluded_blowups == 1
+
+        keep = [i for i in range(self.COUNT) if i != self.BAD]
+        evolved = [fl.split_step_evolve(ens.samples[i], params) for i in keep]
+        w = ens.weights[keep]
+        rng = np.random.default_rng(np.random.SeedSequence((seed, fl._INVARIANCE_TAG)))
+        for name, fn in observables.items():
+            before = np.array([fn(ens.samples[i]) for i in keep])
+            after = np.array([fn(f) for f in evolved])
+            assert rep.distances[name] == fl.weighted_ks_distance(before, w, after, w)
+            vals, ws = np.concatenate([before, after]), np.concatenate([w, w])
+            null = []
+            for _ in range(permutations):
+                idx = rng.permutation(vals.size)
+                a, b = idx[: vals.size // 2], idx[vals.size // 2 :]
+                null.append(fl.weighted_ks_distance(vals[a], ws[a], vals[b], ws[b]))
+            assert rep.null_bands[name] == float(np.quantile(null, 0.99))

@@ -17,7 +17,6 @@ from gibbslab.hessian_convexity import (
     Direction,
     certify_convexity,
     estimate_embedding_constants,
-    hessian_fd_oracle,
     hessian_form_V,
     hessian_matrix_V,
     lsi_lower_bound,
@@ -26,7 +25,7 @@ from gibbslab.hessian_convexity import (
     w_k_sup_bound,
     y_n_perturbation,
 )
-from conftest import bounded_below_field, random_field
+from conftest import bounded_below_field, hessian_fd_oracle, random_field
 
 
 def random_direction(cutoff: int, seed: int) -> Direction:
