@@ -13,7 +13,10 @@ with a Holder ball ||phi||_{H^gamma} <= K.
 Determinism: all sampling is driven by numpy SeedSequence streams derived
 from the master seed.  Rejection sampling proceeds in global rounds; in
 round r the pending sample indices (in ascending order) consume the rows of
-one batch drawn from SeedSequence((seed, r)).  The result is a pure
+one batch drawn from SeedSequence((seed, r)).  Rows are screened by their
+mass on the raw normals, and only rows inside the ball are built into loops
+and tested exactly; the screen only skips work, so the stream and every
+accepted row are those of building every row.  The result is a pure
 function of (params, count, seed), independent of any worker fan-out.
 """
 
@@ -54,6 +57,11 @@ __all__ = [
 
 MAX_LOG_WEIGHT = 700.0  # exp overflow threshold for float64
 _MCMC_TAG = 2  # stream tag separating the chain from rejection rounds
+_SCREEN_ROWS = 1024  # rows of normals drawn and mass-screened at a time
+# The screen's mass (z*z) @ w and the exact sum |c_n|^2 differ by rounding
+# (about 1e-14 relative), far inside this margin, so the screen passes
+# every row the exact closed-ball test accepts.
+_SCREEN_SLACK = 1e-9
 
 
 class DivergentWeightError(FloatingPointError):
@@ -89,15 +97,17 @@ class GibbsParams:
             raise ValueError("kind must be 'nls' or 'kdv'")
         if self.kind == "nls" and not (2.0 <= self.p <= 6.0):
             raise ValueError("nls requires 2 <= p <= 6")
-        if self.ball_radius <= 0:
+        if not self.ball_radius > 0:  # NaN fails too
             raise ValueError("ball_radius must be positive")
+        if not (math.isfinite(self.beta) and math.isfinite(self.p)):
+            raise ValueError("beta and p must be finite")
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
         if (self.holder_gamma is None) != (self.holder_bound is None):
             raise ValueError("holder_gamma and holder_bound must be set together")
         if self.holder_gamma is not None and not (0.25 < self.holder_gamma < 0.5):
             raise ValueError("holder_gamma must lie in (1/4, 1/2)")
-        if self.holder_bound is not None and self.holder_bound <= 0:
+        if self.holder_bound is not None and not self.holder_bound > 0:
             raise ValueError("holder_bound must be positive")
         if self.pi_periodic and self.kind != "kdv":
             raise ValueError("pi_periodic applies to kdv sampling only")
@@ -162,50 +172,58 @@ class GibbsEnsemble:
 # Wiener loops
 # ---------------------------------------------------------------------------
 
-def _nls_loop_batch(count: int, cutoff: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows of coefficients c_n = (zeta + i zeta')/n for 1 <= |n| <= M."""
+def _normals_shape(params: GibbsParams) -> tuple[int, int]:
+    """Shape (modes, 2) of the standard normals behind one loop."""
+    if params.kind == "kdv":
+        return (params.cutoff, 2)
+    return (2 * params.cutoff + 1, 2)
+
+
+def _coeffs_from_normals(z: np.ndarray, params: GibbsParams) -> np.ndarray:
+    """Loop coefficients from rows of standard normals of shape (rows, modes, 2).
+
+    nls: c_n = (zeta + i zeta')/n for 1 <= |n| <= M, c_0 = 0.
+    kdv: c_n = (zeta + i zeta')/(sqrt(2) n) for n >= 1, mirrored to real fields.
+    Per-component variance 1/(2 n^2) makes the kdv product density equal
+    exp(-(1/2) int (q')^2 dx/2pi) on the independent coordinates n >= 1.
+    """
+    cutoff = params.cutoff
+    if params.kind == "kdv":
+        ns = np.arange(1, cutoff + 1)
+        pos = (z[:, :, 0] + 1j * z[:, :, 1]) / (math.sqrt(2.0) * ns[None, :])
+        if params.pi_periodic:
+            pos[:, 0::2] = 0.0  # zero the odd modes n = 1, 3, ...
+        coeffs = np.zeros((z.shape[0], 2 * cutoff + 1), dtype=complex)
+        coeffs[:, cutoff + 1 :] = pos
+        coeffs[:, :cutoff] = np.conj(pos[:, ::-1])
+        return coeffs
     ns = np.arange(-cutoff, cutoff + 1)
-    z = rng.standard_normal((count, 2 * cutoff + 1, 2))
     coeffs = z[:, :, 0] + 1j * z[:, :, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         coeffs = coeffs / ns[None, :]
     coeffs[:, cutoff] = 0.0
     return coeffs
 
-def _kdv_loop_batch(
-    count: int, cutoff: int, rng: np.random.Generator, pi_periodic: bool
-) -> np.ndarray:
-    """Real-field loops: c_n = (zeta + i zeta')/(sqrt(2) n) for n >= 1, mirrored.
-
-    Per-component variance 1/(2 n^2) makes the product density equal
-    exp(-(1/2) int (q')^2 dx/2pi) on the independent coordinates n >= 1.
-    """
-    ns = np.arange(1, cutoff + 1)
-    z = rng.standard_normal((count, cutoff, 2))
-    pos = (z[:, :, 0] + 1j * z[:, :, 1]) / (math.sqrt(2.0) * ns[None, :])
-    if pi_periodic:
-        pos[:, 0::2] = 0.0  # zero the odd modes n = 1, 3, ...
-    coeffs = np.zeros((count, 2 * cutoff + 1), dtype=complex)
-    coeffs[:, cutoff + 1 :] = pos
-    coeffs[:, :cutoff] = np.conj(pos[:, ::-1])
-    return coeffs
-
 
 def _loop_batch(count: int, params: GibbsParams, rng: np.random.Generator) -> np.ndarray:
-    if params.kind == "kdv":
-        return _kdv_loop_batch(count, params.cutoff, rng, params.pi_periodic)
-    return _nls_loop_batch(count, params.cutoff, rng)
+    return _coeffs_from_normals(rng.standard_normal((count, *_normals_shape(params))), params)
+
+
+def _reference_loop(cutoff: int, kind: str, pi_periodic: bool, seed: int) -> PeriodicField:
+    # beta = 0 on an unbounded ball: the reference Gaussian itself
+    params = GibbsParams(p=2.0, beta=0.0, ball_radius=math.inf, cutoff=cutoff,
+                         kind=kind, pi_periodic=pi_periodic)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return PeriodicField(cutoff, _loop_batch(1, params, rng)[0])
 
 
 def sample_wiener_loop(cutoff: int, seed: int) -> PeriodicField:
     """One draw of the complex loop with coefficients (zeta+i zeta')/n, zero mean mode."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return PeriodicField(cutoff, _nls_loop_batch(1, cutoff, rng)[0])
+    return _reference_loop(cutoff, "nls", False, seed)
 
 
 def sample_kdv_loop(cutoff: int, seed: int, pi_periodic: bool = False) -> PeriodicField:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return PeriodicField(cutoff, _kdv_loop_batch(1, cutoff, rng, pi_periodic)[0])
+    return _reference_loop(cutoff, "kdv", pi_periodic, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +275,22 @@ def _batch_in_omega(coeffs: np.ndarray, params: GibbsParams) -> np.ndarray:
     return ok
 
 
+def _mass_on_normals(params: GibbsParams) -> np.ndarray:
+    """w with ||phi||^2 = (z*z) @ w on flattened rows z of normals.
+
+    Each normal feeds one real or imaginary part (and its mirror for kdv),
+    so w is the mass of the loop built from each unit row: 1/n^2 per part.
+    """
+    shape = _normals_shape(params)
+    d = shape[0] * shape[1]
+    return np.sum(np.abs(_coeffs_from_normals(np.eye(d).reshape(d, *shape), params)) ** 2, axis=1)
+
+
+def _screen(rows: np.ndarray, mass_w: np.ndarray, ball_radius: float) -> np.ndarray:
+    """Indices of flattened rows of normals whose mass may lie in the closed ball."""
+    return ((rows * rows) @ mass_w <= ball_radius * (1.0 + _SCREEN_SLACK)).nonzero()[0]
+
+
 # ---------------------------------------------------------------------------
 # Ensembles
 # ---------------------------------------------------------------------------
@@ -272,11 +306,19 @@ def importance_ensemble(
     The acceptance rate reported is accepted/attempted for the ball
     indicator; the nonlinear factor enters through importance weights, not
     through rejection.
+
+    Each round's normals are drawn in chunks of ``_SCREEN_ROWS`` rows into
+    one reused buffer and screened by their mass; only rows that pass become
+    coefficients and meet the exact ball (and Holder) test.  ``max_attempts``
+    is checked before each round, so a failing draw may report up to
+    ``count - 1`` attempts beyond the budget.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    dim = 2 * params.cutoff + 1
-    accepted = np.zeros((count, dim), dtype=complex)
+    mass_w = _mass_on_normals(params)
+    buf = np.empty((min(count, _SCREEN_ROWS), *_normals_shape(params)))
+    flat = buf.reshape(buf.shape[0], -1)
+    accepted = np.zeros((count, 2 * params.cutoff + 1), dtype=complex)
     pending = np.arange(count)
     attempts = 0
     round_idx = 0
@@ -287,11 +329,20 @@ def importance_ensemble(
                 f"({pending.size} of {count} still pending)"
             )
         rng = np.random.default_rng(np.random.SeedSequence((seed, round_idx)))
-        draws = _loop_batch(pending.size, params, rng)
+        done = []
+        for start in range(0, pending.size, _SCREEN_ROWS):
+            k = min(_SCREEN_ROWS, pending.size - start)
+            rng.standard_normal(out=buf[:k])
+            hits = _screen(flat[:k], mass_w, params.ball_radius)
+            if hits.size:
+                draws = _coeffs_from_normals(buf[hits], params)
+                ok = _batch_in_omega(draws, params)
+                rows = start + hits[ok]
+                accepted[pending[rows]] = draws[ok]
+                done.append(rows)
         attempts += pending.size
-        ok = _batch_in_omega(draws, params)
-        accepted[pending[ok]] = draws[ok]
-        pending = pending[~ok]
+        if done:
+            pending = np.delete(pending, np.concatenate(done))
         round_idx += 1
 
     fields = tuple(PeriodicField(params.cutoff, accepted[i]) for i in range(count))

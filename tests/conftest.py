@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from gibbslab.fourier_field import PeriodicField, evaluate, default_grid_size, lp_integral
+from gibbslab.gibbs_sampler import RejectionBudgetError, _batch_in_omega, gibbs_weight
 
 
 def random_field(cutoff: int, seed: int, scale: float = 1.0, decay: float = 1.0) -> PeriodicField:
@@ -93,6 +96,51 @@ def hessian_fd_oracle(field: PeriodicField, direction, p: float, h: float = 1e-4
     v0 = lp_integral(field, p)
     vm = lp_integral(field + (-h) * step, p)
     return (vp - 2.0 * v0 + vm) / (h * h)
+
+
+def rejection_oracle(count: int, params, seed: int, max_attempts: int = 10_000_000):
+    """Round-by-round rejection sampling that builds every drawn row into a loop.
+
+    Round r draws one (pending, modes, 2) block of normals from
+    SeedSequence((seed, r)), turns each row into coefficients, and keeps the
+    rows that pass the exact membership test.  Returns (coeffs, weights,
+    attempts); raises RejectionBudgetError with the sampler's message.
+    """
+    M = params.cutoff
+    accepted = np.zeros((count, 2 * M + 1), dtype=complex)
+    pending = np.arange(count)
+    attempts = 0
+    round_idx = 0
+    while pending.size:
+        if attempts >= max_attempts:
+            raise RejectionBudgetError(
+                f"no full acceptance after {attempts} attempts "
+                f"({pending.size} of {count} still pending)"
+            )
+        rng = np.random.default_rng(np.random.SeedSequence((seed, round_idx)))
+        if params.kind == "kdv":
+            ns = np.arange(1, M + 1)
+            z = rng.standard_normal((pending.size, M, 2))
+            pos = (z[:, :, 0] + 1j * z[:, :, 1]) / (math.sqrt(2.0) * ns[None, :])
+            if params.pi_periodic:
+                pos[:, 0::2] = 0.0
+            draws = np.zeros((pending.size, 2 * M + 1), dtype=complex)
+            draws[:, M + 1 :] = pos
+            draws[:, :M] = np.conj(pos[:, ::-1])
+        else:
+            ns = np.arange(-M, M + 1)
+            z = rng.standard_normal((pending.size, 2 * M + 1, 2))
+            draws = z[:, :, 0] + 1j * z[:, :, 1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                draws = draws / ns[None, :]
+            draws[:, M] = 0.0
+        attempts += pending.size
+        ok = _batch_in_omega(draws, params)
+        accepted[pending[ok]] = draws[ok]
+        pending = pending[~ok]
+        round_idx += 1
+    weights = np.array([gibbs_weight(PeriodicField(M, c), params) for c in accepted])
+    return accepted, weights, attempts
 
 
 @pytest.fixture

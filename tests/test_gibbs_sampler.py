@@ -8,6 +8,12 @@ from gibbslab.gibbs_sampler import (
     DivergentWeightError,
     GibbsEnsemble,
     GibbsParams,
+    RejectionBudgetError,
+    _batch_in_omega,
+    _coeffs_from_normals,
+    _mass_on_normals,
+    _normals_shape,
+    _screen,
     effective_sample_size,
     gibbs_weight,
     importance_ensemble,
@@ -18,6 +24,8 @@ from gibbslab.gibbs_sampler import (
     sample_wiener_loop,
     save_ensemble_jsonl,
 )
+
+from conftest import rejection_oracle
 
 
 def nls_params(**kw):
@@ -71,6 +79,17 @@ class TestWienerLoop:
         q = sample_kdv_loop(6, 3, pi_periodic=True)
         ns = q.modes
         assert np.abs(q.coeffs[ns % 2 != 0]).max() == 0.0
+
+
+class TestParams:
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(ball_radius=math.nan), dict(beta=math.nan), dict(beta=math.inf),
+         dict(holder_gamma=0.3, holder_bound=math.nan), dict(kind="kdv", p=math.nan)],
+    )
+    def test_nan_and_infinite_parameters_rejected(self, kw):
+        with pytest.raises(ValueError):
+            nls_params(**kw)
 
 
 class TestWeightAndMembership:
@@ -170,6 +189,63 @@ class TestImportanceEnsemble:
         (m1, s1), (m2, s2) = outs
         assert np.isfinite(m1) and np.isfinite(m2)
         assert abs(m1 - m2) < 4 * math.hypot(s1, s2)
+
+
+class TestScreenedRounds:
+    """The mass screen on the raw normals changes no draw of the rejection rounds."""
+
+    @pytest.mark.parametrize(
+        "kw,count,seed",
+        [
+            (dict(), 12, 3),
+            (dict(), 600, 2026),
+            (dict(ball_radius=2.0, holder_gamma=0.3, holder_bound=1.6), 200, 4),
+            (dict(kind="kdv", ball_radius=2.0), 300, 5),
+            (dict(kind="kdv", pi_periodic=True), 300, 6),
+            (dict(ball_radius=3.0, cutoff=5), 5000, 7),  # round 0 spans five chunks
+        ],
+    )
+    def test_bit_identical_to_building_every_row(self, kw, count, seed):
+        params = nls_params(**kw)
+        ens = importance_ensemble(count, params, seed)
+        coeffs, weights, attempts = rejection_oracle(count, params, seed)
+        got = np.array([f.coeffs for f in ens.samples])
+        assert got.tobytes() == coeffs.tobytes()
+        assert ens.weights.tobytes() == weights.tobytes()
+        assert ens.diagnostics["attempts"] == attempts
+        assert ens.diagnostics["acceptance_rate"] == count / attempts
+
+    def test_budget_message_unchanged(self):
+        params = nls_params()
+        with pytest.raises(RejectionBudgetError) as expected:
+            rejection_oracle(10_000, params, 0, max_attempts=200_000)
+        with pytest.raises(RejectionBudgetError) as got:
+            importance_ensemble(10_000, params, 0, max_attempts=200_000)
+        assert str(got.value) == str(expected.value)
+        assert "(9979 of 10000 still pending)" in str(got.value)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(), dict(holder_gamma=0.3, holder_bound=1.2), dict(kind="kdv"),
+         dict(kind="kdv", pi_periodic=True)],
+    )
+    def test_screen_passes_every_exactly_accepted_row(self, kw):
+        probe = nls_params(**kw)
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal((400, *_normals_shape(probe)))
+        mass = np.sum(np.abs(_coeffs_from_normals(z, probe)) ** 2, axis=1)
+        # exact masses at 1 + t for |t| <= 1e-12, both sides of the bound and on it
+        rel = np.linspace(-1e-12, 1e-12, 9)
+        scale = np.sqrt((1.0 + rel)[:, None] / mass)[:, :, None, None]
+        rows = (z[None] * scale).reshape(-1, *z.shape[1:])
+        coeffs = _coeffs_from_normals(rows, probe)
+        exact = np.sum(np.abs(coeffs) ** 2, axis=1)
+        for radius in (1.0, *exact[:50]):  # the unit ball and balls with a row exactly on the bound
+            params = nls_params(**kw, ball_radius=float(radius))
+            accepted = np.flatnonzero(_batch_in_omega(coeffs, params))
+            screened = _screen(rows.reshape(rows.shape[0], -1), _mass_on_normals(params), radius)
+            assert accepted.size > 0
+            assert np.isin(accepted, screened).all()
 
 
 class TestMcmcEnsemble:
