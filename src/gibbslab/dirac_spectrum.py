@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floquet import (
+    DOUBLE_TOL,
     InsufficientPointsError,
     Monodromy,
     build_models,
@@ -145,25 +146,22 @@ def periodic_eigenvalues(
     window: tuple[float, float],
     refine_tol: float = 1e-8,
     steps: int = DEFAULT_STEPS,
-    double_tol: float = 1e-6,
 ) -> SpectralDataDirac:
     """Real solutions of Delta^2 = 4 in the window, with series labels.
 
     Eigenvalues of the free system sit on the integer lattice with unit
     spacing, so the scan grid uses spacing 0.1.  Returned points satisfy
-    |Delta^2 - 4| < max(refine_tol, double_tol) against the direct solver.
+    |Delta^2 - 4| < max(100 * refine_tol, DOUBLE_TOL) against the direct solver.
     """
     disc = discriminant_batch(field, steps)
-    roots, _ = locate_spectral_points(
-        disc, _scan_grid(window), levels=(2.0, -2.0), double_tol=double_tol
-    )
+    roots, _ = locate_spectral_points(disc, _scan_grid(window))
     roots = [r for r in roots if not r.is_critical and window[0] <= r.value <= window[1]]
     pts = []
     if roots:
         check = np.real(disc(np.array([r.value for r in roots], dtype=complex)))
         for r, dval in zip(roots, check):
             resid = abs(dval * dval - 4.0)
-            if resid > max(refine_tol * 100.0, double_tol):
+            if resid > max(refine_tol * 100.0, DOUBLE_TOL):
                 raise FloatingPointError(
                     f"defining-equation residual {resid:.2e} too large at {r.value:.8f}; "
                     "increase the step budget or refine the window grid"

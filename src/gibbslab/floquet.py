@@ -16,7 +16,8 @@ Three layers, all pure functions over immutable inputs:
   for Dirac, in s = sqrt(lambda) for Hill), so the circle's node count
   follows from the growth bound (pi r)^n / n! <= 1e-16 (see build_models);
 * window scans that bracket sign changes and near-double minima on a real
-  grid, refine them through disk models, and classify multiplicities.
+  grid, refine them through disk models, and read every double point at a
+  real critical point with a small dip.
 
 Contour sums for linear statistics are evaluated on the models, so the
 integrand stays an analytic object and the calculus-of-residues identities
@@ -328,14 +329,16 @@ def _thin_centers(cands: list[float], min_sep: float) -> np.ndarray:
     return np.asarray(kept, dtype=float)
 
 
-def _owned(roots_with_model, centers: np.ndarray):
-    """Keep each root only in the model whose center is nearest to it."""
-    out = []
-    for value, model_idx, payload in roots_with_model:
-        nearest = int(np.argmin(np.abs(centers - value)))
-        if nearest == model_idx:
-            out.append((value, payload))
-    return out
+# Window-scan tolerances.  Disk models are trusted within TRUST of their
+# centers; a root with imaginary part at most IMAG_TOL counts as real; a
+# real critical point (imaginary part at most DOUBLE_IMAG_TOL) with dip
+# |f^2 - 4| below DOUBLE_TOL is a double point, and simple roots within
+# MERGE_WINDOW of it at its level are its edges.
+TRUST = 0.35
+IMAG_TOL = 1e-3
+DOUBLE_IMAG_TOL = 1e-6
+DOUBLE_TOL = 1e-6
+MERGE_WINDOW = 0.02
 
 
 def locate_spectral_points(
@@ -343,103 +346,67 @@ def locate_spectral_points(
     grid: np.ndarray,
     levels=(2.0, -2.0),
     want_critical: bool = False,
-    trust: float = 0.35,
-    double_tol: float = 1e-6,
-    imag_tol: float = 1e-3,
-    merge_window: float = 0.02,
 ) -> tuple[list[LocatedRoot], list[DiskModel]]:
     """Find real solutions of f = level (and optionally f' = 0) on a window.
 
-    The grid must be fine enough that every target lies within ``trust`` of
+    The grid must be fine enough that every target lies within ``TRUST`` of
     a sign change, a local minimum of |f - level|, or a discrete extremum;
-    grid spacing at most 0.35 * trust guarantees this for simple roots.
+    grid spacing at most 0.35 * TRUST guarantees this for simple roots.
 
-    A pair of zeros of f - level counts as one double root when the dip
-    min |f^2 - 4| at the critical point between them falls below
-    ``double_tol``: below that level the two edges are numerically
-    indistinguishable and the well-conditioned quantity is the critical
-    point itself, which is where the double root is reported.
+    One rule decides multiplicity.  A real critical point c of a model
+    (imaginary part at most ``DOUBLE_IMAG_TOL``) whose dip |f(c)^2 - 4| is
+    below ``DOUBLE_TOL`` is a double point of the level nearest Re f(c),
+    reported at c: below that dip the two edges, a close real pair or a
+    conjugate pair just off the axis, are numerically indistinguishable
+    and the critical point is the well-conditioned quantity.  Every other
+    root of f = level with imaginary part at most ``IMAG_TOL`` is a simple
+    point.  Each hit is kept only by the model whose center is nearest to
+    it; then a simple point within ``MERGE_WINDOW`` of a kept double point
+    at its level is dropped as one of that double point's edges.  The edges
+    may be kept by a different model than the critical point, so this runs
+    after ownership.
     """
     grid = np.asarray(grid, dtype=float)
     d = np.real(np.asarray(f_batch(grid.astype(complex))))
     cands = _candidate_centers(grid, d, levels, want_critical)
     if not cands:
         return [], []
-    centers = _thin_centers(cands, 0.35 * trust)
-    models = build_models(f_batch, centers, trust)
+    centers = _thin_centers(cands, 0.35 * TRUST)
+    models = build_models(f_batch, centers, TRUST)
 
-    simple_hits: list[tuple[float, int, tuple]] = []
-    double_hits: list[tuple[float, int, tuple]] = []
-    crit_hits: list[tuple[float, int, tuple]] = []
+    hits: list[tuple[int, LocatedRoot]] = []  # (model index, root)
     for mi, model in enumerate(models):
+        x0 = np.real(model.center)
+        crit = model.critical_roots()
         if want_critical:
-            crit = model.critical_roots()
-            for w in np.sort(np.real(crit[np.abs(np.imag(crit)) <= imag_tol])):
-                lam = float(np.real(model.center) + w)
+            for w in np.real(crit[np.abs(np.imag(crit)) <= IMAG_TOL]):
+                lam = float(x0 + w)
                 resid = float(np.abs(model.eval_deriv(lam, 1)))
-                crit_hits.append((lam, mi, (resid,)))
+                hits.append((mi, LocatedRoot(lam, math.nan, 1, resid)))
+        for w in np.real(crit[np.abs(np.imag(crit)) <= DOUBLE_IMAG_TOL]):
+            lam = float(x0 + w)
+            fc = model(lam)
+            dip = float(np.abs(fc**2 - 4.0))
+            level = math.copysign(2.0, np.real(fc))
+            if dip < DOUBLE_TOL and level in levels:
+                hits.append((mi, LocatedRoot(lam, level, 2, dip)))
         for level in levels:
             roots = model.roots_at_level(level)
-            if roots.size == 0:
-                continue
-            real_mask = np.abs(np.imag(roots)) <= imag_tol
-            for w in np.sort(np.real(roots[real_mask])):
-                lam = float(np.real(model.center) + w)
-                simple_hits.append((lam, mi, (level,)))
-            # conjugate pair: the discriminant does not visibly reach the
-            # level; keep it as a double point if the dip is within tol
-            uppers = roots[~real_mask]
-            for w in np.real(uppers[np.imag(uppers) > 0]):
-                lam_star = _critical_near(models[mi], w)
-                if lam_star is None:
-                    continue
-                lam = float(np.real(model.center) + lam_star)
-                dip = float(np.abs(model(lam) ** 2 - 4.0))
-                if dip < double_tol:
-                    double_hits.append((lam, mi, (level, dip)))
+            for w in np.real(roots[np.abs(np.imag(roots)) <= IMAG_TOL]):
+                lam = float(x0 + w)
+                resid = float(np.abs(model(lam) - level))
+                hits.append((mi, LocatedRoot(lam, level, 1, resid)))
 
-    # ownership, then dip-based merging of nearly coincident simple pairs
-    owned_simple = _owned(simple_hits, centers)
-    owned_double = _owned(double_hits, centers)
-    results: list[LocatedRoot] = []
-    for level in levels:
-        vals = sorted(v for v, payload in owned_simple if payload[0] == level)
-        i = 0
-        while i < len(vals):
-            if i + 1 < len(vals) and vals[i + 1] - vals[i] < merge_window:
-                mid = 0.5 * (vals[i] + vals[i + 1])
-                mi = int(np.argmin(np.abs(centers - mid)))
-                w_star = _critical_near(models[mi], mid - np.real(models[mi].center))
-                if w_star is not None:
-                    lam = float(np.real(models[mi].center) + w_star)
-                    dip = float(np.abs(models[mi](lam) ** 2 - 4.0))
-                    # a conjugate pair kept as two real hits has equal real
-                    # parts, so the bracket is widened by imag_tol
-                    inside = vals[i] - imag_tol <= lam <= vals[i + 1] + imag_tol
-                    if dip < double_tol and inside:
-                        results.append(LocatedRoot(lam, level, 2, dip))
-                        i += 2
-                        continue
-            lam = vals[i]
-            mi = int(np.argmin(np.abs(centers - lam)))
-            resid = float(np.abs(models[mi](lam) - level))
-            results.append(LocatedRoot(lam, level, 1, resid))
-            i += 1
-    for lam, (level, dip) in owned_double:
-        results.append(LocatedRoot(lam, level, 2, dip))
-    for lam, (resid,) in _owned(crit_hits, centers):
-        results.append(LocatedRoot(lam, float("nan"), 1, resid))
-    results.sort(key=lambda r: r.value)
-    return results, models
+    # each hit is kept only by the model whose center is nearest to it
+    owned = [r for mi, r in hits if np.argmin(np.abs(centers - r.value)) == mi]
+    doubles = [r for r in owned if r.multiplicity == 2]
 
+    def is_edge(r: LocatedRoot) -> bool:
+        return r.multiplicity == 1 and any(
+            dp.level == r.level and abs(dp.value - r.value) < MERGE_WINDOW for dp in doubles
+        )
 
-def _critical_near(model: DiskModel, w_guess: float):
-    crit = model.critical_roots()
-    crit = crit[np.abs(np.imag(crit)) <= 1e-6]
-    if crit.size == 0:
-        return None
-    w = np.real(crit)
-    return float(w[np.argmin(np.abs(w - w_guess))])
+    return sorted((r for r in owned if not is_edge(r)), key=lambda r: r.value), models
 
 
 # ---------------------------------------------------------------------------

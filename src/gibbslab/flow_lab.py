@@ -49,6 +49,7 @@ _INVARIANCE_TAG = 11  # stream tag for the permutation null
 # larger blocks ran slower and cost peak memory (cf. floquet.SEGMENT_LANES)
 BLOCK_LANES = 4096
 DRIFT_TOL = 1e-3  # relative mass drift beyond which a flow counts as a blow-up
+BAND_QUANTILE = 0.99  # quantile of the permutation null that bounds a KS distance
 
 
 class BlowUpError(FloatingPointError):
@@ -110,12 +111,12 @@ def _flow_grid(field_cutoff: int, params: FlowParams) -> int:
 
 
 def _strang(
-    spec: np.ndarray, params: FlowParams, drift_tol: float
+    spec: np.ndarray, params: FlowParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Strang steps on each row (last axis) of ``spec``.
 
     Returns the evolved spectra, a per-row trust flag (finite state, mass
-    drift within ``drift_tol``) and the per-row relative mass drift.  Every
+    drift within ``DRIFT_TOL``) and the per-row relative mass drift.  Every
     operation acts row by row, so a row gets the same bits alone or in a
     block, and a row that overflows leaves its neighbours untouched.
     """
@@ -135,7 +136,7 @@ def _strang(
         spec *= half
     change = np.abs(np.sum(np.abs(spec) ** 2, axis=-1) - mass0)
     scale = np.maximum(mass0, 1e-30)
-    ok = np.all(np.isfinite(spec), axis=-1) & ((mass0 == 0.0) | (change <= drift_tol * scale))
+    ok = np.all(np.isfinite(spec), axis=-1) & ((mass0 == 0.0) | (change <= DRIFT_TOL * scale))
     return spec, ok, change / scale
 
 
@@ -146,9 +147,7 @@ def _grid_field(row: np.ndarray) -> PeriodicField:
     return PeriodicField(Mg, row[np.arange(-Mg, Mg + 1) % G])
 
 
-def split_step_evolve(
-    field: PeriodicField, params: FlowParams, drift_tol: float = DRIFT_TOL
-) -> PeriodicField:
+def split_step_evolve(field: PeriodicField, params: FlowParams) -> PeriodicField:
     """Evolve for params.steps Strang steps; returns the full grid state.
 
     The returned field carries every mode of the dealiased grid (cutoff
@@ -158,7 +157,7 @@ def split_step_evolve(
     G = _flow_grid(field.cutoff, params)
     spec = np.zeros(G, dtype=complex)
     spec[field.modes % G] = field.coeffs
-    spec, ok, drift = _strang(spec, params, drift_tol)
+    spec, ok, drift = _strang(spec, params)
     if not ok:
         raise BlowUpError(
             f"evolution left the trusted regime (relative mass drift {drift:.2e})"
@@ -322,7 +321,6 @@ def invariance_check(
     observables: dict,
     seed: int = 0,
     permutations: int = 200,
-    band_quantile: float = 0.99,
 ) -> InvarianceReport:
     """Two-sample comparison of observable distributions before and after.
 
@@ -335,7 +333,7 @@ def invariance_check(
     finishes, so no evolved state outlives its block.  For each
     observable, the weighted KS distance between the before and after
     ensembles is compared against a permutation null band (the
-    ``band_quantile`` of distances obtained by randomly re-splitting the
+    ``BAND_QUANTILE`` of distances obtained by randomly re-splitting the
     pooled samples), seeded for reproducibility.
     """
     n = len(ensemble)
@@ -351,7 +349,7 @@ def invariance_check(
         spec = np.zeros((len(block), G), dtype=complex)
         for r, f in enumerate(block):
             spec[r, f.modes % G] = f.coeffs
-        spec, ok, _ = _strang(spec, params, DRIFT_TOL)
+        spec, ok, _ = _strang(spec, params)
         for r in np.flatnonzero(ok):
             keep.append(start + int(r))
             f = _grid_field(spec[r])
@@ -381,7 +379,7 @@ def invariance_check(
                 pool_vals[idx[half:]],
                 pool_w[idx[half:]],
             )
-        band = float(np.quantile(perm_d, band_quantile))
+        band = float(np.quantile(perm_d, BAND_QUANTILE))
         distances[name] = d
         bands[name] = band
         within[name] = bool(d <= band)

@@ -97,8 +97,8 @@ class GibbsParams:
             raise ValueError("kind must be 'nls' or 'kdv'")
         if self.kind == "nls" and not (2.0 <= self.p <= 6.0):
             raise ValueError("nls requires 2 <= p <= 6")
-        if not self.ball_radius > 0:  # NaN fails too
-            raise ValueError("ball_radius must be positive")
+        if not 0 < self.ball_radius < math.inf:  # NaN fails too
+            raise ValueError("ball_radius must be positive and finite")
         if not (math.isfinite(self.beta) and math.isfinite(self.p)):
             raise ValueError("beta and p must be finite")
         if self.cutoff < 1:
@@ -107,8 +107,8 @@ class GibbsParams:
             raise ValueError("holder_gamma and holder_bound must be set together")
         if self.holder_gamma is not None and not (0.25 < self.holder_gamma < 0.5):
             raise ValueError("holder_gamma must lie in (1/4, 1/2)")
-        if self.holder_bound is not None and not self.holder_bound > 0:
-            raise ValueError("holder_bound must be positive")
+        if self.holder_bound is not None and not 0 < self.holder_bound < math.inf:
+            raise ValueError("holder_bound must be positive and finite")
         if self.pi_periodic and self.kind != "kdv":
             raise ValueError("pi_periodic applies to kdv sampling only")
 
@@ -210,8 +210,9 @@ def _loop_batch(count: int, params: GibbsParams, rng: np.random.Generator) -> np
 
 
 def _reference_loop(cutoff: int, kind: str, pi_periodic: bool, seed: int) -> PeriodicField:
-    # beta = 0 on an unbounded ball: the reference Gaussian itself
-    params = GibbsParams(p=2.0, beta=0.0, ball_radius=math.inf, cutoff=cutoff,
+    # beta = 0: the reference Gaussian itself (the construction never reads
+    # the ball radius)
+    params = GibbsParams(p=2.0, beta=0.0, ball_radius=1.0, cutoff=cutoff,
                          kind=kind, pi_periodic=pi_periodic)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return PeriodicField(cutoff, _loop_batch(1, params, rng)[0])

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floquet import (
+    DOUBLE_TOL,
     NUMERICAL_FAILURES,
     Monodromy,
     build_models,
@@ -154,7 +155,6 @@ def hill_periodic_spectrum(
     lambda_max: float,
     tol: float = 1e-8,
     steps: int = DEFAULT_STEPS,
-    double_tol: float = 1e-6,
 ) -> HillSpectralData:
     """All periodic and antiperiodic eigenvalues up to lambda_max.
 
@@ -170,9 +170,7 @@ def hill_periodic_spectrum(
 
     lam_lo = min(-1.0, -1.2 * qsup - 0.5)
     lam_grid = np.arange(lam_lo, 0.9 + 0.04, 0.04)
-    roots_lam, _ = locate_spectral_points(
-        disc, lam_grid, levels=(2.0, -2.0), double_tol=double_tol
-    )
+    roots_lam, _ = locate_spectral_points(disc, lam_grid)
     for r in roots_lam:
         if not r.is_critical and r.value < BRANCH_SPLIT:
             found.append((r.value, r.level, r.multiplicity))
@@ -184,9 +182,7 @@ def hill_periodic_spectrum(
         svals = np.asarray(svals, dtype=complex)
         return disc(svals * svals)
 
-    roots_s, _ = locate_spectral_points(
-        disc_s, s_grid, levels=(2.0, -2.0), double_tol=double_tol
-    )
+    roots_s, _ = locate_spectral_points(disc_s, s_grid)
     for r in roots_s:
         lam = r.value * r.value
         if not r.is_critical and lam >= BRANCH_SPLIT:
@@ -216,7 +212,7 @@ def hill_periodic_spectrum(
 
     eigenvalues = np.asarray(eigs)
     resid = np.abs(np.real(disc(eigenvalues.astype(complex))) ** 2 - 4.0)
-    bad = resid > max(100.0 * tol, double_tol)
+    bad = resid > max(100.0 * tol, DOUBLE_TOL)
     if np.any(bad):
         raise FloatingPointError(
             f"{int(bad.sum())} eigenvalues exceed the defining-equation residual "

@@ -99,10 +99,13 @@ class TestBasics:
         assert code == 2
 
     def test_nan_ball_is_a_config_error(self, tmp_path, capsys):
-        # a NaN radius used to pass validation and exhaust the attempt budget
+        # a NaN radius used to pass validation and exhaust the attempt budget;
+        # an infinite one wrote a header that is not JSON
         out = str(tmp_path / "x.jsonl")
-        assert main(["sample", "--ball", "nan", "--cutoff", "8", "--count", "2", "--out", out]) == 2
-        assert "configuration error" in capsys.readouterr().err
+        for ball in ("nan", "inf"):
+            argv = ["sample", "--ball", ball, "--cutoff", "8", "--count", "2", "--out", out]
+            assert main(argv) == 2
+            assert "configuration error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
     def test_every_subcommand_writes_a_manifest(self, command, inputs, tmp_path):

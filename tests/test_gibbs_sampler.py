@@ -85,7 +85,8 @@ class TestParams:
     @pytest.mark.parametrize(
         "kw",
         [dict(ball_radius=math.nan), dict(beta=math.nan), dict(beta=math.inf),
-         dict(holder_gamma=0.3, holder_bound=math.nan), dict(kind="kdv", p=math.nan)],
+         dict(holder_gamma=0.3, holder_bound=math.nan), dict(kind="kdv", p=math.nan),
+         dict(ball_radius=math.inf), dict(holder_gamma=0.3, holder_bound=math.inf)],
     )
     def test_nan_and_infinite_parameters_rejected(self, kw):
         with pytest.raises(ValueError):
