@@ -47,6 +47,11 @@ _BOOTSTRAP_TAG = 5  # stream tags keep the harness draws independent
 _LIPSCHITZ_TAG = 7
 
 
+class DegenerateWeightsError(ValueError):
+    """The weights leave nothing to estimate: one is negative, they sum to
+    zero, or the log-MGF curve kept no nonzero t."""
+
+
 @dataclass(frozen=True, eq=False)
 class StatisticSample:
     values: np.ndarray
@@ -63,6 +68,13 @@ class StatisticSample:
             raise ValueError("values and weights must be matching 1-d arrays")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
             raise ValueError("values and weights must be finite")
+        if np.any(w < 0.0):
+            raise DegenerateWeightsError("weights must be non-negative")
+        if not np.sum(w) > 0.0:
+            raise DegenerateWeightsError(
+                f"the weights of all {w.size} members sum to zero; a weighted "
+                "mean needs at least one member with a positive weight"
+            )
         m = np.arange(v.size) if self.members is None else np.asarray(self.members, int)
         if m.shape != v.shape:
             raise ValueError("members must give one ensemble index per value")
@@ -257,10 +269,11 @@ def default_t_grid(sample: StatisticSample, points: int = 41) -> np.ndarray:
     return grid
 
 
-def _log_mean_exp(centered: np.ndarray, weights: np.ndarray, t: float) -> float:
-    a = t * centered
-    peak = np.max(a)
-    return float(peak + np.log(np.sum(weights * np.exp(a - peak)) / np.sum(weights)))
+def _log_mean_exp(centered: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Weighted log-mean-exp of t * centered at every t, one (T, n) array."""
+    a = t[:, None] * centered
+    peak = np.max(a, axis=1)
+    return peak + np.log(np.sum(weights * np.exp(a - peak[:, None]), axis=1) / np.sum(weights))
 
 
 def empirical_log_mgf(
@@ -272,7 +285,8 @@ def empirical_log_mgf(
     """Weighted log-mean-exp of the centered statistic with bootstrap bands.
 
     The grid must be symmetric around zero.  Grid points where the exponent
-    overflows float64 are trimmed and counted.  L(0) = 0 exactly.
+    overflows float64 are trimmed and counted.  L(0) = 0 exactly.  Each
+    bootstrap replicate evaluates the whole grid on one (T, n) array.
     """
     if t_grid is None:
         t_grid = default_t_grid(sample)
@@ -281,19 +295,17 @@ def empirical_log_mgf(
         raise ValueError("t grid must be symmetric around 0")
     centered = sample.values - sample.weighted_mean()
     w = sample.weights
-    keep = np.array([np.max(np.abs(t * centered)) < 700.0 for t in t_grid])
+    keep = np.max(np.abs(t_grid[:, None] * centered), axis=1) < 700.0
     trimmed = int(np.sum(~keep))
     t_use = t_grid[keep]
-    vals = np.array([_log_mean_exp(centered, w, t) for t in t_use])
+    vals = _log_mean_exp(centered, w, t_use)
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, _BOOTSTRAP_TAG)))
     n = centered.size
     boots = np.empty((bootstrap, t_use.size))
     for b in range(bootstrap):
         idx = rng.integers(0, n, n)
-        c_b = centered[idx]
-        w_b = w[idx]
-        boots[b] = [_log_mean_exp(c_b, w_b, t) for t in t_use]
+        boots[b] = _log_mean_exp(centered[idx], w[idx], t_use)
     stderr = boots.std(axis=0)
     return LogMgfCurve(t=t_use, value=vals, stderr=stderr, trimmed=trimmed)
 
@@ -312,10 +324,6 @@ class SubgaussianFit:
             "eta_bound": self.eta_bound,
             "passed": self.passed,
         }
-
-
-class DegenerateWeightsError(ValueError):
-    """The log-MGF curve kept no nonzero t, so there is nothing to fit."""
 
 
 def subgaussian_fit(curve: LogMgfCurve, eta_bound: float | None = None) -> SubgaussianFit:

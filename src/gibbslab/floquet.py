@@ -5,10 +5,16 @@ Three layers, all pure functions over immutable inputs:
 * a fixed-step fourth-order (RK4) propagator for the trace-free system
   Psi' = (B(x) + lambda C) Psi, vectorized over a batch of spectral
   parameters; the Dirac and Hill modules supply only B at the RK4 nodes
-  and the constant C.  A small batch also fills the arrays along x:
-  segments of the period run side by side and are multiplied in a pairwise
-  tree, so the step loop's fixed cost per array operation is paid over
-  fewer steps;
+  and the constant C.  On a linear system an RK4 step is
+  Psi -> Psi + Q_n(lambda) Psi with Q_n a matrix polynomial of degree at
+  most 4 (2 for Hill, whose C^2 = 0), so the stage formulas run once per
+  field on polynomials (step_polynomials), and each step of the lambda
+  loop is one matrix product of Q_n's coefficients with the powers of
+  lambda plus four array operations into buffers made once per call,
+  where the staged loop needed about 100 operations.  A small batch also
+  fills the arrays along x: segments of the period run side by side and
+  are multiplied in a pairwise tree, so the step loop's fixed cost per
+  array operation is paid over fewer steps;
 * local analytic "disk models": Taylor expansions of an entire function
   (the discriminant) recovered from samples on a circle, giving cheap and
   spectrally accurate access to values, derivatives and roots near the
@@ -33,6 +39,7 @@ import numpy as np
 
 __all__ = [
     "Monodromy",
+    "step_polynomials",
     "rk4_transfer",
     "transfer_monodromy",
     "transfer_discriminant",
@@ -106,97 +113,151 @@ def _segment_count(steps: int, batch: int) -> int:
     return k
 
 
-def rk4_transfer(b_nodes, c, length: float, steps: int, lam: np.ndarray):
-    """Transfer matrix of Psi' = (B(x) + lam C) Psi over [0, length], Psi(0) = I.
+# Steps of the polynomial build done at once; a block's stage polynomials
+# stay a few tens of kB whatever the step budget.
+STEP_BLOCK = 256
+
+
+def _mat_prod(x, y):
+    """2x2 matrix products x @ y over the first two axes, broadcast over the rest."""
+    return x[:, 0, None] * y[None, 0] + x[:, 1, None] * y[None, 1]
+
+
+def step_polynomials(b_nodes, c, length: float, steps: int) -> np.ndarray:
+    """RK4 step increments of Psi' = (B(x) + lam C) Psi as polynomials in lam.
 
     ``b_nodes`` holds the four entries (b11, b12, b21, b22) of B, each an
     array of samples at the half-grid nodes x_j = j * length / (2 * steps),
-    j = 0..2*steps; ``c`` holds the four constant entries of C.  Returns
-    four arrays shaped like the batch ``lam`` holding the entries of
-    Psi(length).
+    j = 0..2*steps; ``c`` holds the four constant entries of C.  On a
+    linear system RK4 step n is exactly Psi -> Psi + Q_n(lam) Psi, where
+    Q_n is a matrix polynomial of degree at most 4 in lam whose
+    coefficients depend on B alone.  They come from running the stage
+    formulas once on matrix polynomials from Psi = I, in blocks of
+    STEP_BLOCK steps.
+
+    Returns a (deg + 1, 4, steps) array: [m, :, n] holds the entries (11,
+    12, 21, 22) of the coefficient of lam^m in Q_n.  Trailing coefficients
+    that vanish identically are dropped, so deg is 4 for Dirac and 2 for
+    Hill, whose C^2 = 0.  The array is real when B and C are.
+    """
+    b_nodes = [np.asarray(b) for b in b_nodes]
+    if any(b.shape != (2 * steps + 1,) for b in b_nodes):
+        raise ValueError("each entry of B needs 2 * steps + 1 node samples")
+    dtype = np.result_type(float, *b_nodes, *c)
+    b = np.array(b_nodes, dtype=dtype).reshape(2, 2, 1, -1)
+    c_mat = np.array(c, dtype=dtype).reshape(2, 2, 1, 1)
+    h = length / steps
+
+    def times_a(b_node, poly):
+        # (B + lam C) poly; poly has degree <= 3, so nothing is cut off
+        prod = _mat_prod(b_node, poly)
+        prod[:, :, 1:] += _mat_prod(c_mat, poly[:, :, :-1])
+        return prod
+
+    out = np.empty((5, 2, 2, steps), dtype=dtype)
+    for s in range(0, steps, STEP_BLOCK):
+        e = min(s + STEP_BLOCK, steps)
+        # matrix polynomials of degree <= 4 as (2, 2, 5, e - s) arrays
+        eye = np.zeros((2, 2, 5, e - s), dtype=dtype)
+        eye[0, 0, 0] = eye[1, 1, 0] = 1.0
+        b1, b2, b3 = (b[..., 2 * s + i : 2 * e + i : 2] for i in range(3))
+        k1 = times_a(b1, eye)
+        k2 = times_a(b2, eye + (h / 2) * k1)
+        k3 = times_a(b2, eye + (h / 2) * k2)
+        k4 = times_a(b3, eye + h * k3)
+        out[..., s:e] = np.moveaxis((h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 2, 0)
+    out = out.reshape(5, 4, steps)
+    deg = 4
+    while deg > 0 and not out[deg].any():
+        deg -= 1
+    return out[: deg + 1]
+
+
+def rk4_transfer(step_poly: np.ndarray, steps: int, lam: np.ndarray):
+    """Transfer matrix Psi(length) of Psi' = (B(x) + lam C) Psi, Psi(0) = I.
+
+    ``step_poly`` is :func:`step_polynomials` of the system over ``steps``
+    steps.  Returns four arrays shaped like the batch ``lam`` holding the
+    entries of Psi(length).  Each step forms Q(lam) = sum_m lam^m Q^(m) for
+    every lane as one matrix product of its coefficients with the powers of
+    lam, computed once per call, and applies Psi + Q(lam) Psi in four array
+    operations.  Adding Psi last keeps the rounding of the staged RK4 loop;
+    a product with I + Q would lose the low bits of the increment.
 
     A small batch is spread along x: [0, length] is split into k equal
     segments (k the largest power of two dividing ``steps`` with
     k * lam.size <= SEGMENT_LANES), every segment is propagated from the
-    identity at once on (k, lam.size) arrays, and the k segment matrices
-    are multiplied in log2(k) pairwise levels, later segment on the left.
-    The RK4 steps are the same as for k = 1, so results agree with the
-    unsegmented loop to rounding.
+    identity at once on (2, 2, k, lam.size) arrays, and the k segment
+    matrices are multiplied in log2(k) pairwise levels, later segment on
+    the left.  The steps are the same as for k = 1, so results agree with
+    the unsegmented loop to rounding.
     """
     if steps < 64:
         raise ValueError("steps must be >= 64")
+    step_poly = np.asarray(step_poly)
+    if step_poly.ndim != 3 or step_poly.shape[1:] != (4, steps):
+        raise ValueError("step polynomials must have shape (deg + 1, 4, steps)")
     lam = np.asarray(lam, dtype=complex)
     shape = lam.shape
-    b_nodes = [np.asarray(b) for b in b_nodes]
-    if any(b.shape != (2 * steps + 1,) for b in b_nodes):
-        raise ValueError("each entry of B needs 2 * steps + 1 node samples")
     k = _segment_count(steps, lam.size)
     seg = steps // k
-    h = length / steps
-    # node j of every segment as a (k, 1) column; segments share end nodes
-    idx = 2 * seg * np.arange(k)[:, None] + np.arange(2 * seg + 1)
-    cols = [b[idx].T[:, :, None] for b in b_nodes]
-    row = lam.reshape(1, -1)
-    lam_c = [None if ci == 0 else ci * row for ci in c]
-
-    def node(j: int):
-        return tuple(b[j] if lc is None else b[j] + lc for b, lc in zip(cols, lam_c))
-
-    def mul(A, m):
-        a11, a12, a21, a22 = A
-        return (
-            a11 * m[0] + a12 * m[2],
-            a11 * m[1] + a12 * m[3],
-            a21 * m[0] + a22 * m[2],
-            a21 * m[1] + a22 * m[3],
-        )
-
-    def step_add(m, d, t):
-        return (m[0] + t * d[0], m[1] + t * d[1], m[2] + t * d[2], m[3] + t * d[3])
-
-    lanes = (k, lam.size)
-    psi = (
-        np.ones(lanes, dtype=complex),
-        np.zeros(lanes, dtype=complex),
-        np.zeros(lanes, dtype=complex),
-        np.ones(lanes, dtype=complex),
-    )
+    deg = step_poly.shape[0] - 1
+    # the coefficients of step j of every segment as a (4 * k, deg + 1)
+    # matrix, rows in (entry, segment) order, and lam^m in row m of powers
+    cols = np.ascontiguousarray(step_poly.reshape(deg + 1, 4 * k, seg).transpose(2, 1, 0))
+    powers = np.empty((deg + 1, lam.size), dtype=complex)
+    powers[0] = 1.0
+    # real coefficients multiply the interleaved real and imaginary parts of
+    # the powers in one real matrix product
+    real = not np.iscomplexobj(cols)
+    rhs = powers.view(float) if real else powers
+    lanes = (2, 2, k, lam.size)
+    psi = np.zeros(lanes, dtype=complex)
+    psi[0, 0] = psi[1, 1] = 1.0
+    # the step loop writes into buffers made once: a fresh temporary of this
+    # size per operation costs page faults that outweigh the arithmetic
+    q_out = np.empty((4 * k, rhs.shape[1]), dtype=rhs.dtype)
+    q = (q_out.view(complex) if real else q_out).reshape(lanes)
+    dpsi, term = np.empty(lanes, dtype=complex), np.empty(lanes, dtype=complex)
     # an overflow is reported once, as the FloatingPointError below
     with np.errstate(over="ignore", invalid="ignore"):
-        A3 = node(0)
-        for j in range(seg):
-            A1, A2, A3 = A3, node(2 * j + 1), node(2 * j + 2)
-            k1 = mul(A1, psi)
-            k2 = mul(A2, step_add(psi, k1, h / 2))
-            k3 = mul(A2, step_add(psi, k2, h / 2))
-            k4 = mul(A3, step_add(psi, k3, h))
-            psi = tuple(
-                psi[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                for i in range(4)
-            )
-        while psi[0].shape[0] > 1:
-            psi = mul([p[1::2] for p in psi], [p[0::2] for p in psi])
-    if not all(np.all(np.isfinite(p)) for p in psi):
+        for m in range(1, deg + 1):
+            powers[m] = powers[m - 1] * lam.ravel()
+        for col in cols:
+            np.matmul(col, rhs, out=q_out)
+            # psi + Q psi, with the product summed before psi is added
+            np.multiply(q[:, 0, None], psi[None, 0], out=dpsi)
+            np.multiply(q[:, 1, None], psi[None, 1], out=term)
+            dpsi += term
+            psi += dpsi
+        while psi.shape[2] > 1:
+            psi = _mat_prod(psi[:, :, 1::2], psi[:, :, 0::2])
+    if not np.all(np.isfinite(psi)):
         raise FloatingPointError(
             "transfer matrix overflowed; spectral parameter too large for the step budget"
         )
-    return tuple(p.reshape(shape) for p in psi)
+    return tuple(p.reshape(shape) for p in psi.reshape(4, -1))
 
 
 def transfer_monodromy(
     b_nodes, c, length: float, steps: int, lam: complex, potential_hash: str
 ) -> Monodromy:
     """Psi_lambda(length) at one spectral parameter, as a :class:`Monodromy`."""
-    m = rk4_transfer(b_nodes, c, length, steps, np.asarray([lam], dtype=complex))
+    step_poly = step_polynomials(b_nodes, c, length, steps)
+    m = rk4_transfer(step_poly, steps, np.asarray([lam], dtype=complex))
     mat = np.array([[m[0][0], m[1][0]], [m[2][0], m[3][0]]])
     return Monodromy(mat, complex(lam), potential_hash)
 
 
 def transfer_discriminant(b_nodes, c, length: float, steps: int):
-    """Closure evaluating Delta = trace Psi_lambda(length) on arrays of lambda."""
+    """Closure evaluating Delta = trace Psi_lambda(length) on arrays of lambda.
+
+    The step polynomials are built once, here, and shared by every call.
+    """
+    step_poly = step_polynomials(b_nodes, c, length, steps)
 
     def disc(lams):
-        m = rk4_transfer(b_nodes, c, length, steps, np.asarray(lams, dtype=complex))
+        m = rk4_transfer(step_poly, steps, np.asarray(lams, dtype=complex))
         return m[0] + m[3]
 
     return disc

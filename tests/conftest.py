@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gibbslab.floquet import _segment_count
 from gibbslab.fourier_field import PeriodicField, evaluate, default_grid_size, lp_integral
 from gibbslab.gibbs_sampler import RejectionBudgetError, _batch_in_omega, gibbs_weight
 
@@ -84,6 +85,63 @@ def picard_monodromy(
         if change < tol:
             break
     return psi[-1]
+
+
+def rk4_staged_oracle(b_nodes, c, length: float, steps: int, lam: np.ndarray):
+    """The staged RK4 loop for Psi' = (B(x) + lam C) Psi, from B at the nodes.
+
+    Runs the four stages on the (k, lam.size) lanes of every step, with the
+    same segments along x (``_segment_count``) and the same pairwise tree
+    as ``rk4_transfer``, so the two differ only in how a step is formed.
+    Returns the four entries of Psi(length) shaped like ``lam``.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    shape = lam.shape
+    k = _segment_count(steps, lam.size)
+    seg = steps // k
+    h = length / steps
+    # node j of every segment as a (k, 1) column; segments share end nodes
+    idx = 2 * seg * np.arange(k)[:, None] + np.arange(2 * seg + 1)
+    cols = [np.asarray(b)[idx].T[:, :, None] for b in b_nodes]
+    row = lam.reshape(1, -1)
+    lam_c = [None if ci == 0 else ci * row for ci in c]
+
+    def node(j: int):
+        return tuple(b[j] if lc is None else b[j] + lc for b, lc in zip(cols, lam_c))
+
+    def mul(A, m):
+        a11, a12, a21, a22 = A
+        return (
+            a11 * m[0] + a12 * m[2],
+            a11 * m[1] + a12 * m[3],
+            a21 * m[0] + a22 * m[2],
+            a21 * m[1] + a22 * m[3],
+        )
+
+    def step_add(m, d, t):
+        return (m[0] + t * d[0], m[1] + t * d[1], m[2] + t * d[2], m[3] + t * d[3])
+
+    lanes = (k, lam.size)
+    psi = (
+        np.ones(lanes, dtype=complex),
+        np.zeros(lanes, dtype=complex),
+        np.zeros(lanes, dtype=complex),
+        np.ones(lanes, dtype=complex),
+    )
+    A3 = node(0)
+    for j in range(seg):
+        A1, A2, A3 = A3, node(2 * j + 1), node(2 * j + 2)
+        k1 = mul(A1, psi)
+        k2 = mul(A2, step_add(psi, k1, h / 2))
+        k3 = mul(A2, step_add(psi, k2, h / 2))
+        k4 = mul(A3, step_add(psi, k3, h))
+        psi = tuple(
+            psi[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+            for i in range(4)
+        )
+    while psi[0].shape[0] > 1:
+        psi = mul([p[1::2] for p in psi], [p[0::2] for p in psi])
+    return tuple(p.reshape(shape) for p in psi)
 
 
 def hessian_fd_oracle(field: PeriodicField, direction, p: float, h: float = 1e-4) -> float:

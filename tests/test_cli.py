@@ -107,6 +107,21 @@ class TestBasics:
             assert main(argv) == 2
             assert "configuration error" in capsys.readouterr().err
 
+    def test_zero_weight_sum_is_a_config_error(self, tmp_path, capsys):
+        # at beta = -1e6 every member's Gibbs weight diverges and is set to 0;
+        # the weighted mean used to crash with a bare ZeroDivisionError
+        ens, out = str(tmp_path / "ens.jsonl"), str(tmp_path / "c.json")
+        argv = ["sample", "--p", "6", "--beta=-1e6", "--ball", "50", "--cutoff", "4",
+                "--count", "20", "--seed", "3", "--out", ens]
+        assert main(argv) == 0
+        assert load_ensemble_jsonl(ens).diagnostics["divergent_weights"] == 20
+        capsys.readouterr()
+        assert main(["concentration", "--ensemble", ens, "--statistic", "l2", "--out", out]) == 2
+        assert "configuration error: the weights of all 20 members sum to zero" in (
+            capsys.readouterr().err
+        )
+        assert not Path(out).exists()
+
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
     def test_every_subcommand_writes_a_manifest(self, command, inputs, tmp_path):
         out = tmp_path / "result.json"

@@ -173,6 +173,12 @@ class TestSubgaussianFit:
         assert ch.subgaussian_fit(curve, eta_bound=0.6).passed
         assert not ch.subgaussian_fit(curve, eta_bound=0.4).passed
 
+    def test_zero_sum_and_negative_weights_rejected(self):
+        values = np.linspace(0.0, 1.0, 5)
+        for weights in (np.zeros(5), np.array([1.0, -0.5, 1.0, 1.0, 1.0])):
+            with pytest.raises(ch.DegenerateWeightsError):
+                ch.StatisticSample(values, weights, "degenerate", "synthetic")
+
     def test_degenerate_weights_raise_typed_error(self):
         # one member carries all but 1e-11 of the weight: the trusted range
         # 2 / std is so wide that every nonzero t overflows and is trimmed

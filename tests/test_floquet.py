@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbslab import dirac_spectrum as ds
+from gibbslab import floquet
 from gibbslab import hill_spectrum as hs
 from gibbslab.floquet import (
     DOUBLE_TOL,
@@ -15,9 +16,10 @@ from gibbslab.floquet import (
     _segment_count,
     locate_spectral_points,
     rk4_transfer,
+    step_polynomials,
 )
 from gibbslab.fourier_field import PeriodicField
-from conftest import picard_monodromy, random_field, real_even_field
+from conftest import picard_monodromy, random_field, real_even_field, rk4_staged_oracle
 
 STEPS = 1024
 TOL = 1e-9
@@ -31,11 +33,17 @@ def step_tol(steps: int) -> float:
     return TOL * (STEPS / steps) ** 5
 
 
+def system_args(system: str, field: PeriodicField, steps: int):
+    """(B at the nodes, C, period) of the Dirac or Hill system."""
+    if system == "dirac":
+        return ds._dirac_nodes(field, steps), ds._DIRAC_C, 2 * np.pi
+    return hs._hill_nodes(field, steps), hs._HILL_C, np.pi
+
+
 def transfer(system: str, field: PeriodicField, steps: int, lam):
     """The four monodromy entries of the Dirac or Hill system on a batch."""
-    if system == "dirac":
-        return rk4_transfer(ds._dirac_nodes(field, steps), ds._DIRAC_C, 2 * np.pi, steps, lam)
-    return rk4_transfer(hs._hill_nodes(field, steps), hs._HILL_C, np.pi, steps, lam)
+    step_poly = step_polynomials(*system_args(system, field, steps), steps)
+    return rk4_transfer(step_poly, steps, lam)
 
 
 def unsegmented(system: str, field: PeriodicField, steps: int, lam: np.ndarray) -> np.ndarray:
@@ -235,10 +243,71 @@ class TestSegmentation:
             transfer("hill", self.FIELDS["hill"], 512, np.array([-1e6, 1.0]))
 
 
+class TestStepPolynomials:
+    """One RK4 step is Psi -> Psi + Q(lam) Psi, Q built once per field."""
+
+    FIELDS = TestSegmentation.FIELDS
+    BOXES = TestSegmentation.BOXES
+
+    @pytest.mark.parametrize("system", ["dirac", "hill"])
+    @pytest.mark.parametrize("steps", STEP_COUNTS)
+    def test_matches_staged_oracle(self, system, steps):
+        args = system_args(system, self.FIELDS[system], steps)
+        step_poly = step_polynomials(*args, steps)
+        (re_lo, re_hi), (im_lo, im_hi) = self.BOXES[system]
+        rng = np.random.default_rng(steps)
+        for n in (1, 7, 32, 300, SEGMENT_LANES + 1):
+            lam = rng.uniform(re_lo, re_hi, n) + 1j * rng.uniform(im_lo, im_hi, n)
+            ref = np.array(rk4_staged_oracle(*args, steps, lam))
+            got = np.array(rk4_transfer(step_poly, steps, lam))
+            err = np.abs(got - ref) / np.max(np.abs(ref), axis=0)
+            assert np.max(err) < 1e-13, (n, np.max(err))
+
+    @pytest.mark.parametrize("system, degree", [("dirac", 4), ("hill", 2)])
+    def test_degree_and_dtype(self, system, degree):
+        step_poly = step_polynomials(*system_args(system, self.FIELDS[system], 512), 512)
+        assert step_poly.shape == (degree + 1, 4, 512)
+        assert step_poly.dtype == np.float64
+        assert np.all(np.any(step_poly[degree] != 0.0, axis=0))
+
+    def test_complex_b_gives_complex_coefficients(self):
+        nodes, c, length = system_args("dirac", self.FIELDS["dirac"], 64)
+        nodes = (nodes[0] + 0.1j, *nodes[1:])
+        step_poly = step_polynomials(nodes, c, length, 64)
+        assert step_poly.dtype == np.complex128
+        lam = np.array([0.5, -1.0 + 0.3j])
+        ref = np.array(rk4_staged_oracle(nodes, c, length, 64, lam))
+        got = np.array(rk4_transfer(step_poly, 64, lam))
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    def test_closure_builds_once(self, monkeypatch):
+        built = []
+        original = floquet.step_polynomials
+
+        def counting(*args):
+            built.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(floquet, "step_polynomials", counting)
+        disc = ds.discriminant_batch(self.FIELDS["dirac"], 512)
+        for lam in (np.array([0.5]), np.linspace(-3.0, 3.0, 40), np.array([1.0 + 0.2j])):
+            disc(lam)
+        assert built == [512]
+        hs.hill_periodic_spectrum(self.FIELDS["hill"], 30.0, steps=1024)
+        assert built == [512, 1024]
+
+
 def test_engine_rejects_wrong_node_count():
     nodes = (np.zeros(128), np.ones(128), np.zeros(128), np.zeros(128))
     with pytest.raises(ValueError):
-        rk4_transfer(nodes, (0.0, 0.0, -1.0, 0.0), np.pi, 64, np.array([1.0]))
+        step_polynomials(nodes, (0.0, 0.0, -1.0, 0.0), np.pi, 64)
+
+
+def test_engine_rejects_mismatched_step_polynomials():
+    step_poly = step_polynomials((np.zeros(129), np.ones(129), np.zeros(129), np.zeros(129)),
+                                 (0.0, 0.0, -1.0, 0.0), np.pi, 64)
+    with pytest.raises(ValueError):
+        rk4_transfer(step_poly, 128, np.array([1.0]))
 
 
 def test_traced_argument_names_bind():
