@@ -253,9 +253,6 @@ def _observables_from_spec(spec: str, p: float) -> dict:
         name = name.strip()
         if not name:
             continue
-        if name == "l2":
-            out["l2"] = l2_norm_sq
-            continue
         if name == "V":
             name = f"V:p={p:g}"
         elif name.startswith("stat:"):

@@ -46,6 +46,11 @@ __all__ = [
 _BOOTSTRAP_TAG = 5  # stream tags keep the harness draws independent
 _LIPSCHITZ_TAG = 7
 
+# RK4 steps of the built-in spectral statistics, and points of the default t grid
+DIRAC_STEPS = 512
+HILL_STEPS = 1024
+T_GRID_POINTS = 41
+
 
 class DegenerateWeightsError(ValueError):
     """The weights leave nothing to estimate: one is negative, they sum to
@@ -104,7 +109,7 @@ class StatisticSample:
 # Statistic registry
 # ---------------------------------------------------------------------------
 
-def make_statistic(spec: str, dirac_steps: int = 512, hill_steps: int = 1024):
+def make_statistic(spec: str):
     """Build a named field statistic from a descriptor string.
 
     Supported descriptors:
@@ -160,7 +165,7 @@ def make_statistic(spec: str, dirac_steps: int = 512, hill_steps: int = 1024):
             # circles centered on the member's own critical points (the
             # free-lattice centers only capture them for small fields),
             # integrated on the disk models of their |Delta'| checks
-            crit = ds.critical_points(f, window, steps=dirac_steps)
+            crit = ds.critical_points(f, window, steps=DIRAC_STEPS)
             pts = ds.two_sided_slice(np.array(crit.critical_points), m)
             models = [d for d in crit.critical_models if pts[0] <= d.center.real <= pts[-1]]
             return contour_sum(models, g, "critical", 0.2)[0]
@@ -181,7 +186,7 @@ def make_statistic(spec: str, dirac_steps: int = 512, hill_steps: int = 1024):
         lam_max = float((J + 0.6) ** 2)
 
         def stat(f: PeriodicField) -> float:
-            data = hs.hill_periodic_spectrum(f, lam_max, steps=hill_steps)
+            data = hs.hill_periodic_spectrum(f, lam_max, steps=HILL_STEPS)
             ts = data.two_sided_t(J)
             return float(np.real(np.sum(g(ts.astype(complex)))))
 
@@ -262,9 +267,9 @@ def trusted_t_range(sample: StatisticSample) -> float:
     return 2.0 / std
 
 
-def default_t_grid(sample: StatisticSample, points: int = 41) -> np.ndarray:
+def default_t_grid(sample: StatisticSample) -> np.ndarray:
     r = trusted_t_range(sample)
-    grid = np.linspace(-r, r, points)
+    grid = np.linspace(-r, r, T_GRID_POINTS)
     grid[np.abs(grid) < 1e-12 * r] = 0.0  # pin the center so L(0) = 0 exactly
     return grid
 

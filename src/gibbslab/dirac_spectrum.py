@@ -154,7 +154,7 @@ def periodic_eigenvalues(
     |Delta^2 - 4| < max(100 * refine_tol, DOUBLE_TOL) against the direct solver.
     """
     disc = discriminant_batch(field, steps)
-    roots, _ = locate_spectral_points(disc, _scan_grid(window))
+    roots = locate_spectral_points(disc, _scan_grid(window))
     roots = [r for r in roots if not r.is_critical and window[0] <= r.value <= window[1]]
     pts = []
     if roots:
@@ -178,7 +178,7 @@ def critical_points(
 ) -> SpectralDataDirac:
     """Real zeros of Delta' in the window (free case: the integers)."""
     disc = discriminant_batch(field, steps)
-    roots, _ = locate_spectral_points(
+    roots = locate_spectral_points(
         disc, _scan_grid(window), levels=(), want_critical=True
     )
     vals = [r.value for r in roots if r.is_critical and window[0] <= r.value <= window[1]]

@@ -3,18 +3,18 @@
 Three layers, all pure functions over immutable inputs:
 
 * a fixed-step fourth-order (RK4) propagator for the trace-free system
-  Psi' = (B(x) + lambda C) Psi, vectorized over a batch of spectral
-  parameters; the Dirac and Hill modules supply only B at the RK4 nodes
-  and the constant C.  On a linear system an RK4 step is
-  Psi -> Psi + Q_n(lambda) Psi with Q_n a matrix polynomial of degree at
-  most 4 (2 for Hill, whose C^2 = 0), so the stage formulas run once per
-  field on polynomials (step_polynomials), and each step of the lambda
-  loop is one matrix product of Q_n's coefficients with the powers of
-  lambda plus four array operations into buffers made once per call,
-  where the staged loop needed about 100 operations.  A small batch also
-  fills the arrays along x: segments of the period run side by side and
-  are multiplied in a pairwise tree, so the step loop's fixed cost per
-  array operation is paid over fewer steps;
+  Psi' = (B(x) + lambda C) Psi with real B and C, vectorized over a batch
+  of complex spectral parameters; the Dirac and Hill modules supply only
+  B at the RK4 nodes and the constant C.  On a linear system an RK4 step
+  is Psi -> Psi + Q_n(lambda) Psi with Q_n a matrix polynomial of degree
+  at most 4 (2 for Hill, whose C^2 = 0), so the stage formulas run once
+  per field on polynomials (step_polynomials, real coefficients), and
+  each step of the lambda loop is one real matrix product of Q_n's
+  coefficients with the powers of lambda plus four array operations into
+  buffers made once per call, where the staged loop needed about 100
+  operations.  A small batch also fills the arrays along x: segments of
+  the period run side by side and are multiplied in a pairwise tree, so
+  the step loop's fixed cost per array operation is paid over fewer steps;
 * local analytic "disk models": Taylor expansions of an entire function
   (the discriminant) recovered from samples on a circle, giving cheap and
   spectrally accurate access to values, derivatives and roots near the
@@ -22,8 +22,9 @@ Three layers, all pure functions over immutable inputs:
   for Dirac, in s = sqrt(lambda) for Hill), so the circle's node count
   follows from the growth bound (pi r)^n / n! <= 1e-16 (see build_models);
 * window scans that bracket sign changes and near-double minima on a real
-  grid, refine them through disk models, and read every double point at a
-  real critical point with a small dip.
+  grid, refine them through disk models, read every double point at a
+  real critical point with a small dip, and return the located points
+  (value, level, multiplicity) only.
 
 Contour sums for linear statistics are evaluated on the models, so the
 integrand stays an analytic object and the calculus-of-residues identities
@@ -138,14 +139,16 @@ def step_polynomials(b_nodes, c, length: float, steps: int) -> np.ndarray:
     Returns a (deg + 1, 4, steps) array: [m, :, n] holds the entries (11,
     12, 21, 22) of the coefficient of lam^m in Q_n.  Trailing coefficients
     that vanish identically are dropped, so deg is 4 for Dirac and 2 for
-    Hill, whose C^2 = 0.  The array is real when B and C are.
+    Hill, whose C^2 = 0.  B and C must be real (both front ends' are), so
+    the coefficients are real; a complex B or C raises ValueError.
     """
     b_nodes = [np.asarray(b) for b in b_nodes]
     if any(b.shape != (2 * steps + 1,) for b in b_nodes):
         raise ValueError("each entry of B needs 2 * steps + 1 node samples")
-    dtype = np.result_type(float, *b_nodes, *c)
-    b = np.array(b_nodes, dtype=dtype).reshape(2, 2, 1, -1)
-    c_mat = np.array(c, dtype=dtype).reshape(2, 2, 1, 1)
+    if any(np.iscomplexobj(v) for v in (*b_nodes, *c)):
+        raise ValueError("B and C must be real")
+    b = np.array(b_nodes, dtype=float).reshape(2, 2, 1, -1)
+    c_mat = np.array(c, dtype=float).reshape(2, 2, 1, 1)
     h = length / steps
 
     def times_a(b_node, poly):
@@ -154,11 +157,11 @@ def step_polynomials(b_nodes, c, length: float, steps: int) -> np.ndarray:
         prod[:, :, 1:] += _mat_prod(c_mat, poly[:, :, :-1])
         return prod
 
-    out = np.empty((5, 2, 2, steps), dtype=dtype)
+    out = np.empty((5, 2, 2, steps))
     for s in range(0, steps, STEP_BLOCK):
         e = min(s + STEP_BLOCK, steps)
         # matrix polynomials of degree <= 4 as (2, 2, 5, e - s) arrays
-        eye = np.zeros((2, 2, 5, e - s), dtype=dtype)
+        eye = np.zeros((2, 2, 5, e - s))
         eye[0, 0, 0] = eye[1, 1, 0] = 1.0
         b1, b2, b3 = (b[..., 2 * s + i : 2 * e + i : 2] for i in range(3))
         k1 = times_a(b1, eye)
@@ -177,12 +180,13 @@ def rk4_transfer(step_poly: np.ndarray, steps: int, lam: np.ndarray):
     """Transfer matrix Psi(length) of Psi' = (B(x) + lam C) Psi, Psi(0) = I.
 
     ``step_poly`` is :func:`step_polynomials` of the system over ``steps``
-    steps.  Returns four arrays shaped like the batch ``lam`` holding the
-    entries of Psi(length).  Each step forms Q(lam) = sum_m lam^m Q^(m) for
-    every lane as one matrix product of its coefficients with the powers of
-    lam, computed once per call, and applies Psi + Q(lam) Psi in four array
-    operations.  Adding Psi last keeps the rounding of the staged RK4 loop;
-    a product with I + Q would lose the low bits of the increment.
+    steps, a real array.  Returns four arrays shaped like the batch ``lam``
+    holding the entries of Psi(length).  Each step forms
+    Q(lam) = sum_m lam^m Q^(m) for every lane as one real matrix product of
+    its coefficients with the interleaved real and imaginary parts of the
+    powers of lam, computed once per call, and applies Psi + Q(lam) Psi in
+    four array operations.  Adding Psi last keeps the rounding of the staged
+    RK4 loop; a product with I + Q would lose the low bits of the increment.
 
     A small batch is spread along x: [0, length] is split into k equal
     segments (k the largest power of two dividing ``steps`` with
@@ -207,17 +211,14 @@ def rk4_transfer(step_poly: np.ndarray, steps: int, lam: np.ndarray):
     cols = np.ascontiguousarray(step_poly.reshape(deg + 1, 4 * k, seg).transpose(2, 1, 0))
     powers = np.empty((deg + 1, lam.size), dtype=complex)
     powers[0] = 1.0
-    # real coefficients multiply the interleaved real and imaginary parts of
-    # the powers in one real matrix product
-    real = not np.iscomplexobj(cols)
-    rhs = powers.view(float) if real else powers
+    rhs = powers.view(float)
     lanes = (2, 2, k, lam.size)
     psi = np.zeros(lanes, dtype=complex)
     psi[0, 0] = psi[1, 1] = 1.0
     # the step loop writes into buffers made once: a fresh temporary of this
     # size per operation costs page faults that outweigh the arithmetic
-    q_out = np.empty((4 * k, rhs.shape[1]), dtype=rhs.dtype)
-    q = (q_out.view(complex) if real else q_out).reshape(lanes)
+    q_out = np.empty((4 * k, rhs.shape[1]))
+    q = q_out.view(complex).reshape(lanes)
     dpsi, term = np.empty(lanes, dtype=complex), np.empty(lanes, dtype=complex)
     # an overflow is reported once, as the FloatingPointError below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -358,7 +359,6 @@ class LocatedRoot:
     value: float
     level: float        # discriminant level (+2/-2), or nan for critical points
     multiplicity: int
-    residual: float     # |model(value) - level|, or |model'(value)| for critical
 
     @property
     def is_critical(self) -> bool:
@@ -407,8 +407,11 @@ def locate_spectral_points(
     grid: np.ndarray,
     levels=(2.0, -2.0),
     want_critical: bool = False,
-) -> tuple[list[LocatedRoot], list[DiskModel]]:
+) -> list[LocatedRoot]:
     """Find real solutions of f = level (and optionally f' = 0) on a window.
+
+    Returns the points sorted by value, each with its level (nan for a
+    critical point) and multiplicity; the disk models stay internal.
 
     The grid must be fine enough that every target lies within ``TRUST`` of
     a sign change, a local minimum of |f - level|, or a discrete extremum;
@@ -425,13 +428,14 @@ def locate_spectral_points(
     it; then a simple point within ``MERGE_WINDOW`` of a kept double point
     at its level is dropped as one of that double point's edges.  The edges
     may be kept by a different model than the critical point, so this runs
-    after ownership.
+    after ownership.  The double-point rule runs only when ``levels`` is
+    non-empty, since a critical-only scan could keep none of its hits.
     """
     grid = np.asarray(grid, dtype=float)
     d = np.real(np.asarray(f_batch(grid.astype(complex))))
     cands = _candidate_centers(grid, d, levels, want_critical)
     if not cands:
-        return [], []
+        return []
     centers = _thin_centers(cands, 0.35 * TRUST)
     models = build_models(f_batch, centers, TRUST)
 
@@ -441,22 +445,18 @@ def locate_spectral_points(
         crit = model.critical_roots()
         if want_critical:
             for w in np.real(crit[np.abs(np.imag(crit)) <= IMAG_TOL]):
+                hits.append((mi, LocatedRoot(float(x0 + w), math.nan, 1)))
+        if levels:
+            for w in np.real(crit[np.abs(np.imag(crit)) <= DOUBLE_IMAG_TOL]):
                 lam = float(x0 + w)
-                resid = float(np.abs(model.eval_deriv(lam, 1)))
-                hits.append((mi, LocatedRoot(lam, math.nan, 1, resid)))
-        for w in np.real(crit[np.abs(np.imag(crit)) <= DOUBLE_IMAG_TOL]):
-            lam = float(x0 + w)
-            fc = model(lam)
-            dip = float(np.abs(fc**2 - 4.0))
-            level = math.copysign(2.0, np.real(fc))
-            if dip < DOUBLE_TOL and level in levels:
-                hits.append((mi, LocatedRoot(lam, level, 2, dip)))
+                fc = model(lam)
+                level = math.copysign(2.0, np.real(fc))
+                if abs(fc**2 - 4.0) < DOUBLE_TOL and level in levels:
+                    hits.append((mi, LocatedRoot(lam, level, 2)))
         for level in levels:
             roots = model.roots_at_level(level)
             for w in np.real(roots[np.abs(np.imag(roots)) <= IMAG_TOL]):
-                lam = float(x0 + w)
-                resid = float(np.abs(model(lam) - level))
-                hits.append((mi, LocatedRoot(lam, level, 1, resid)))
+                hits.append((mi, LocatedRoot(float(x0 + w), level, 1)))
 
     # each hit is kept only by the model whose center is nearest to it
     owned = [r for mi, r in hits if np.argmin(np.abs(centers - r.value)) == mi]
@@ -467,7 +467,7 @@ def locate_spectral_points(
             dp.level == r.level and abs(dp.value - r.value) < MERGE_WINDOW for dp in doubles
         )
 
-    return sorted((r for r in owned if not is_edge(r)), key=lambda r: r.value), models
+    return sorted((r for r in owned if not is_edge(r)), key=lambda r: r.value)
 
 
 # ---------------------------------------------------------------------------

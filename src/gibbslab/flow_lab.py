@@ -334,11 +334,14 @@ def invariance_check(
     observable, the weighted KS distance between the before and after
     ensembles is compared against a permutation null band (the
     ``BAND_QUANTILE`` of distances obtained by randomly re-splitting the
-    pooled samples), seeded for reproducibility.
+    pooled samples), seeded for reproducibility.  At least 8 members and
+    one observable are required.
     """
     n = len(ensemble)
     if n < 8:
         raise ValueError("invariance check needs at least 8 members")
+    if not observables:
+        raise ValueError("invariance check needs at least one observable")
 
     G = _flow_grid(max(f.cutoff for f in ensemble.samples), params)
     rows = max(1, BLOCK_LANES // G)

@@ -195,9 +195,8 @@ def sobolev_norm_sq(field: PeriodicField, gamma: float) -> float:
     return float(mag2[field.cutoff] + np.sum(w * mag2))
 
 
-def sup_norm(field: PeriodicField, grid_size: int | None = None) -> float:
-    g = grid_size or default_grid_size(field.cutoff)
-    return float(np.max(np.abs(evaluate(field, g).values)))
+def sup_norm(field: PeriodicField) -> float:
+    return float(np.max(np.abs(evaluate(field, default_grid_size(field.cutoff)).values)))
 
 
 def lp_integral(field: PeriodicField, p: float, grid_size: int | None = None) -> float:
@@ -229,20 +228,16 @@ def kinetic_energy(field: PeriodicField) -> float:
     return float(0.5 * np.sum(ns.astype(float) ** 2 * np.abs(field.coeffs) ** 2))
 
 
-def hamiltonian(
-    field: PeriodicField, p: float, beta: float, grid_size: int | None = None
-) -> float:
+def hamiltonian(field: PeriodicField, p: float, beta: float) -> float:
     """Kinetic term plus (beta/p) * int |phi|^p dx/2pi."""
-    return kinetic_energy(field) + (beta / p) * lp_integral(field, p, grid_size)
+    return kinetic_energy(field) + (beta / p) * lp_integral(field, p)
 
 
-def kdv_hamiltonian(
-    field: PeriodicField, beta: float, grid_size: int | None = None
-) -> float:
+def kdv_hamiltonian(field: PeriodicField, beta: float) -> float:
     """(1/2) int (q')^2 dx/2pi - (beta/6) int q^3 dx/2pi for real q."""
     if not is_real_valued(field, tol=1e-10):
         raise ValueError("kdv_hamiltonian requires a real-valued field")
-    return kinetic_energy(field) - (beta / 6.0) * cubic_integral(field, grid_size)
+    return kinetic_energy(field) - (beta / 6.0) * cubic_integral(field)
 
 
 # ---------------------------------------------------------------------------

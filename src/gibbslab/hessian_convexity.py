@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 SINGULAR_GUARD = 1e-12  # |phi| floor inside the guarded integrand
+CERT_TOL = 1e-9  # slack of both eigenvalue tests in certify_convexity
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +92,7 @@ class ConvexityParams:
       c_delta : ||phi||_infty     <= c_delta * ||phi||_{H^delta}
       kappa   : HessV bound by kappa ||phi||_{L^{p-2}}^{p-2} (sup norms), 2p(p-1)
       kappa_p : kappa combined with the embeddings, kappa * c_delta^2
+                (a property; 150 at the defaults)
     """
 
     delta: float = 0.75
@@ -98,7 +100,6 @@ class ConvexityParams:
     c_gamma: float = 1.0
     c_delta: float = 2.5
     kappa: float = 24.0
-    kappa_p: float = 150.0
     holder_bound: float | None = None
 
     def __post_init__(self):
@@ -106,9 +107,13 @@ class ConvexityParams:
             raise ValueError("delta must lie in (1/2, 1)")
         if not (0.25 < self.gamma < 0.5):
             raise ValueError("gamma must lie in (1/4, 1/2)")
-        for name in ("c_gamma", "c_delta", "kappa", "kappa_p"):
+        for name in ("c_gamma", "c_delta", "kappa"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+
+    @property
+    def kappa_p(self) -> float:
+        return self.kappa * self.c_delta**2
 
     def growth_factor(self, beta: float) -> float:
         """1 + |beta| c_gamma kappa_p K^{p-2} with K the Holder bound (p = 4 form)."""
@@ -136,7 +141,7 @@ class ConvexityReport:
     lsi_lower_bound: float
     convexity_modulus: float
     kernel_min_eigenvalue: float | None = None
-    tolerance: float = 1e-9
+    tolerance: float = CERT_TOL
 
     def to_json(self) -> dict:
         return {
@@ -156,12 +161,7 @@ class ConvexityReport:
 # The quadratic form
 # ---------------------------------------------------------------------------
 
-def hessian_form_V(
-    field: PeriodicField,
-    direction: Direction,
-    p: float,
-    grid_size: int | None = None,
-) -> float:
+def hessian_form_V(field: PeriodicField, direction: Direction, p: float) -> float:
     """Second derivative of the L^p energy along a coordinate direction.
 
     Always nonnegative; a value below -1e-9 signals an implementation bug
@@ -170,7 +170,7 @@ def hessian_form_V(
     if direction.cutoff != field.cutoff:
         direction = _embed_direction(direction, field.cutoff)
     v = np.concatenate([direction.xi, direction.eta])
-    val = float(v @ hessian_matrix_V(field, p, grid_size) @ v)
+    val = float(v @ hessian_matrix_V(field, p) @ v)
     if val < -1e-9:
         raise FloatingPointError(f"Hessian form returned {val} < 0")
     return val
@@ -187,20 +187,16 @@ def _embed_direction(direction: Direction, cutoff: int) -> Direction:
     return Direction(xi, eta)
 
 
-def hessian_matrix_V(
-    field: PeriodicField, p: float, grid_size: int | None = None
-) -> np.ndarray:
+def hessian_matrix_V(field: PeriodicField, p: float) -> np.ndarray:
     """Dense Hessian of V in the coordinates (a_{-M..M}, b_{-M..M}).
 
     The Gram matrix of the bilinear form of the module docstring over the
     directions delta = e^{inx} (the a_n) and delta = i e^{inx} (the b_n),
-    with both integrals taken as grid means.
+    with both integrals taken as means over the default grid.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
-    g = grid_size or default_grid_size(field.cutoff)
-    if g <= 2 * field.cutoff + 1:
-        raise ValueError("grid too small for the field cutoff")
+    g = default_grid_size(field.cutoff)
     phi = evaluate(field, g).values
     ns = np.arange(-field.cutoff, field.cutoff + 1)
     basis = np.exp(1j * np.outer(ns, 2 * np.pi * np.arange(g) / g))
@@ -271,22 +267,19 @@ def perturbed_hamiltonians(
     p: float,
     ball_radius: float,
     params: ConvexityParams,
-    nonlinear_weight: float | None = None,
 ) -> dict[str, float]:
     """Values of H, H_K = H + W_K and G_N = kinetic + Y_N + (beta/2) V.
 
     The focusing perturbations are identically zero at beta = 0, where the
     plain Hamiltonian is already convex; all three then reduce to the
-    kinetic term.  ``nonlinear_weight`` overrides the beta/2 coefficient of
-    V inside G_N (written for the quartic case).
+    kinetic term.
     """
     H = hamiltonian(field, p, beta)
     wk = 0.0 if beta == 0.0 else w_k_perturbation(field, beta, p, params)
-    coeff = (beta / 2.0) if nonlinear_weight is None else nonlinear_weight
     gn = (
         kinetic_energy(field)
         + y_n_perturbation(field, beta, ball_radius, params)
-        + (0.0 if beta == 0.0 else coeff * lp_integral(field, p))
+        + (0.0 if beta == 0.0 else (beta / 2.0) * lp_integral(field, p))
     )
     return {"H": H, "H_K": H + wk, "G_N": gn}
 
@@ -316,16 +309,14 @@ def _functional_hessian(
     p: float,
     ball_radius: float,
     params: ConvexityParams,
-    grid_size: int | None,
-    nonlinear_weight: float | None,
 ) -> np.ndarray:
     M = field.cutoff
     modes = np.arange(-M, M + 1).astype(float)
     kin = np.diag(np.concatenate([modes**2, modes**2]))
     if functional == "H":
-        return kin + (beta / p) * hessian_matrix_V(field, p, grid_size)
+        return kin + (beta / p) * hessian_matrix_V(field, p)
     if functional == "H_K":
-        H = kin + (beta / p) * hessian_matrix_V(field, p, grid_size)
+        H = kin + (beta / p) * hessian_matrix_V(field, p)
         if beta == 0.0:
             return H
         level = params.truncation_level(beta)
@@ -336,11 +327,10 @@ def _functional_hessian(
         )
         return H + np.diag(np.concatenate([diag, diag]))
     if functional == "G_N":
-        coeff = (beta / 2.0) if nonlinear_weight is None else nonlinear_weight
         rate = _y_n_rate(beta, ball_radius, params)
         out = kin + 2.0 * rate * np.eye(2 * (2 * M + 1))
         if beta != 0.0:
-            out = out + coeff * hessian_matrix_V(field, p, grid_size)
+            out = out + (beta / 2.0) * hessian_matrix_V(field, p)
         return out
     raise ValueError("functional must be 'H', 'H_K' or 'G_N'")
 
@@ -368,9 +358,6 @@ def certify_convexity(
     params: ConvexityParams,
     weight: str = "h1",
     paper_bound: float | None = None,
-    grid_size: int | None = None,
-    tol: float = 1e-9,
-    nonlinear_weight: float | None = None,
 ) -> ConvexityReport:
     """Dense eigenvalue certificate Hess >= bound * W for the chosen weight.
 
@@ -378,15 +365,13 @@ def certify_convexity(
     on the positive-weight subspace.  Certification additionally demands
     positive semidefiniteness of Hess - bound*W on the full space (reported
     through ``kernel_min_eigenvalue`` when W is singular), so weight kernels
-    and cross terms are not silently ignored.
+    and cross terms are not silently ignored.  Both tests allow CERT_TOL.
     """
     if field.cutoff > 16:
         raise ValueError("dense certification is limited to cutoff <= 16")
     if paper_bound is None:
         paper_bound = default_paper_bound(functional, params.delta)
-    H = _functional_hessian(
-        functional, field, beta, p, ball_radius, params, grid_size, nonlinear_weight
-    )
+    H = _functional_hessian(functional, field, beta, p, ball_radius, params)
     wdiag = _weight_diagonal(weight, np.arange(-field.cutoff, field.cutoff + 1), params.delta)
     pos = wdiag > 0
     scale = 1.0 / np.sqrt(wdiag[pos])
@@ -398,7 +383,7 @@ def certify_convexity(
     full_min = float(np.linalg.eigvalsh(full)[0])
     if not np.all(pos):
         kernel_eig = full_min
-    certified = (min_eig >= paper_bound - tol) and (full_min >= -tol)
+    certified = (min_eig >= paper_bound - CERT_TOL) and (full_min >= -CERT_TOL)
 
     eta = max(min_eig, 0.0) / 2.0
     alpha = lsi_lower_bound(
@@ -418,7 +403,6 @@ def certify_convexity(
         lsi_lower_bound=alpha,
         convexity_modulus=eta,
         kernel_min_eigenvalue=kernel_eig,
-        tolerance=tol,
     )
 
 

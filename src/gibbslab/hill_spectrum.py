@@ -31,6 +31,7 @@ import numpy as np
 from .floquet import (
     DOUBLE_TOL,
     NUMERICAL_FAILURES,
+    InsufficientPointsError,
     Monodromy,
     build_models,
     contour_sum,
@@ -121,9 +122,11 @@ class HillSpectralData:
     ordering_ok: bool = True
 
     def t(self, n: int) -> float:
-        """Two-sided midpoint sequence with t_{-n} = -t_n."""
+        """Two-sided midpoint sequence with t_{-n} = -t_n, for |n| <= n_max."""
         if abs(n) >= self.midpoints.size:
-            raise IndexError(f"midpoint index {n} beyond computed range")
+            raise InsufficientPointsError(
+                f"midpoint index {n} beyond the computed range |n| <= {self.n_max}"
+            )
         return float(np.sign(n) * self.midpoints[abs(n)])
 
     def two_sided_t(self, J: int) -> np.ndarray:
@@ -162,7 +165,6 @@ def hill_periodic_spectrum(
     Residuals |Delta^2 - 4| are evaluated with the direct solver at every
     returned eigenvalue.
     """
-    _check_potential(q)
     disc = hill_discriminant_batch(q, steps)
     qsup = float(np.max(np.abs(np.real(evaluate(q, default_grid_size(q.cutoff)).values))))
 
@@ -170,7 +172,7 @@ def hill_periodic_spectrum(
 
     lam_lo = min(-1.0, -1.2 * qsup - 0.5)
     lam_grid = np.arange(lam_lo, 0.9 + 0.04, 0.04)
-    roots_lam, _ = locate_spectral_points(disc, lam_grid)
+    roots_lam = locate_spectral_points(disc, lam_grid)
     for r in roots_lam:
         if not r.is_critical and r.value < BRANCH_SPLIT:
             found.append((r.value, r.level, r.multiplicity))
@@ -182,7 +184,7 @@ def hill_periodic_spectrum(
         svals = np.asarray(svals, dtype=complex)
         return disc(svals * svals)
 
-    roots_s, _ = locate_spectral_points(disc_s, s_grid)
+    roots_s = locate_spectral_points(disc_s, s_grid)
     for r in roots_s:
         lam = r.value * r.value
         if not r.is_critical and lam >= BRANCH_SPLIT:
@@ -438,7 +440,6 @@ def pw_statistic_contour(
     2 the radius is grown once (reported), and a placement that still fails
     raises.  Returns one record per index with the value, count and radius.
     """
-    _check_potential(q)
     disc = hill_discriminant_batch(q, steps)
     out = []
     for m in indices:

@@ -122,6 +122,29 @@ class TestBasics:
         )
         assert not Path(out).exists()
 
+    def test_missing_hill_midpoints_are_a_config_error(self, tmp_path, capsys):
+        # constant mode -10 puts the low gap midpoints below zero, so only
+        # t_0 is computed and both commands ask for more
+        q = tmp_path / "q.json"
+        save_field(field_from_modes(2, {0: -10.0}), q)
+        for command, flag in (("frame-bounds", "--range"), ("borg-check", "--n-max")):
+            out = tmp_path / f"{command}.json"
+            argv = [command, "--field", str(q), flag, "3", "--steps", "1024", "--out", str(out)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and "Traceback" not in err
+            assert not out.exists()
+
+    def test_invariance_without_observables_is_a_config_error(self, inputs, tmp_path, capsys):
+        out = tmp_path / "inv.json"
+        argv = ["invariance", "--ensemble", inputs["ens"], "--time", "0.01",
+                "--observables", ",", "--out", str(out)]
+        assert main(argv) == 2
+        assert "configuration error: invariance check needs at least one observable" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
     def test_every_subcommand_writes_a_manifest(self, command, inputs, tmp_path):
         out = tmp_path / "result.json"

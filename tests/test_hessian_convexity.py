@@ -110,6 +110,14 @@ class TestHessianForm:
                     assert H[i, j] == pytest.approx(polar, abs=1e-5 * np.abs(H).max())
 
 
+class TestParams:
+    def test_kappa_p_follows_c_delta(self):
+        assert PARAMS.kappa_p == 150.0
+        cp = ConvexityParams(c_delta=2.0, holder_bound=5.0)
+        assert cp.kappa_p == 96.0
+        assert cp.growth_factor(-1.0) == 1.0 + 96.0 * 25.0
+
+
 class TestPerturbations:
     def test_wk_zero_field(self):
         assert w_k_perturbation(zero_field(4), -1.0, 4.0, PARAMS) == 0.0

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from gibbslab import concentration_harness as ch
 from gibbslab import hill_spectrum as hs
+from gibbslab.floquet import InsufficientPointsError
 from gibbslab.fourier_field import (
     PeriodicField,
     default_grid_size,
@@ -11,7 +13,7 @@ from gibbslab.fourier_field import (
     field_from_modes,
     zero_field,
 )
-from gibbslab.gibbs_sampler import GibbsParams, importance_ensemble
+from gibbslab.gibbs_sampler import GibbsEnsemble, GibbsParams, importance_ensemble
 
 
 def mathieu(eps: float) -> PeriodicField:
@@ -96,6 +98,26 @@ class TestSpectrum:
         assert t[4] == 0.0
         assert np.all(np.diff(t) > 0)
         assert np.allclose(t, -t[::-1])
+
+
+class TestMidpointRange:
+    """Constant mode -10 puts the low gap midpoints below zero, so only t_0 is computed."""
+
+    DEEP = field_from_modes(2, {0: -10.0})
+
+    def test_missing_midpoints_raise_typed_error(self):
+        data = hs.hill_periodic_spectrum(self.DEEP, 12.96, steps=1024)
+        assert data.n_max == 0 and data.t(0) == 0.0
+        with pytest.raises(InsufficientPointsError):
+            data.two_sided_t(3)
+
+    def test_collect_statistic_counts_the_member_as_failed(self):
+        params = GibbsParams(p=4.0, beta=0.0, ball_radius=1e3, cutoff=2, kind="kdv")
+        fields = (mathieu(0.1), self.DEEP, zero_field(2))
+        ens = GibbsEnsemble(params, fields, np.ones(3), 0, "importance")
+        sample = ch.collect_statistic(ens, "hill:midpoints:lorentzian:c=3:J=3", failure_cap=0.5)
+        assert sample.failed == 1
+        assert list(sample.members) == [0, 2]
 
 
 class TestBorg:
