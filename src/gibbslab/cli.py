@@ -30,7 +30,7 @@ from . import flow_lab as fl
 from . import gibbs_sampler as gs
 from . import hessian_convexity as hc
 from . import hill_spectrum as hs
-from .floquet import NUMERICAL_FAILURES
+from .floquet import NUMERICAL_FAILURES, TAYLOR_ORDER
 from .fourier_field import field_to_json, l2_norm_sq, load_field
 
 
@@ -57,6 +57,11 @@ def run(args: argparse.Namespace) -> int:
     result = args.func(args)
     if result is not None:
         write_json(args.out, result)
+    # the transfer-matrix discretisation; the step counts of commands with
+    # --steps are in the config, those of the built-in statistics are not
+    integrator = {"method": "taylor", "order": TAYLOR_ORDER}
+    if args.command == "concentration":
+        integrator["statistic_steps"] = {"dirac": ch.DIRAC_STEPS, "hill": ch.HILL_STEPS}
     manifest = {
         "command": args.command,
         "config": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
@@ -64,6 +69,7 @@ def run(args: argparse.Namespace) -> int:
         "workers": getattr(args, "workers", 1),
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "integrator": integrator,
     }
     write_json(args.out + ".manifest.json", manifest)
     return 0
@@ -411,7 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("concentration", help="log-MGF curve and sub-Gaussian fit")
     sp.add_argument("--ensemble", required=True)
     sp.add_argument("--statistic", required=True)
-    sp.add_argument("--t-grid", default=None, help="lo:hi:points, symmetric around 0")
+    sp.add_argument(
+        "--t-grid",
+        default=None,
+        help="lo:hi:points, symmetric around 0, e.g. --t-grid=-2:2:41",
+    )
     sp.add_argument("--eta-bound", type=float, default=None)
     sp.add_argument("--bootstrap", type=int, default=200)
     sp.add_argument("--curve-csv", default=None)
@@ -420,8 +430,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_t_grid(argv: list[str]) -> list[str]:
+    """Rewrite '--t-grid -1:1:21' as '--t-grid=-1:1:21'.
+
+    argparse reads a separate value that starts with '-' and is not a
+    plain number as a flag, and a symmetric grid always starts with '-'.
+    """
+    out: list[str] = []
+    args = iter(argv)
+    for a in args:
+        if a == "--t-grid":
+            value = next(args, None)
+            out.append(a if value is None else f"{a}={value}")
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = _join_t_grid(sys.argv[1:] if argv is None else list(argv))
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for bad flags, 0 for --help

@@ -46,9 +46,10 @@ __all__ = [
 _BOOTSTRAP_TAG = 5  # stream tags keep the harness draws independent
 _LIPSCHITZ_TAG = 7
 
-# RK4 steps of the built-in spectral statistics, and points of the default t grid
-DIRAC_STEPS = 512
-HILL_STEPS = 1024
+# Transfer-matrix steps of the built-in spectral statistics, and points of
+# the default t grid
+DIRAC_STEPS = 128
+HILL_STEPS = 128
 T_GRID_POINTS = 41
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .floquet import (
     DOUBLE_TOL,
+    TAYLOR_ORDER,
     InsufficientPointsError,
     Monodromy,
     build_models,
@@ -32,7 +33,7 @@ from .floquet import (
     transfer_discriminant,
     transfer_monodromy,
 )
-from .fourier_field import PeriodicField, evaluate
+from .fourier_field import PeriodicField, taylor_samples
 
 __all__ = [
     "SpectralPoint",
@@ -54,7 +55,7 @@ __all__ = [
     "InsufficientPointsError",
 ]
 
-DEFAULT_STEPS = 2048
+DEFAULT_STEPS = 256
 
 
 # Psi' = (B(x) + lambda C) Psi with B = [[Q, P], [P, -Q]] and C = [[0, -1/2], [1/2, 0]]
@@ -62,15 +63,14 @@ _DIRAC_C = (0.0, -0.5, 0.5, 0.0)
 
 
 def _dirac_nodes(field: PeriodicField, steps: int):
-    """B's entries at the RK4 nodes x_j = j * pi / steps, j = 0..2*steps."""
-    vals = evaluate(field, 2 * steps).values
-    vals = np.append(vals, vals[0])  # the node x = 2 pi closes the period
+    """B's Taylor coefficients B^(j)(x_n) / j! at the step starts x_n = 2 pi n / steps."""
+    vals = taylor_samples(field, TAYLOR_ORDER, steps)
     Q, P = np.real(vals), np.imag(vals)
     return (Q, P, P, -Q)
 
 
 def monodromy(field: PeriodicField, lam: complex, steps: int = DEFAULT_STEPS) -> Monodromy:
-    """Psi_lambda(2 pi) by fixed-step RK4 with the field sampled on the grid."""
+    """Psi_lambda(2 pi) by fixed-step order-TAYLOR_ORDER Taylor steps."""
     nodes = _dirac_nodes(field, steps)
     return transfer_monodromy(nodes, _DIRAC_C, 2.0 * np.pi, steps, lam, field.content_hash())
 
@@ -141,19 +141,8 @@ def _scan_grid(window: tuple[float, float], spacing: float = 0.1) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def periodic_eigenvalues(
-    field: PeriodicField,
-    window: tuple[float, float],
-    refine_tol: float = 1e-8,
-    steps: int = DEFAULT_STEPS,
-) -> SpectralDataDirac:
-    """Real solutions of Delta^2 = 4 in the window, with series labels.
-
-    Eigenvalues of the free system sit on the integer lattice with unit
-    spacing, so the scan grid uses spacing 0.1.  Returned points satisfy
-    |Delta^2 - 4| < max(100 * refine_tol, DOUBLE_TOL) against the direct solver.
-    """
-    disc = discriminant_batch(field, steps)
+def _periodic_points(disc, window, refine_tol: float) -> tuple[SpectralPoint, ...]:
+    """Real solutions of Delta^2 = 4 in the window, located on the closure ``disc``."""
     roots = locate_spectral_points(disc, _scan_grid(window))
     roots = [r for r in roots if not r.is_critical and window[0] <= r.value <= window[1]]
     pts = []
@@ -167,17 +156,11 @@ def periodic_eigenvalues(
                     "increase the step budget or refine the window grid"
                 )
             pts.append(SpectralPoint(r.value, _series_name(r.level), r.multiplicity, resid))
-    return SpectralDataDirac(window=window, periodic_points=tuple(pts))
+    return tuple(pts)
 
 
-def critical_points(
-    field: PeriodicField,
-    window: tuple[float, float],
-    refine_tol: float = 1e-8,
-    steps: int = DEFAULT_STEPS,
-) -> SpectralDataDirac:
-    """Real zeros of Delta' in the window (free case: the integers)."""
-    disc = discriminant_batch(field, steps)
+def _critical_data(disc, window, refine_tol: float) -> SpectralDataDirac:
+    """Real zeros of Delta' in the window, located on the closure ``disc``."""
     roots = locate_spectral_points(
         disc, _scan_grid(window), levels=(), want_critical=True
     )
@@ -200,15 +183,47 @@ def critical_points(
     )
 
 
+def periodic_eigenvalues(
+    field: PeriodicField,
+    window: tuple[float, float],
+    refine_tol: float = 1e-8,
+    steps: int = DEFAULT_STEPS,
+) -> SpectralDataDirac:
+    """Real solutions of Delta^2 = 4 in the window, with series labels.
+
+    Eigenvalues of the free system sit on the integer lattice with unit
+    spacing, so the scan grid uses spacing 0.1.  Returned points satisfy
+    |Delta^2 - 4| < max(100 * refine_tol, DOUBLE_TOL) against the direct solver.
+    """
+    pts = _periodic_points(discriminant_batch(field, steps), window, refine_tol)
+    return SpectralDataDirac(window=window, periodic_points=pts)
+
+
+def critical_points(
+    field: PeriodicField,
+    window: tuple[float, float],
+    refine_tol: float = 1e-8,
+    steps: int = DEFAULT_STEPS,
+) -> SpectralDataDirac:
+    """Real zeros of Delta' in the window (free case: the integers)."""
+    return _critical_data(discriminant_batch(field, steps), window, refine_tol)
+
+
 def spectral_data(
     field: PeriodicField,
     window: tuple[float, float],
     refine_tol: float = 1e-8,
     steps: int = DEFAULT_STEPS,
 ) -> SpectralDataDirac:
-    per = periodic_eigenvalues(field, window, refine_tol, steps)
-    crit = critical_points(field, window, refine_tol, steps)
-    return dataclasses.replace(crit, periodic_points=per.periodic_points)
+    """Periodic and critical points in the window, from one discriminant closure.
+
+    The same as :func:`periodic_eigenvalues` and :func:`critical_points` at
+    the same steps, with the step polynomials built once for both passes.
+    """
+    disc = discriminant_batch(field, steps)
+    pts = _periodic_points(disc, window, refine_tol)
+    crit = _critical_data(disc, window, refine_tol)
+    return dataclasses.replace(crit, periodic_points=pts)
 
 
 def two_sided_slice(points: np.ndarray, M: int) -> np.ndarray:

@@ -2,17 +2,20 @@
 
 Three layers, all pure functions over immutable inputs:
 
-* a fixed-step fourth-order (RK4) propagator for the trace-free system
-  Psi' = (B(x) + lambda C) Psi with real B and C, vectorized over a batch
-  of complex spectral parameters; the Dirac and Hill modules supply only
-  B at the RK4 nodes and the constant C.  On a linear system an RK4 step
-  is Psi -> Psi + Q_n(lambda) Psi with Q_n a matrix polynomial of degree
-  at most 4 (2 for Hill, whose C^2 = 0), so the stage formulas run once
-  per field on polynomials (step_polynomials, real coefficients), and
-  each step of the lambda loop is one real matrix product of Q_n's
-  coefficients with the powers of lambda plus four array operations into
-  buffers made once per call, where the staged loop needed about 100
-  operations.  A small batch also fills the arrays along x: segments of
+* a fixed-step order-8 Taylor propagator (TAYLOR_ORDER) for the
+  trace-free system Psi' = (B(x) + lambda C) Psi with real B and C,
+  vectorized over a batch of complex spectral parameters; the Dirac and
+  Hill modules supply only B's Taylor coefficients at the step starts,
+  exact from the field's Fourier modes, and the constant C.  On a linear
+  system a Taylor step is Psi -> Psi + Q_n(lambda) Psi with Q_n a matrix
+  polynomial of degree at most 8 (4 for Hill, whose C^2 = 0), so the
+  Taylor recursion runs once per field on polynomials (step_polynomials,
+  real coefficients), and each step of the lambda loop is one real matrix
+  product of Q_n's coefficients with the powers of lambda plus four array
+  operations into buffers made once per call.  The loop costs about the
+  same whatever the degree, so the order of the step is almost free: an
+  order-8 step reaches below the error of RK4 with a fourth to an eighth
+  of the steps.  A small batch also fills the arrays along x: segments of
   the period run side by side and are multiplied in a pairwise tree, so
   the step loop's fixed cost per array operation is paid over fewer steps;
 * local analytic "disk models": Taylor expansions of an entire function
@@ -40,6 +43,7 @@ import numpy as np
 
 __all__ = [
     "Monodromy",
+    "TAYLOR_ORDER",
     "step_polynomials",
     "rk4_transfer",
     "transfer_monodromy",
@@ -70,7 +74,7 @@ NUMERICAL_FAILURES = (FloatingPointError, RuntimeError, InsufficientPointsError)
 
 
 # ---------------------------------------------------------------------------
-# Batched RK4 transfer matrices
+# Batched transfer matrices
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +118,12 @@ def _segment_count(steps: int, batch: int) -> int:
     return k
 
 
-# Steps of the polynomial build done at once; a block's stage polynomials
-# stay a few tens of kB whatever the step budget.
-STEP_BLOCK = 256
+# Order of the Taylor step: the step error is O(h^(TAYLOR_ORDER + 1)).
+TAYLOR_ORDER = 8
+
+# Steps of the polynomial build done at once; a block's Taylor
+# coefficients stay about 3 MB whatever the step budget.
+STEP_BLOCK = 1024
 
 
 def _mat_prod(x, y):
@@ -124,56 +131,63 @@ def _mat_prod(x, y):
     return x[:, 0, None] * y[None, 0] + x[:, 1, None] * y[None, 1]
 
 
-def step_polynomials(b_nodes, c, length: float, steps: int) -> np.ndarray:
-    """RK4 step increments of Psi' = (B(x) + lam C) Psi as polynomials in lam.
+def step_polynomials(b_taylor, c, length: float, steps: int) -> np.ndarray:
+    """Order-TAYLOR_ORDER Taylor steps of Psi' = (B(x) + lam C) Psi as polynomials in lam.
 
-    ``b_nodes`` holds the four entries (b11, b12, b21, b22) of B, each an
-    array of samples at the half-grid nodes x_j = j * length / (2 * steps),
-    j = 0..2*steps; ``c`` holds the four constant entries of C.  On a
-    linear system RK4 step n is exactly Psi -> Psi + Q_n(lam) Psi, where
-    Q_n is a matrix polynomial of degree at most 4 in lam whose
-    coefficients depend on B alone.  They come from running the stage
-    formulas once on matrix polynomials from Psi = I, in blocks of
-    STEP_BLOCK steps.
+    ``b_taylor`` holds the four entries (b11, b12, b21, b22) of B, each a
+    (TAYLOR_ORDER, steps) array whose [j, n] entry is B^(j)(x_n) / j! at
+    the step start x_n = n * length / steps; ``c`` holds the four constant
+    entries of C.  With h = length / steps and b_j = B^(j)(x_n) / j!, the
+    Taylor coefficients phi_k of Psi(x_n + h) Psi(x_n)^-1, scaled by h^k,
+    follow from phi_0 = I and
+
+        (k + 1) phi_{k+1} = sum_{j <= k} h^(j+1) b_j phi_{k-j} + h lam C phi_k,
+
+    and step n is Psi -> Psi + Q_n(lam) Psi with Q_n = phi_1 + ... + phi_K,
+    K = TAYLOR_ORDER.  phi_k is a matrix polynomial in lam of degree at most
+    k, or (k + 1) // 2 when C^2 = 0 (two factors C need a factor of B
+    between them); each recursion step is one contraction over j and the
+    inner matrix index, cut to those degrees, for STEP_BLOCK steps at once.
 
     Returns a (deg + 1, 4, steps) array: [m, :, n] holds the entries (11,
-    12, 21, 22) of the coefficient of lam^m in Q_n.  Trailing coefficients
-    that vanish identically are dropped, so deg is 4 for Dirac and 2 for
-    Hill, whose C^2 = 0.  B and C must be real (both front ends' are), so
-    the coefficients are real; a complex B or C raises ValueError.
+    12, 21, 22) of the coefficient of lam^m in Q_n, with deg the degree
+    bound of phi_K: 8 for Dirac and 4 for Hill.  B and C must be real (both
+    front ends' are), so the coefficients are real; a complex B or C raises
+    ValueError.
     """
-    b_nodes = [np.asarray(b) for b in b_nodes]
-    if any(b.shape != (2 * steps + 1,) for b in b_nodes):
-        raise ValueError("each entry of B needs 2 * steps + 1 node samples")
-    if any(np.iscomplexobj(v) for v in (*b_nodes, *c)):
+    b_taylor = [np.asarray(b) for b in b_taylor]
+    if any(b.shape != (TAYLOR_ORDER, steps) for b in b_taylor):
+        raise ValueError("each entry of B needs TAYLOR_ORDER rows of steps samples")
+    if any(np.iscomplexobj(v) for v in (*b_taylor, *c)):
         raise ValueError("B and C must be real")
-    b = np.array(b_nodes, dtype=float).reshape(2, 2, 1, -1)
-    c_mat = np.array(c, dtype=float).reshape(2, 2, 1, 1)
     h = length / steps
-
-    def times_a(b_node, poly):
-        # (B + lam C) poly; poly has degree <= 3, so nothing is cut off
-        prod = _mat_prod(b_node, poly)
-        prod[:, :, 1:] += _mat_prod(c_mat, poly[:, :, :-1])
-        return prod
-
-    out = np.empty((5, 2, 2, steps))
+    order = TAYLOR_ORDER
+    # h^(j+1) b_j as (2, 2, order, steps)
+    hb = np.array(b_taylor, dtype=float).reshape(2, 2, order, steps)
+    hb *= (h ** np.arange(1, order + 1))[:, None]
+    hc = h * np.array(c, dtype=float).reshape(2, 2)
+    nilpotent = not (hc @ hc).any()
+    deg = [(k + 1) // 2 if nilpotent else k for k in range(order + 1)]
+    c_entries = [(r, t, hc[r, t]) for r in range(2) for t in range(2) if hc[r, t] != 0.0]
+    out = np.empty((deg[order] + 1, 4, steps))
     for s in range(0, steps, STEP_BLOCK):
         e = min(s + STEP_BLOCK, steps)
-        # matrix polynomials of degree <= 4 as (2, 2, 5, e - s) arrays
-        eye = np.zeros((2, 2, 5, e - s))
-        eye[0, 0, 0] = eye[1, 1, 0] = 1.0
-        b1, b2, b3 = (b[..., 2 * s + i : 2 * e + i : 2] for i in range(3))
-        k1 = times_a(b1, eye)
-        k2 = times_a(b2, eye + (h / 2) * k1)
-        k3 = times_a(b2, eye + (h / 2) * k2)
-        k4 = times_a(b3, eye + h * k3)
-        out[..., s:e] = np.moveaxis((h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 2, 0)
-    out = out.reshape(5, 4, steps)
-    deg = 4
-    while deg > 0 and not out[deg].any():
-        deg -= 1
-    return out[: deg + 1]
+        # phi_k of the block's steps in phi[k] as (degree, row, column,
+        # step), zero past deg[k]
+        phi = np.zeros((order + 1, deg[order] + 1, 2, 2, e - s))
+        phi[0, 0, 0, 0] = phi[0, 0, 1, 1] = 1.0
+        for k in range(order):
+            low, top = deg[k] + 1, deg[k + 1] + 1
+            nxt = phi[k + 1]
+            np.einsum(
+                "rtjn,jmtsn->mrsn", hb[:, :, : k + 1, s:e], phi[k::-1, :low], out=nxt[:low]
+            )
+            # lam C phi_k raises the degree by one; past top it vanishes (C^2 = 0)
+            for r, t, v in c_entries:
+                nxt[1:top, r] += v * phi[k, : top - 1, t]
+            nxt[:top] *= 1.0 / (k + 1)
+        out[..., s:e] = phi[1:].sum(axis=0).reshape(deg[order] + 1, 4, e - s)
+    return out
 
 
 def rk4_transfer(step_poly: np.ndarray, steps: int, lam: np.ndarray):
@@ -185,8 +199,14 @@ def rk4_transfer(step_poly: np.ndarray, steps: int, lam: np.ndarray):
     Q(lam) = sum_m lam^m Q^(m) for every lane as one real matrix product of
     its coefficients with the interleaved real and imaginary parts of the
     powers of lam, computed once per call, and applies Psi + Q(lam) Psi in
-    four array operations.  Adding Psi last keeps the rounding of the staged
-    RK4 loop; a product with I + Q would lose the low bits of the increment.
+    four array operations.  Adding Psi last keeps the rounding of a staged
+    loop; a product with I + Q would lose the low bits of the increment.
+
+    The loop applies any one-step method that is a polynomial in lam; the
+    steps are Taylor steps (step_polynomials), and tests drive it with RK4
+    steps too.  It keeps the name it had when the steps were RK4 steps
+    because the benchmark's tracer reads this function, and its ``steps``
+    and ``lam`` arguments, by name.
 
     A small batch is spread along x: [0, length] is split into k equal
     segments (k the largest power of two dividing ``steps`` with
@@ -241,21 +261,21 @@ def rk4_transfer(step_poly: np.ndarray, steps: int, lam: np.ndarray):
 
 
 def transfer_monodromy(
-    b_nodes, c, length: float, steps: int, lam: complex, potential_hash: str
+    b_taylor, c, length: float, steps: int, lam: complex, potential_hash: str
 ) -> Monodromy:
     """Psi_lambda(length) at one spectral parameter, as a :class:`Monodromy`."""
-    step_poly = step_polynomials(b_nodes, c, length, steps)
+    step_poly = step_polynomials(b_taylor, c, length, steps)
     m = rk4_transfer(step_poly, steps, np.asarray([lam], dtype=complex))
     mat = np.array([[m[0][0], m[1][0]], [m[2][0], m[3][0]]])
     return Monodromy(mat, complex(lam), potential_hash)
 
 
-def transfer_discriminant(b_nodes, c, length: float, steps: int):
+def transfer_discriminant(b_taylor, c, length: float, steps: int):
     """Closure evaluating Delta = trace Psi_lambda(length) on arrays of lambda.
 
     The step polynomials are built once, here, and shared by every call.
     """
-    step_poly = step_polynomials(b_nodes, c, length, steps)
+    step_poly = step_polynomials(b_taylor, c, length, steps)
 
     def disc(lams):
         m = rk4_transfer(step_poly, steps, np.asarray(lams, dtype=complex))
@@ -475,7 +495,8 @@ def locate_spectral_points(
 # ---------------------------------------------------------------------------
 
 # Trapezoid nodes on each contour circle.  The integrand has poles near the
-# circle, so it needs more than a ring; evaluating models costs no RK4 work.
+# circle, so it needs more than a ring; evaluating models costs no
+# transfer-matrix work.
 CONTOUR_NODES = 64
 
 

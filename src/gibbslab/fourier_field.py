@@ -26,6 +26,7 @@ __all__ = [
     "is_real_valued",
     "default_grid_size",
     "evaluate",
+    "taylor_samples",
     "coefficients_from_grid",
     "l2_norm_sq",
     "sobolev_norm_sq",
@@ -164,6 +165,25 @@ def evaluate(field: PeriodicField, grid_size: int) -> GridSignal:
     spec = np.zeros(grid_size, dtype=complex)
     spec[field.modes % grid_size] = field.coeffs
     return GridSignal(grid_size, np.fft.ifft(spec) * grid_size)
+
+
+def taylor_samples(field: PeriodicField, orders: int, points: int) -> np.ndarray:
+    """Taylor coefficients phi^(j)(x_k) / j! at x_k = 2 pi k / points.
+
+    Returns a complex (orders, points) array, j = 0..orders-1.  Every order
+    comes from one inverse FFT of c_n (in)^j / j! on a grid of r * points
+    nodes, r the least with r * points >= 2*cutoff + 1, so the samples are
+    exact to rounding.
+    """
+    r = -(-(2 * field.cutoff + 1) // points)
+    grid = r * points
+    scaled = np.empty((orders, field.coeffs.size), dtype=complex)
+    scaled[0] = field.coeffs
+    for j in range(1, orders):
+        scaled[j] = scaled[j - 1] * (1j * field.modes / j)
+    spec = np.zeros((orders, grid), dtype=complex)
+    spec[:, field.modes % grid] = scaled
+    return (np.fft.ifft(spec, axis=1) * grid)[:, ::r]
 
 
 def coefficients_from_grid(signal: GridSignal, cutoff: int) -> PeriodicField:

@@ -31,6 +31,7 @@ import numpy as np
 from .floquet import (
     DOUBLE_TOL,
     NUMERICAL_FAILURES,
+    TAYLOR_ORDER,
     InsufficientPointsError,
     Monodromy,
     build_models,
@@ -39,7 +40,13 @@ from .floquet import (
     transfer_discriminant,
     transfer_monodromy,
 )
-from .fourier_field import PeriodicField, default_grid_size, evaluate, is_real_valued
+from .fourier_field import (
+    PeriodicField,
+    default_grid_size,
+    evaluate,
+    is_real_valued,
+    taylor_samples,
+)
 
 __all__ = [
     "OddModeError",
@@ -59,7 +66,7 @@ __all__ = [
 ]
 
 PERIOD_CONVENTION = "pi"
-DEFAULT_STEPS = 4096
+DEFAULT_STEPS = 256
 BRANCH_SPLIT = 0.5  # lambda below this is handled in the lambda plane
 
 
@@ -82,10 +89,11 @@ _HILL_C = (0.0, 0.0, -1.0, 0.0)
 
 
 def _hill_nodes(q: PeriodicField, steps: int):
-    """B's entries at the RK4 nodes x_j = j * pi / (2 * steps), j = 0..2*steps."""
-    qg = np.real(evaluate(q, 4 * steps).values[: 2 * steps + 1])
-    zero, one = np.zeros_like(qg), np.ones_like(qg)
-    return (zero, one, qg, zero)
+    """B's Taylor coefficients B^(j)(x_n) / j! at the step starts x_n = pi n / steps."""
+    qd = np.real(taylor_samples(q, TAYLOR_ORDER, 2 * steps)[:, :steps])
+    zero, one = np.zeros_like(qd), np.zeros_like(qd)
+    one[0] = 1.0
+    return (zero, one, qd, zero)
 
 
 def hill_monodromy(q: PeriodicField, lam: complex, steps: int = DEFAULT_STEPS) -> Monodromy:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gibbslab.floquet import _segment_count
+from gibbslab.floquet import _mat_prod, _segment_count
 from gibbslab.fourier_field import PeriodicField, evaluate, default_grid_size, lp_integral
 from gibbslab.gibbs_sampler import RejectionBudgetError, _batch_in_omega, gibbs_weight
 
@@ -49,8 +49,8 @@ def picard_monodromy(
     Iterates Psi <- E(x) (I + int_0^x E(-s) K(s) Psi(s) ds) with
     E(x) = exp((lam x / 2) [[0,-1],[1,0]]) and K = [[Q, P], [P, -Q]],
     using cumulative trapezoid quadrature.  The field is summed densely
-    from its modes, so the oracle shares no sampling code with the RK4
-    engine.
+    from its modes, so the oracle shares no sampling code with the
+    transfer-matrix engine.
     """
     xs = np.linspace(0.0, 2.0 * np.pi, grid + 1)
     vals = np.exp(1j * np.outer(xs, field.modes)) @ field.coeffs
@@ -87,12 +87,73 @@ def picard_monodromy(
     return psi[-1]
 
 
+def dirac_rk4_nodes(field: PeriodicField, steps: int):
+    """The Dirac B's entries at the RK4 nodes x_j = j * pi / steps, j = 0..2*steps."""
+    vals = evaluate(field, 2 * steps).values
+    vals = np.append(vals, vals[0])  # the node x = 2 pi closes the period
+    Q, P = np.real(vals), np.imag(vals)
+    return (Q, P, P, -Q)
+
+
+def hill_rk4_nodes(q: PeriodicField, steps: int):
+    """The Hill B's entries at the RK4 nodes x_j = j * pi / (2 * steps), j = 0..2*steps."""
+    qg = np.real(evaluate(q, 4 * steps).values[: 2 * steps + 1])
+    zero, one = np.zeros_like(qg), np.ones_like(qg)
+    return (zero, one, qg, zero)
+
+
+# Steps of the RK4 polynomial build done at once
+RK4_STEP_BLOCK = 256
+
+
+def rk4_step_polynomials(b_nodes, c, length: float, steps: int) -> np.ndarray:
+    """RK4 step increments of Psi' = (B(x) + lam C) Psi as polynomials in lam.
+
+    The RK4 counterpart of ``floquet.step_polynomials``, for driving
+    ``rk4_transfer`` with RK4 steps: ``b_nodes`` holds B's four entries at
+    the half-grid nodes (``dirac_rk4_nodes``, ``hill_rk4_nodes``).  On a
+    linear system RK4 step n is exactly Psi -> Psi + Q_n(lam) Psi with Q_n
+    of degree at most 4 in lam; the stage formulas run once on matrix
+    polynomials from Psi = I.  Returns the (deg + 1, 4, steps) coefficients
+    with identically zero trailing ones dropped (deg 4 for Dirac, 2 for Hill).
+    """
+    b = np.array(b_nodes, dtype=float).reshape(2, 2, 1, -1)
+    assert b.shape[-1] == 2 * steps + 1
+    c_mat = np.array(c, dtype=float).reshape(2, 2, 1, 1)
+    h = length / steps
+
+    def times_a(b_node, poly):
+        # (B + lam C) poly; poly has degree <= 3, so nothing is cut off
+        prod = _mat_prod(b_node, poly)
+        prod[:, :, 1:] += _mat_prod(c_mat, poly[:, :, :-1])
+        return prod
+
+    out = np.empty((5, 2, 2, steps))
+    for s in range(0, steps, RK4_STEP_BLOCK):
+        e = min(s + RK4_STEP_BLOCK, steps)
+        # matrix polynomials of degree <= 4 as (2, 2, 5, e - s) arrays
+        eye = np.zeros((2, 2, 5, e - s))
+        eye[0, 0, 0] = eye[1, 1, 0] = 1.0
+        b1, b2, b3 = (b[..., 2 * s + i : 2 * e + i : 2] for i in range(3))
+        k1 = times_a(b1, eye)
+        k2 = times_a(b2, eye + (h / 2) * k1)
+        k3 = times_a(b2, eye + (h / 2) * k2)
+        k4 = times_a(b3, eye + h * k3)
+        out[..., s:e] = np.moveaxis((h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 2, 0)
+    out = out.reshape(5, 4, steps)
+    deg = 4
+    while deg > 0 and not out[deg].any():
+        deg -= 1
+    return out[: deg + 1]
+
+
 def rk4_staged_oracle(b_nodes, c, length: float, steps: int, lam: np.ndarray):
     """The staged RK4 loop for Psi' = (B(x) + lam C) Psi, from B at the nodes.
 
     Runs the four stages on the (k, lam.size) lanes of every step, with the
     same segments along x (``_segment_count``) and the same pairwise tree
-    as ``rk4_transfer``, so the two differ only in how a step is formed.
+    as ``rk4_transfer``, so the two differ only in how a step is formed
+    when the loop runs on ``rk4_step_polynomials``.
     Returns the four entries of Psi(length) shaped like ``lam``.
     """
     lam = np.asarray(lam, dtype=complex)

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from gibbslab import concentration_harness as ch
 from gibbslab import flow_lab as fl
 from gibbslab.cli import main
+from gibbslab.floquet import TAYLOR_ORDER
 from gibbslab.fourier_field import field_from_json, field_from_modes, l2_norm_sq, save_field
 from gibbslab.gibbs_sampler import load_ensemble_jsonl
 from conftest import random_field
@@ -158,6 +160,25 @@ class TestBasics:
         assert manifest["config"]["out"] == str(out)
         assert manifest["seed"] == manifest["config"]["seed"] == 7
         assert manifest["workers"] == manifest["config"].get("workers", 1)
+        integrator = {"method": "taylor", "order": TAYLOR_ORDER}
+        if command == "concentration":
+            integrator["statistic_steps"] = {"dirac": ch.DIRAC_STEPS, "hill": ch.HILL_STEPS}
+        assert manifest["integrator"] == integrator
+
+    def test_negative_t_grid_in_both_forms(self, inputs, tmp_path, capsys):
+        # a symmetric grid starts with '-', which argparse would read as a flag
+        outs = [tmp_path / "joined.json", tmp_path / "spaced.json"]
+        for out, grid in zip(outs, (["--t-grid=-1:1:21"], ["--t-grid", "-1:1:21"])):
+            argv = ["concentration", "--ensemble", inputs["ens"], "--statistic", "l2",
+                    "--bootstrap", "5", *grid, "--seed", "3", "--out", str(out)]
+            assert main(argv) == 0, capsys.readouterr().err
+        joined, spaced = (json.loads(out.read_text()) for out in outs)
+        assert joined == spaced
+        assert len(joined["log_mgf_curve"]["t"]) == 21
+        assert min(joined["log_mgf_curve"]["t"]) == -1.0
+        # the help states the form that needs no rewriting
+        assert main(["concentration", "--help"]) == 0
+        assert "--t-grid=-2:2:41" in capsys.readouterr().out
 
     def test_overflow_is_a_numerical_failure(self, mathieu_field, tmp_path, capsys):
         out = tmp_path / "hill.json"

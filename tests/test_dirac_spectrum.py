@@ -1,9 +1,12 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from gibbslab import dirac_spectrum as ds
+from gibbslab import floquet
 from gibbslab.floquet import _ring_nodes, build_models
 from gibbslab.fourier_field import PeriodicField, field_from_modes, zero_field
 from conftest import picard_monodromy, random_field
@@ -36,12 +39,15 @@ class TestMonodromy:
         assert np.abs(m1 - m4).max() < 1e-8
 
     def test_order_of_convergence(self):
+        # at lam = 8 both errors sit far above the rounding floor (about
+        # 3e-8 and 1e-10); order 8 divides the error by 2^8 per halving
         f = small_field(3, scale=0.2)
-        lam = 2.1
-        ref = ds.monodromy(f, lam, steps=4096).matrix
-        e1 = np.abs(ds.monodromy(f, lam, steps=128).matrix - ref).max()
-        e2 = np.abs(ds.monodromy(f, lam, steps=256).matrix - ref).max()
-        assert e1 / e2 >= 8.0  # order >= 3 observed
+        lam = 8.0
+        ref = ds.monodromy(f, lam, steps=1024).matrix
+        e1 = np.abs(ds.monodromy(f, lam, steps=64).matrix - ref).max()
+        e2 = np.abs(ds.monodromy(f, lam, steps=128).matrix - ref).max()
+        assert e2 > 1e-12
+        assert np.log2(e1 / e2) >= 7.0  # order >= 7 observed
 
     def test_picard_oracle(self):
         f = small_field(4, scale=0.3)
@@ -94,7 +100,7 @@ class TestDiscriminant:
     def test_ring_rule_free_taylor(self):
         # the zero field's discriminant is 2 cos(pi lambda), entire of type
         # pi; its closed form is sampled, so only the ring's aliasing is seen
-        # (the RK4 step error alone is about 1e-11 on the widest ring)
+        # (the transfer matrix's step error would add to it)
         disc = lambda z: 2.0 * np.cos(np.pi * np.asarray(z))
         centers = np.array([0.0, 0.5, -1.3, 2.2 + 0.3j])
         assert [_ring_nodes(2.0 * t) for t in (0.25, 0.35, 0.5)] == [24, 32, 32]
@@ -161,6 +167,28 @@ class TestSpectralData:
         # each critical point sits inside the matching eigenvalue cluster
         for v in crit.critical_points:
             assert np.min(np.abs(pv - v)) < 0.5
+
+    def test_spectral_data_builds_once(self, monkeypatch):
+        # one closure, so one set of step polynomials, serves both passes,
+        # and the result is the two passes' at the same steps
+        f = random_field(8, 12, scale=0.3)
+        window = (-4.8, 4.8)
+        separate = dataclasses.replace(
+            ds.critical_points(f, window, steps=512),
+            periodic_points=ds.periodic_eigenvalues(f, window, steps=512).periodic_points,
+        )
+        built = []
+        original = floquet.step_polynomials
+
+        def counting(*args):
+            built.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(floquet, "step_polynomials", counting)
+        shared = ds.spectral_data(f, window, steps=512)
+        assert built == [512]
+        assert shared.periodic_points and shared.critical_points
+        assert json.dumps(shared.to_json()) == json.dumps(separate.to_json())
 
     def test_two_sided_slice(self):
         pts = np.arange(-4, 5) + 0.01

@@ -7,19 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gibbslab import concentration_harness as ch
 from gibbslab import dirac_spectrum as ds
 from gibbslab import floquet
 from gibbslab import hill_spectrum as hs
 from gibbslab.floquet import (
     DOUBLE_TOL,
     SEGMENT_LANES,
+    TAYLOR_ORDER,
     _segment_count,
     locate_spectral_points,
     rk4_transfer,
     step_polynomials,
 )
 from gibbslab.fourier_field import PeriodicField
-from conftest import picard_monodromy, random_field, real_even_field, rk4_staged_oracle
+from conftest import (
+    dirac_rk4_nodes,
+    hill_rk4_nodes,
+    picard_monodromy,
+    random_field,
+    real_even_field,
+    rk4_staged_oracle,
+    rk4_step_polynomials,
+)
 
 STEPS = 1024
 TOL = 1e-9
@@ -29,15 +39,23 @@ STEP_COUNTS = (64, 96, 101, 512, 1024)
 
 
 def step_tol(steps: int) -> float:
-    """TOL at 1,024 steps; det Psi - 1 of RK4 grows like h^5 over a period."""
+    """TOL at 1,024 steps, grown like h^5 as RK4's det Psi - 1 over a period;
+    the Taylor steps of order TAYLOR_ORDER stay far below it."""
     return TOL * (STEPS / steps) ** 5
 
 
 def system_args(system: str, field: PeriodicField, steps: int):
-    """(B at the nodes, C, period) of the Dirac or Hill system."""
+    """(B's Taylor coefficients at the step starts, C, period) of the Dirac or Hill system."""
     if system == "dirac":
         return ds._dirac_nodes(field, steps), ds._DIRAC_C, 2 * np.pi
     return hs._hill_nodes(field, steps), hs._HILL_C, np.pi
+
+
+def rk4_args(system: str, field: PeriodicField, steps: int):
+    """(B at the RK4 nodes, C, period) of the Dirac or Hill system."""
+    if system == "dirac":
+        return dirac_rk4_nodes(field, steps), ds._DIRAC_C, 2 * np.pi
+    return hill_rk4_nodes(field, steps), hs._HILL_C, np.pi
 
 
 def transfer(system: str, field: PeriodicField, steps: int, lam):
@@ -221,7 +239,8 @@ class TestSegmentation:
         got = np.array(transfer("dirac", f, steps, lam))
         assert np.max(np.abs(got - unsegmented("dirac", f, steps, lam))) < 1e-12
         for i, mu in enumerate(lam):
-            # RK4 error at h = 2 pi / 96 is about 3e-6 against the oracle
+            # 3-6e-7 against the oracle at h = 2 pi / 96, the oracle's own
+            # quadrature error; the Taylor steps' error is far smaller
             ref = picard_monodromy(f, mu, grid=8192)
             assert np.max(np.abs(got[:, i].reshape(2, 2) - ref)) < 1e-5
 
@@ -244,7 +263,7 @@ class TestSegmentation:
 
 
 class TestStepPolynomials:
-    """One RK4 step is Psi -> Psi + Q(lam) Psi, Q built once per field."""
+    """One step is Psi -> Psi + Q(lam) Psi, Q built once per field."""
 
     FIELDS = TestSegmentation.FIELDS
     BOXES = TestSegmentation.BOXES
@@ -252,8 +271,9 @@ class TestStepPolynomials:
     @pytest.mark.parametrize("system", ["dirac", "hill"])
     @pytest.mark.parametrize("steps", STEP_COUNTS)
     def test_matches_staged_oracle(self, system, steps):
-        args = system_args(system, self.FIELDS[system], steps)
-        step_poly = step_polynomials(*args, steps)
+        # the loop on RK4 step polynomials reproduces the staged RK4 loop
+        args = rk4_args(system, self.FIELDS[system], steps)
+        step_poly = rk4_step_polynomials(*args, steps)
         (re_lo, re_hi), (im_lo, im_hi) = self.BOXES[system]
         rng = np.random.default_rng(steps)
         for n in (1, 7, 32, 300, SEGMENT_LANES + 1):
@@ -263,12 +283,22 @@ class TestStepPolynomials:
             err = np.abs(got - ref) / np.max(np.abs(ref), axis=0)
             assert np.max(err) < 1e-13, (n, np.max(err))
 
-    @pytest.mark.parametrize("system, degree", [("dirac", 4), ("hill", 2)])
+    @pytest.mark.parametrize(
+        "system, degree", [("dirac", TAYLOR_ORDER), ("hill", TAYLOR_ORDER // 2)]
+    )
     def test_degree_and_dtype(self, system, degree):
         step_poly = step_polynomials(*system_args(system, self.FIELDS[system], 512), 512)
         assert step_poly.shape == (degree + 1, 4, 512)
         assert step_poly.dtype == np.float64
         assert np.all(np.any(step_poly[degree] != 0.0, axis=0))
+
+    @pytest.mark.parametrize("system", ["dirac", "hill"])
+    def test_blocks_do_not_change_the_build(self, system, monkeypatch):
+        # every step's polynomial depends on its own samples alone
+        args = system_args(system, self.FIELDS[system], 200)
+        whole = step_polynomials(*args, 200)
+        monkeypatch.setattr(floquet, "STEP_BLOCK", 64)
+        assert np.array_equal(step_polynomials(*args, 200), whole)
 
     def test_complex_b_or_c_rejected(self):
         nodes, c, length = system_args("dirac", self.FIELDS["dirac"], 64)
@@ -294,6 +324,59 @@ class TestStepPolynomials:
         assert built == [512, 1024]
 
 
+def unit_mass(field: PeriodicField) -> PeriodicField:
+    return field * (1.0 / np.sqrt(np.sum(np.abs(field.coeffs) ** 2)))
+
+
+class TestTaylorSteps:
+    """Order-TAYLOR_ORDER steps against closed forms and against RK4's budgets."""
+
+    ZERO = PeriodicField(8, np.zeros(17))
+    # unit-mass members at the benchmark's cutoff
+    DIRAC_MEMBERS = [unit_mass(random_field(8, seed)) for seed in (31, 32, 33)]
+    HILL_MEMBERS = [unit_mass(real_even_field(8, seed)) for seed in (41, 42, 43)]
+
+    @pytest.mark.parametrize("steps", [64, 128, 256])
+    def test_free_fields_match_closed_forms(self, steps):
+        rng = np.random.default_rng(steps)
+        re_d, re_h = rng.uniform(-2.0, 2.0, 50), rng.uniform(-1.0, 4.0, 50)
+        lam_d = np.concatenate([re_d, re_d + 1j * rng.uniform(-0.5, 0.5, 50)])
+        lam_h = np.concatenate([re_h, re_h + 1j * rng.uniform(-1.0, 1.0, 50)])
+        dirac = ds.discriminant_batch(self.ZERO, steps)(lam_d)
+        assert np.max(np.abs(dirac - 2.0 * np.cos(np.pi * lam_d))) < 1e-12
+        hill = hs.hill_discriminant_batch(self.ZERO, steps)(lam_h)
+        assert np.max(np.abs(hill - 2.0 * np.cos(np.pi * np.sqrt(lam_h)))) < 1e-12
+
+    @staticmethod
+    def budget_errors(system, field, lam, new_steps, old_steps, ref_steps):
+        """Error in Delta over max(1, |Delta|) of the Taylor steps at ``new_steps``
+        and of RK4 at ``old_steps``, against the Taylor steps at ``ref_steps``."""
+        ref = np.array(transfer(system, field, ref_steps, lam))
+        new = np.array(transfer(system, field, new_steps, lam))
+        args = rk4_args(system, field, old_steps)
+        old = np.array(rk4_transfer(rk4_step_polynomials(*args, old_steps), old_steps, lam))
+        scale = np.maximum(1.0, np.abs(ref[0] + ref[3]))
+        return [np.max(np.abs(m[0] + m[3] - ref[0] - ref[3]) / scale) for m in (new, old)]
+
+    @pytest.mark.parametrize(
+        "system, new_steps, old_steps, window",
+        [
+            # the built-in statistics: RK4 ran them at 512 (Dirac) and 1,024 (Hill)
+            ("dirac", ch.DIRAC_STEPS, 512, (-4.8, 4.8)),
+            ("hill", ch.HILL_STEPS, 1024, (-2.0, 3.6**2 + 1.0)),
+            # the spectrum commands' defaults: RK4 ran them at 2,048 and 4,096
+            ("dirac", ds.DEFAULT_STEPS, 2048, (-20.0, 20.0)),
+            ("hill", hs.DEFAULT_STEPS, 4096, (-2.0, 112.0)),
+        ],
+    )
+    def test_default_steps_no_worse_than_rk4(self, system, new_steps, old_steps, window):
+        members = self.DIRAC_MEMBERS if system == "dirac" else self.HILL_MEMBERS
+        lam = np.linspace(*window, 401).astype(complex)
+        for field in members:
+            new, old = self.budget_errors(system, field, lam, new_steps, old_steps, 8 * new_steps)
+            assert new <= old, (new, old)
+
+
 def test_engine_rejects_wrong_node_count():
     nodes = (np.zeros(128), np.ones(128), np.zeros(128), np.zeros(128))
     with pytest.raises(ValueError):
@@ -301,7 +384,7 @@ def test_engine_rejects_wrong_node_count():
 
 
 def test_engine_rejects_mismatched_step_polynomials():
-    step_poly = step_polynomials((np.zeros(129), np.ones(129), np.zeros(129), np.zeros(129)),
+    step_poly = step_polynomials(system_args("hill", TestSegmentation.FIELDS["hill"], 64)[0],
                                  (0.0, 0.0, -1.0, 0.0), np.pi, 64)
     with pytest.raises(ValueError):
         rk4_transfer(step_poly, 128, np.array([1.0]))
