@@ -99,14 +99,14 @@ def cmd_sample(args) -> None:
 
 def cmd_dirac_spectrum(args) -> dict:
     field = load_field(args.field)
-    data = ds.spectral_data(
-        field, (args.window[0], args.window[1]), refine_tol=args.tol, steps=args.steps
-    )
+    # one closure serves both passes and the trace
+    disc = ds.discriminant_batch(field, args.steps)
+    data = ds.spectral_data_from(disc, (args.window[0], args.window[1]), refine_tol=args.tol)
     out = data.to_json()
     out["potential_hash"] = field.content_hash()
     if args.trace_csv:
         grid = np.linspace(args.window[0], args.window[1], 481)
-        vals = ds.discriminant_batch(field, args.steps)(grid.astype(complex))
+        vals = disc(grid.astype(complex))
         _write_csv(args.trace_csv, ["lambda", "re_delta", "im_delta"], grid, vals.real, vals.imag)
     return out
 

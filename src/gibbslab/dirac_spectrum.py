@@ -45,6 +45,7 @@ __all__ = [
     "periodic_eigenvalues",
     "critical_points",
     "spectral_data",
+    "spectral_data_from",
     "two_sided_slice",
     "linear_statistic_direct",
     "linear_statistic_contour",
@@ -220,7 +221,15 @@ def spectral_data(
     The same as :func:`periodic_eigenvalues` and :func:`critical_points` at
     the same steps, with the step polynomials built once for both passes.
     """
-    disc = discriminant_batch(field, steps)
+    return spectral_data_from(discriminant_batch(field, steps), window, refine_tol)
+
+
+def spectral_data_from(disc, window: tuple[float, float], refine_tol: float = 1e-8):
+    """:func:`spectral_data` on a closure from :func:`discriminant_batch`.
+
+    A caller that evaluates the discriminant elsewhere too (a trace) shares
+    the closure, and so its step polynomials, with both passes.
+    """
     pts = _periodic_points(disc, window, refine_tol)
     crit = _critical_data(disc, window, refine_tol)
     return dataclasses.replace(crit, periodic_points=pts)

@@ -17,7 +17,8 @@ Three layers, all pure functions over immutable inputs:
   order-8 step reaches below the error of RK4 with a fourth to an eighth
   of the steps.  A small batch also fills the arrays along x: segments of
   the period run side by side and are multiplied in a pairwise tree, so
-  the step loop's fixed cost per array operation is paid over fewer steps;
+  the step loop's fixed cost per array operation is paid over fewer steps
+  (segments of at least MIN_SEGMENT_STEPS steps);
 * local analytic "disk models": Taylor expansions of an entire function
   (the discriminant) recovered from samples on a circle, giving cheap and
   spectrally accurate access to values, derivatives and roots near the
@@ -27,7 +28,10 @@ Three layers, all pure functions over immutable inputs:
 * window scans that bracket sign changes and near-double minima on a real
   grid, refine them through disk models, read every double point at a
   real critical point with a small dip, and return the located points
-  (value, level, multiplicity) only.
+  (value, level, multiplicity) only.  The models' roots come from one
+  batched solve per scan: an argument-principle count on the trust circle,
+  Newton on the real roots bracketed by sign changes, and np.roots only
+  for the rows whose count disagrees with the roots found.
 
 Contour sums for linear statistics are evaluated on the models, so the
 integrand stays an analytic object and the calculus-of-residues identities
@@ -109,11 +113,22 @@ class Monodromy:
 # longer dominates.
 SEGMENT_LANES = 4096
 
+# Fewest steps a segment is cut to.  Shorter segments make the per-call
+# arrays (and the pairwise tree) larger for no saving in the step loop: at
+# 128 steps a batch of 64 spread over 64 two-step segments took 258-366
+# page faults per call; 16 steps per segment was the fastest of 1 to 64.
+MIN_SEGMENT_STEPS = 16
+
 
 def _segment_count(steps: int, batch: int) -> int:
-    """Largest power of two k dividing ``steps`` with k * batch <= SEGMENT_LANES."""
+    """Largest power of two k dividing ``steps`` with k * batch <= SEGMENT_LANES
+    and steps / k >= MIN_SEGMENT_STEPS (k = 1 when steps itself is shorter)."""
     k = 1
-    while steps % (2 * k) == 0 and 2 * k * batch <= SEGMENT_LANES:
+    while (
+        steps % (2 * k) == 0
+        and 2 * k * batch <= SEGMENT_LANES
+        and steps // (2 * k) >= MIN_SEGMENT_STEPS
+    ):
         k *= 2
     return k
 
@@ -210,7 +225,8 @@ def rk4_transfer(step_poly: np.ndarray, steps: int, lam: np.ndarray):
 
     A small batch is spread along x: [0, length] is split into k equal
     segments (k the largest power of two dividing ``steps`` with
-    k * lam.size <= SEGMENT_LANES), every segment is propagated from the
+    k * lam.size <= SEGMENT_LANES and at least MIN_SEGMENT_STEPS steps per
+    segment), every segment is propagated from the
     identity at once on (2, 2, k, lam.size) arrays, and the k segment
     matrices are multiplied in log2(k) pairwise levels, later segment on
     the left.  The steps are the same as for k = 1, so results agree with
@@ -310,28 +326,6 @@ class DiskModel:
         w = np.asarray(z, dtype=complex) - self.center
         return np.polyval(self.deriv_coef(order)[::-1], w)
 
-    def _roots_of_coef(self, coef: np.ndarray) -> np.ndarray:
-        scale = np.abs(coef) * self.trust ** np.arange(coef.size)
-        top = np.max(scale)
-        if top == 0.0:
-            return np.empty(0, dtype=complex)
-        keep = np.nonzero(scale > 1e-14 * top)[0]
-        coef = coef[: keep[-1] + 1]
-        if coef.size < 2:
-            return np.empty(0, dtype=complex)
-        roots = np.roots(coef[::-1])
-        return roots[np.abs(roots) <= self.trust]
-
-    def roots_at_level(self, level: float) -> np.ndarray:
-        """Roots of f = level inside the trust disk (relative to center)."""
-        shifted = self.coef.copy()
-        shifted[0] -= level
-        return self._roots_of_coef(shifted)
-
-    def critical_roots(self) -> np.ndarray:
-        """Roots of f' inside the trust disk (relative to center)."""
-        return self._roots_of_coef(self.deriv_coef(1))
-
 
 def _ring_nodes(radius: float) -> int:
     """Least multiple of 8 nodes n with (pi * radius)^n / n! <= 1e-16.
@@ -421,6 +415,83 @@ DOUBLE_IMAG_TOL = 1e-6
 DOUBLE_TOL = 1e-6
 MERGE_WINDOW = 0.02
 
+# Counted root location (_disk_roots): count nodes on the trust circle,
+# real samples of its diameter, Newton steps and the tolerances for a found
+# root and for an integral count.
+COUNT_NODES = 256
+REAL_SAMPLES = 33
+NEWTON_STEPS = 10
+NEWTON_TOL = 1e-13
+COUNT_TOL = 0.1
+
+
+def _disk_roots(coefs: np.ndarray, trust: float) -> list[np.ndarray]:
+    """Roots inside |w| <= trust of each row's polynomial sum_k coefs[i, k] w^k.
+
+    Each row is first trimmed: its coefficients past the last one whose
+    size |c_k| trust^k exceeds 1e-14 of the row's largest are zeroed.  The
+    roots of every row are then found at once:
+
+    * the argument principle counts the roots in the disk, the trapezoid
+      rule on COUNT_NODES nodes of |w| = trust (an FFT each for g and w g');
+    * sign changes of Re g on REAL_SAMPLES samples of [-trust, trust]
+      bracket the real roots, and Newton steps from the bracket midpoints
+      polish them; a root counts as found when it is finite, its last step
+      is at most NEWTON_TOL and it lies in its own bracket.
+
+    A row whose count is within COUNT_TOL of an integer equal to the number
+    found, with every bracket's root found, returns those roots.  Any other
+    row (a conjugate pair, two roots in one sample cell, a root near the
+    circle) returns the in-disk roots of ``np.roots`` on the same trimmed
+    coefficients, as every row did before the count.
+    """
+    rows, n = coefs.shape
+    if n > COUNT_NODES:
+        raise ValueError("more coefficients than count nodes")
+    k = np.arange(n)
+    radius_k = trust**k
+    size = np.abs(coefs) * radius_k
+    top = size.max(axis=1)
+    degree = n - 1 - np.argmax((size > 1e-14 * top[:, None])[:, ::-1], axis=1)
+    trimmed = np.where(k <= degree[:, None], coefs, 0.0)
+    scaled = trimmed * radius_k
+    samples = np.linspace(-trust, trust, REAL_SAMPLES)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        on_circle = np.fft.fft(np.concatenate([scaled, scaled * k]), COUNT_NODES, axis=1)
+        count = np.mean(on_circle[rows:] / on_circle[:rows], axis=1)
+        on_axis = (trimmed @ (samples[:, None] ** k).T).real
+        row, cell = np.nonzero(on_axis[:, :-1] * on_axis[:, 1:] < 0.0)
+        z = 0.5 * (samples[cell] + samples[cell + 1]).astype(complex)
+        c, dc = trimmed[row], trimmed[row, 1:] * k[1:]
+        for _ in range(NEWTON_STEPS):
+            powers = np.vander(z, n, increasing=True)
+            step = np.einsum("ij,ij->i", c, powers) / np.einsum("ij,ij->i", dc, powers[:, :-1])
+            z = z - step
+    found = (
+        np.isfinite(z)
+        & (np.abs(step) <= NEWTON_TOL)
+        & (samples[cell] <= z.real)
+        & (z.real < samples[cell + 1])
+    )
+    whole = np.rint(count.real)
+    accepted = (
+        (np.abs(count - whole) <= COUNT_TOL)
+        & (whole == np.bincount(row[found], minlength=rows))
+        & (np.bincount(row[~found], minlength=rows) == 0)
+    )
+    # the brackets come in row order, so each row's roots are one slice of z
+    per_row = np.split(z, np.cumsum(np.bincount(row, minlength=rows))[:-1])
+    out = []
+    for i in range(rows):
+        if accepted[i]:
+            out.append(per_row[i])
+        elif top[i] == 0.0:  # no count on a zero row
+            out.append(np.empty(0, dtype=complex))
+        else:
+            roots = np.roots(trimmed[i, degree[i] :: -1])
+            out.append(roots[np.abs(roots) <= trust])
+    return out
+
 
 def locate_spectral_points(
     f_batch,
@@ -436,6 +507,10 @@ def locate_spectral_points(
     The grid must be fine enough that every target lies within ``TRUST`` of
     a sign change, a local minimum of |f - level|, or a discrete extremum;
     grid spacing at most 0.35 * TRUST guarantees this for simple roots.
+
+    The targets f' and f - level of every model are solved in one batch
+    (:func:`_disk_roots`): counted, then bracketed and polished, with
+    ``np.roots`` only for the rows whose count disagrees.
 
     One rule decides multiplicity.  A real critical point c of a model
     (imaginary part at most ``DOUBLE_IMAG_TOL``) whose dip |f(c)^2 - 4| is
@@ -459,10 +534,17 @@ def locate_spectral_points(
     centers = _thin_centers(cands, 0.35 * TRUST)
     models = build_models(f_batch, centers, TRUST)
 
+    # one solve for every model's targets: f' (padded), then f - level per level
+    coefs = np.array([m.coef for m in models])
+    n = coefs.shape[1]
+    deriv = np.pad(coefs[:, 1:] * np.arange(1, n), ((0, 0), (0, 1)))
+    constant = np.arange(n) == 0
+    roots = _disk_roots(np.concatenate([deriv, *(coefs - lv * constant for lv in levels)]), TRUST)
+
     hits: list[tuple[int, LocatedRoot]] = []  # (model index, root)
     for mi, model in enumerate(models):
         x0 = np.real(model.center)
-        crit = model.critical_roots()
+        crit = roots[mi]
         if want_critical:
             for w in np.real(crit[np.abs(np.imag(crit)) <= IMAG_TOL]):
                 hits.append((mi, LocatedRoot(float(x0 + w), math.nan, 1)))
@@ -473,9 +555,9 @@ def locate_spectral_points(
                 level = math.copysign(2.0, np.real(fc))
                 if abs(fc**2 - 4.0) < DOUBLE_TOL and level in levels:
                     hits.append((mi, LocatedRoot(lam, level, 2)))
-        for level in levels:
-            roots = model.roots_at_level(level)
-            for w in np.real(roots[np.abs(np.imag(roots)) <= IMAG_TOL]):
+        for li, level in enumerate(levels, start=1):
+            at_level = roots[li * len(models) + mi]
+            for w in np.real(at_level[np.abs(np.imag(at_level)) <= IMAG_TOL]):
                 hits.append((mi, LocatedRoot(float(x0 + w), level, 1)))
 
     # each hit is kept only by the model whose center is nearest to it

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from gibbslab import concentration_harness as ch
+from gibbslab import floquet
 from gibbslab import flow_lab as fl
 from gibbslab.cli import main
 from gibbslab.floquet import TAYLOR_ORDER
@@ -253,6 +254,27 @@ class TestSpectrumCommands:
         assert total == 14  # 7 clusters, counted with multiplicity
         header = trace.read_text().splitlines()[0]
         assert header == "lambda,re_delta,im_delta"
+
+    def test_dirac_spectrum_trace_builds_once(self, small_complex_field, tmp_path, monkeypatch):
+        # the trace reads the closure of both passes, so one build in all
+        built = []
+        original = floquet.step_polynomials
+
+        def counting(*args):
+            built.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(floquet, "step_polynomials", counting)
+        trace = tmp_path / "trace.csv"
+        code = main(
+            [
+                "dirac-spectrum", "--field", small_complex_field, "--window", "-3", "3",
+                "--steps", "256", "--trace-csv", str(trace), "--out", str(tmp_path / "s.json"),
+            ]
+        )
+        assert code == 0
+        assert built == [256]
+        assert len(trace.read_text().splitlines()) == 482
 
     def test_hill_spectrum(self, mathieu_field, tmp_path):
         out = tmp_path / "hill.json"

@@ -205,17 +205,21 @@ class TestSegmentation:
     BOXES = {"dirac": ((-8.0, 8.0), (-1.0, 1.0)), "hill": ((-6.0, 120.0), (-2.0, 2.0))}
 
     def test_segment_count(self):
-        assert _segment_count(512, 1) == 512
-        assert _segment_count(512, 32) == 128
+        # segments of at least MIN_SEGMENT_STEPS = 16 steps
+        assert _segment_count(512, 1) == 32
+        assert _segment_count(512, 32) == 32
+        assert _segment_count(128, 64) == 8
         assert _segment_count(1024, 300) == 8
-        assert _segment_count(96, 1) == 32
+        assert _segment_count(96, 1) == 4
         assert _segment_count(100, 1) == 4
         assert _segment_count(101, 1) == 1
         assert _segment_count(4096, 2048) == 2
         assert _segment_count(4096, 2049) == 1
+        assert _segment_count(64, 1) == 4
+        assert _segment_count(16, 1) == 1
 
     @pytest.mark.parametrize("system", ["dirac", "hill"])
-    @pytest.mark.parametrize("steps", [512, 1024])
+    @pytest.mark.parametrize("steps", [128, 512, 1024])
     def test_matches_unsegmented(self, system, steps):
         field = self.FIELDS[system]
         (re_lo, re_hi), (im_lo, im_hi) = self.BOXES[system]
@@ -375,6 +379,97 @@ class TestTaylorSteps:
         for field in members:
             new, old = self.budget_errors(system, field, lam, new_steps, old_steps, 8 * new_steps)
             assert new <= old, (new, old)
+
+
+def companion_roots(coef: np.ndarray, trust: float) -> np.ndarray:
+    """In-disk roots of np.roots on the trimmed row, the rule before the count."""
+    scale = np.abs(coef) * trust ** np.arange(coef.size)
+    if scale.max() == 0.0:
+        return np.empty(0, dtype=complex)
+    coef = coef[: np.nonzero(scale > 1e-14 * scale.max())[0][-1] + 1]
+    if coef.size < 2:
+        return np.empty(0, dtype=complex)
+    roots = np.roots(coef[::-1])
+    return roots[np.abs(roots) <= trust]
+
+
+def model_rows(roots, size: int = 32) -> np.ndarray:
+    """Ascending coefficients of prod (w - r), zero-padded to ``size``."""
+    coef = np.atleast_1d(np.poly(np.asarray(roots, dtype=complex)))[::-1]
+    return np.concatenate([coef, np.zeros(size - coef.size)]).astype(complex)
+
+
+class TestCountedRoots:
+    """_disk_roots: counted and polished roots, np.roots only where the count disagrees."""
+
+    @staticmethod
+    def targets(disc, centers) -> np.ndarray:
+        """The rows locate_spectral_points solves: f' (padded), f - 2 and f + 2."""
+        coefs = np.array([m.coef for m in floquet.build_models(disc, centers, floquet.TRUST)])
+        deriv = np.zeros_like(coefs)
+        deriv[:, :-1] = coefs[:, 1:] * np.arange(1, coefs.shape[1])
+        plus, minus = coefs.copy(), coefs.copy()
+        plus[:, 0] -= 2.0
+        minus[:, 0] += 2.0
+        return np.concatenate([deriv, plus, minus])
+
+    @pytest.mark.parametrize(
+        "disc, window",
+        [
+            (ds.discriminant_batch(TestTaylorSteps.DIRAC_MEMBERS[0], 128), (-4.8, 4.8)),
+            (hs.hill_discriminant_batch(TestTaylorSteps.HILL_MEMBERS[0], 128), (-2.0, 13.0)),
+        ],
+        ids=["dirac", "hill"],
+    )
+    def test_member_models_match_companion_roots(self, disc, window, monkeypatch):
+        rows = self.targets(disc, np.arange(window[0], window[1], 0.35 * floquet.TRUST))
+        solves = []
+        original = np.roots
+
+        def counting(p):
+            solves.append(p)
+            return original(p)
+
+        monkeypatch.setattr(np, "roots", counting)
+        got = floquet._disk_roots(rows, floquet.TRUST)
+        monkeypatch.undo()
+        # most rows are settled by the count, and every row has np.roots' roots
+        assert len(solves) < 0.25 * len(rows)
+        for row, roots in zip(rows, got):
+            want = companion_roots(row, floquet.TRUST)
+            assert roots.size == want.size
+            assert np.all(np.abs(np.sort_complex(roots) - np.sort_complex(want)) < 1e-12)
+
+    def test_fallback_rows_only(self, monkeypatch):
+        far = [1.5, -2.0, 0.9 + 1.2j, 0.9 - 1.2j]
+        agreeing = [model_rows([-0.2, 0.15, *far]), model_rows(far)]
+        fallback = [
+            model_rows([0.1 + 0.01j, 0.1 - 0.01j, *far]),  # conjugate pair in the disk
+            model_rows([0.09, 0.1, -0.2, *far]),  # two roots in one sample cell
+            model_rows([floquet.TRUST - 5e-4, -0.1, *far]),  # a root near the circle
+        ]
+        constant = [np.zeros(32, dtype=complex), model_rows([])]
+        rows = np.array(agreeing + fallback + constant)
+        solves = []
+        original = np.roots
+
+        def counting(p):
+            solves.append(p)
+            return original(p)
+
+        monkeypatch.setattr(np, "roots", counting)
+        got = floquet._disk_roots(rows, floquet.TRUST)
+        # one solve per fallback row, on that row's trimmed coefficients
+        assert len(solves) == len(fallback)
+        for p, row in zip(solves, fallback):
+            assert np.array_equal(p, row[: p.size][::-1])
+        monkeypatch.undo()
+        assert np.allclose(np.sort_complex(got[0]), [-0.2, 0.15], atol=1e-14)
+        assert got[1].size == 0
+        for roots, row in zip(got[2:5], fallback):
+            assert np.array_equal(roots, companion_roots(row, floquet.TRUST))
+        assert got[2].size == 2 and got[3].size == 3 and got[4].size == 2
+        assert got[5].size == 0 and got[6].size == 0
 
 
 def test_engine_rejects_wrong_node_count():
