@@ -110,6 +110,22 @@ class StatisticSample:
 # Statistic registry
 # ---------------------------------------------------------------------------
 
+def _spectral_spec(parts: list[str], kind: str, key: str):
+    """(index range, test function) of a '<head>:<kind>:<g>:<key>=3' descriptor
+    split at ':'; the range defaults to 3."""
+    head = parts[0]
+    if len(parts) < 3 or parts[1] != kind:
+        raise ValueError(f"the {head} statistic is '{head}:{kind}:<g>:{key}=<n>'")
+    n = 3
+    gspec = []
+    for item in parts[2:]:
+        if item.startswith(key + "="):
+            n = int(item[len(key) + 1 :])
+        else:
+            gspec.append(item)
+    return n, ds.parse_test_function(":".join(gspec))
+
+
 def make_statistic(spec: str):
     """Build a named field statistic from a descriptor string.
 
@@ -139,24 +155,15 @@ def make_statistic(spec: str):
                 p = float(v)
         return f"V(p={p:g})", lambda f: lp_integral(f, p)
     if head == "coord":
-        which = parts[1]
-        part, n = which[0], int(which[1:])
-        if part == "a":
+        which = parts[1] if len(parts) > 1 else ""
+        if which[:1] not in ("a", "b") or not which[1:]:
+            raise ValueError(f"unknown coordinate {which!r}; use 'a<n>' or 'b<n>'")
+        n = int(which[1:])
+        if which[0] == "a":
             return f"Re c_{n}", lambda f: float(np.real(f.mode(n)))
-        if part == "b":
-            return f"Im c_{n}", lambda f: float(np.imag(f.mode(n)))
-        raise ValueError(f"unknown coordinate {which!r}")
+        return f"Im c_{n}", lambda f: float(np.imag(f.mode(n)))
     if head == "dirac":
-        if parts[1] != "critical":
-            raise ValueError("only the critical-point Dirac statistic is built in")
-        m = 3
-        gspec = []
-        for item in parts[2:]:
-            if item.startswith("M="):
-                m = int(item[2:])
-            else:
-                gspec.append(item)
-        g = ds.parse_test_function(":".join(gspec))
+        m, g = _spectral_spec(parts, "critical", "M")
         name = f"dirac:critical:{g.name}:M={m}"
         # unit-mass fields scatter the critical lattice by more than one
         # spacing, so scan well past the index range before slicing
@@ -167,22 +174,16 @@ def make_statistic(spec: str):
             # free-lattice centers only capture them for small fields),
             # integrated on the disk models of their |Delta'| checks
             crit = ds.critical_points(f, window, steps=DIRAC_STEPS)
-            pts = ds.two_sided_slice(np.array(crit.critical_points), m)
-            models = [d for d in crit.critical_models if pts[0] <= d.center.real <= pts[-1]]
-            return contour_sum(models, g, "critical", 0.2)[0]
+            points = np.array(crit.critical_points)
+            pts = ds.two_sided_slice(points, m)
+            rows = (pts[0] <= points) & (points <= pts[-1])
+            return contour_sum(
+                crit.critical_models[rows], points[rows], ds.CHECK_TRUST, g, "critical", 0.2
+            )[0]
 
         return name, stat
     if head == "hill":
-        if parts[1] != "midpoints":
-            raise ValueError("only the midpoint Hill statistic is built in")
-        J = 3
-        gspec = []
-        for item in parts[2:]:
-            if item.startswith("J="):
-                J = int(item[2:])
-            else:
-                gspec.append(item)
-        g = ds.parse_test_function(":".join(gspec))
+        J, g = _spectral_spec(parts, "midpoints", "J")
         name = f"hill:midpoints:{g.name}:J={J}"
         lam_max = float((J + 0.6) ** 2)
 

@@ -26,12 +26,10 @@ from .floquet import (
     DOUBLE_TOL,
     TAYLOR_ORDER,
     InsufficientPointsError,
-    Monodromy,
     build_models,
     contour_sum,
     locate_spectral_points,
     transfer_discriminant,
-    transfer_monodromy,
 )
 from .fourier_field import PeriodicField, taylor_samples
 
@@ -39,8 +37,6 @@ __all__ = [
     "SpectralPoint",
     "SpectralDataDirac",
     "TestFunction",
-    "monodromy",
-    "discriminant",
     "discriminant_batch",
     "periodic_eigenvalues",
     "critical_points",
@@ -57,6 +53,9 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 256
+# trust radius of the disk models of the |Delta'| checks, which the Dirac
+# statistic integrates on
+CHECK_TRUST = 0.25
 
 
 # Psi' = (B(x) + lambda C) Psi with B = [[Q, P], [P, -Q]] and C = [[0, -1/2], [1/2, 0]]
@@ -70,19 +69,9 @@ def _dirac_nodes(field: PeriodicField, steps: int):
     return (Q, P, P, -Q)
 
 
-def monodromy(field: PeriodicField, lam: complex, steps: int = DEFAULT_STEPS) -> Monodromy:
-    """Psi_lambda(2 pi) by fixed-step order-TAYLOR_ORDER Taylor steps."""
-    nodes = _dirac_nodes(field, steps)
-    return transfer_monodromy(nodes, _DIRAC_C, 2.0 * np.pi, steps, lam, field.content_hash())
-
-
 def discriminant_batch(field: PeriodicField, steps: int = DEFAULT_STEPS):
     """Closure evaluating Delta on arrays of spectral parameters."""
     return transfer_discriminant(_dirac_nodes(field, steps), _DIRAC_C, 2.0 * np.pi, steps)
-
-
-def discriminant(field: PeriodicField, lam: complex, steps: int = DEFAULT_STEPS) -> complex:
-    return complex(discriminant_batch(field, steps)(np.asarray([lam]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +100,11 @@ class SpectralDataDirac:
     periodic_points: tuple[SpectralPoint, ...] = ()
     critical_points: tuple[float, ...] = ()
     critical_residuals: tuple[float, ...] = ()
-    # the |Delta'| checks' disk models (trust 0.25), for contour sums; not serialized
-    critical_models: tuple = dataclasses.field(default=(), compare=False, repr=False)
+    # the |Delta'| checks' disk models (trust CHECK_TRUST), one row per
+    # critical point, for contour sums; not serialized
+    critical_models: np.ndarray = dataclasses.field(
+        default_factory=lambda: np.empty((0, 0), dtype=complex), compare=False, repr=False
+    )
 
     def periodic_values(self, with_multiplicity: bool = False) -> np.ndarray:
         if with_multiplicity:
@@ -166,21 +158,22 @@ def _critical_data(disc, window, refine_tol: float) -> SpectralDataDirac:
         disc, _scan_grid(window), levels=(), want_critical=True
     )
     vals = [r.value for r in roots if r.is_critical and window[0] <= r.value <= window[1]]
-    # |Delta'| from fresh disk models centered on the points, in one batch
-    checks = build_models(disc, np.array(vals), 0.25) if vals else []
-    residuals = []
-    for v, model in zip(vals, checks):
-        resid = abs(model.coef[1])
-        if resid > max(refine_tol * 100.0, 1e-6):
+    checks, residuals = np.empty((0, 0), dtype=complex), np.empty(0)
+    if vals:
+        # |Delta'| from fresh disk models centered on the points, in one batch
+        checks = build_models(disc, np.array(vals), CHECK_TRUST)
+        residuals = np.abs(checks[:, 1])
+        bad = np.flatnonzero(residuals > max(refine_tol * 100.0, 1e-6))
+        if bad.size:
+            i = bad[0]
             raise FloatingPointError(
-                f"|Delta'| residual {resid:.2e} too large at {v:.8f}"
+                f"|Delta'| residual {residuals[i]:.2e} too large at {vals[i]:.8f}"
             )
-        residuals.append(float(resid))
     return SpectralDataDirac(
         window=window,
         critical_points=tuple(vals),
-        critical_residuals=tuple(residuals),
-        critical_models=tuple(checks),
+        critical_residuals=tuple(map(float, residuals)),
+        critical_models=checks,
     )
 
 
@@ -361,6 +354,7 @@ def linear_statistic_contour(
         raise ValueError("contour radius must stay below 1/4")
     centers = np.asarray(centers, dtype=complex)
     disc = discriminant_batch(field, steps)
-    models = build_models(disc, centers, max(0.25, radius + 0.05))
-    value, _counts = contour_sum(models, g, kernel, radius)
+    trust = max(0.25, radius + 0.05)
+    models = build_models(disc, centers, trust)
+    value, _counts = contour_sum(models, centers, trust, g, kernel, radius)
     return value

@@ -22,9 +22,11 @@ Three layers, all pure functions over immutable inputs:
 * local analytic "disk models": Taylor expansions of an entire function
   (the discriminant) recovered from samples on a circle, giving cheap and
   spectrally accurate access to values, derivatives and roots near the
-  center.  The discriminant is entire of exponential type pi (in lambda
-  for Dirac, in s = sqrt(lambda) for Hill), so the circle's node count
-  follows from the growth bound (pi r)^n / n! <= 1e-16 (see build_models);
+  center.  A set of models is one complex array, a row of coefficients
+  per center.  The discriminant is entire of exponential type pi (in
+  lambda for Dirac, in s = sqrt(lambda) for Hill), so the circle's node
+  count follows from the growth bound (pi r)^n / n! <= 1e-16 (see
+  build_models);
 * window scans that bracket sign changes and near-double minima on a real
   grid, refine them through disk models, read every double point at a
   real critical point with a small dip, and return the located points
@@ -33,9 +35,10 @@ Three layers, all pure functions over immutable inputs:
   Newton on the real roots bracketed by sign changes, and np.roots only
   for the rows whose count disagrees with the roots found.
 
-Contour sums for linear statistics are evaluated on the models, so the
-integrand stays an analytic object and the calculus-of-residues identities
-hold to model accuracy.
+Contour sums for linear statistics are evaluated on the models, every
+circle at once as one product of the coefficient rows with a table of the
+powers of the circle's nodes, so the integrand stays an analytic object and
+the calculus-of-residues identities hold to model accuracy.
 """
 
 from __future__ import annotations
@@ -46,13 +49,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Monodromy",
     "TAYLOR_ORDER",
     "step_polynomials",
     "rk4_transfer",
-    "transfer_monodromy",
     "transfer_discriminant",
-    "DiskModel",
     "build_models",
     "LocatedRoot",
     "locate_spectral_points",
@@ -80,32 +80,6 @@ NUMERICAL_FAILURES = (FloatingPointError, RuntimeError, InsufficientPointsError)
 # ---------------------------------------------------------------------------
 # Batched transfer matrices
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Monodromy:
-    """Transfer matrix over one period at a fixed spectral parameter."""
-
-    matrix: np.ndarray
-    lam: complex
-    potential_hash: str
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("monodromy matrix must be 2x2")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def trace(self) -> complex:
-        return complex(self.matrix[0, 0] + self.matrix[1, 1])
-
-    @property
-    def determinant(self) -> complex:
-        m = self.matrix
-        return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
 
 # Most lanes (segments x spectral parameters) a small batch is spread over.
 # Below this size each array operation costs mostly its fixed Python overhead,
@@ -276,16 +250,6 @@ def rk4_transfer(step_poly: np.ndarray, steps: int, lam: np.ndarray):
     return tuple(p.reshape(shape) for p in psi.reshape(4, -1))
 
 
-def transfer_monodromy(
-    b_taylor, c, length: float, steps: int, lam: complex, potential_hash: str
-) -> Monodromy:
-    """Psi_lambda(length) at one spectral parameter, as a :class:`Monodromy`."""
-    step_poly = step_polynomials(b_taylor, c, length, steps)
-    m = rk4_transfer(step_poly, steps, np.asarray([lam], dtype=complex))
-    mat = np.array([[m[0][0], m[1][0]], [m[2][0], m[3][0]]])
-    return Monodromy(mat, complex(lam), potential_hash)
-
-
 def transfer_discriminant(b_taylor, c, length: float, steps: int):
     """Closure evaluating Delta = trace Psi_lambda(length) on arrays of lambda.
 
@@ -304,29 +268,6 @@ def transfer_discriminant(b_taylor, c, length: float, steps: int):
 # Disk models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class DiskModel:
-    """Taylor model f(center + w) = sum_k coef[k] w^k, trusted for |w| <= trust."""
-
-    center: complex
-    trust: float
-    coef: np.ndarray
-
-    def __call__(self, z):
-        w = np.asarray(z, dtype=complex) - self.center
-        return np.polyval(self.coef[::-1], w)
-
-    def deriv_coef(self, order: int = 1) -> np.ndarray:
-        c = self.coef
-        for _ in range(order):
-            c = c[1:] * np.arange(1, c.size)
-        return c
-
-    def eval_deriv(self, z, order: int = 1):
-        w = np.asarray(z, dtype=complex) - self.center
-        return np.polyval(self.deriv_coef(order)[::-1], w)
-
-
 def _ring_nodes(radius: float) -> int:
     """Least multiple of 8 nodes n with (pi * radius)^n / n! <= 1e-16.
 
@@ -340,8 +281,12 @@ def _ring_nodes(radius: float) -> int:
     return n
 
 
-def build_models(f_batch, centers: np.ndarray, trust: float) -> list[DiskModel]:
+def build_models(f_batch, centers: np.ndarray, trust: float) -> np.ndarray:
     """Fit disk models at the given centers with one batched evaluation.
+
+    Returns the models as one complex array of shape (len(centers), n):
+    row i holds the Taylor coefficients of f(centers[i] + w) = sum_k
+    coefs[i, k] w^k, trusted for |w| <= trust.
 
     ``f_batch`` maps an array of complex points to function values and must
     be entire of exponential type at most pi, so that its Taylor
@@ -360,8 +305,7 @@ def build_models(f_batch, centers: np.ndarray, trust: float) -> list[DiskModel]:
     pts = (centers[:, None] + ring[None, :]).ravel()
     vals = np.asarray(f_batch(pts), dtype=complex).reshape(centers.size, nodes)
     # r^-k underflows quietly to 0 where r^k would overflow on a wide circle
-    coefs = np.fft.fft(vals, axis=1) * (radius ** -np.arange(nodes) / nodes)
-    return [DiskModel(complex(c), trust, coefs[i]) for i, c in enumerate(centers)]
+    return np.fft.fft(vals, axis=1) * (radius ** -np.arange(nodes) / nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +476,16 @@ def locate_spectral_points(
     if not cands:
         return []
     centers = _thin_centers(cands, 0.35 * TRUST)
-    models = build_models(f_batch, centers, TRUST)
+    coefs = build_models(f_batch, centers, TRUST)
 
     # one solve for every model's targets: f' (padded), then f - level per level
-    coefs = np.array([m.coef for m in models])
     n = coefs.shape[1]
     deriv = np.pad(coefs[:, 1:] * np.arange(1, n), ((0, 0), (0, 1)))
     constant = np.arange(n) == 0
     roots = _disk_roots(np.concatenate([deriv, *(coefs - lv * constant for lv in levels)]), TRUST)
 
     hits: list[tuple[int, LocatedRoot]] = []  # (model index, root)
-    for mi, model in enumerate(models):
-        x0 = np.real(model.center)
+    for mi, x0 in enumerate(centers):
         crit = roots[mi]
         if want_critical:
             for w in np.real(crit[np.abs(np.imag(crit)) <= IMAG_TOL]):
@@ -551,12 +493,12 @@ def locate_spectral_points(
         if levels:
             for w in np.real(crit[np.abs(np.imag(crit)) <= DOUBLE_IMAG_TOL]):
                 lam = float(x0 + w)
-                fc = model(lam)
+                fc = np.polyval(coefs[mi, ::-1], lam - x0)
                 level = math.copysign(2.0, np.real(fc))
                 if abs(fc**2 - 4.0) < DOUBLE_TOL and level in levels:
                     hits.append((mi, LocatedRoot(lam, level, 2)))
         for li, level in enumerate(levels, start=1):
-            at_level = roots[li * len(models) + mi]
+            at_level = roots[li * len(centers) + mi]
             for w in np.real(at_level[np.abs(np.imag(at_level)) <= IMAG_TOL]):
                 hits.append((mi, LocatedRoot(float(x0 + w), level, 1)))
 
@@ -583,42 +525,59 @@ CONTOUR_NODES = 64
 
 
 def contour_sum(
-    models: list[DiskModel], g, kernel: str, radius: float
+    models: np.ndarray, centers, trust: float, g, kernel: str, radius: float
 ) -> tuple[float, list[float]]:
     """Sum of (1/2 pi i) * contour integrals of g times a logarithmic kernel.
 
-    kernel 'critical' uses Delta''/Delta' (zeros of Delta'), 'plus' uses
-    Delta'/(Delta - 2) and 'minus' uses Delta'/(Delta + 2).  Each circle is
-    centered at its model's center with the given radius and integrated by
-    the trapezoid rule on CONTOUR_NODES nodes.  The enclosed root count
-    (the same integral with g = 1) must be within 0.1 of an integer or the
-    placement is rejected.
+    ``models`` are the :func:`build_models` rows at ``centers``, trusted
+    within ``trust``.  kernel 'critical' uses Delta''/Delta' (zeros of
+    Delta'), 'plus' uses Delta'/(Delta - 2) and 'minus' uses
+    Delta'/(Delta + 2).  Each circle is centered at its model's center x
+    with the given radius and integrated by the trapezoid rule on
+    CONTOUR_NODES nodes z_j = x + w_j, w_j = radius e^(i theta_j).
+
+    All circles are evaluated at once.  With f = sum_k c_k w^k the model
+    ('plus', 'minus') or its derivative ('critical'), f(z_j) and
+    w_j f'(z_j) = sum_k k c_k w_j^k are one product of the rows
+    c_k radius^k and k c_k radius^k with the table e^(i k theta_j), exact
+    for any number of coefficients, and the kernel times w_j is their ratio
+    w_j f' / (f - level).  A circle's integral is the mean of g(z_j) times
+    that ratio over its nodes.
+
+    The enclosed root count (the same integral with g = 1) of every circle
+    must be within 0.1 of an integer; the first circle in center order
+    that fails raises ContourPlacementError.  Returns the real part of the
+    sum and the circles' root counts.
     """
     if kernel not in ("critical", "plus", "minus"):
         raise ValueError("kernel must be 'critical', 'plus' or 'minus'")
-    theta = 2.0 * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES
-    phase = np.exp(1j * theta)
-    weight = radius / CONTOUR_NODES
-    total = 0.0 + 0.0j
-    counts: list[float] = []
-    for model in models:
-        if radius > model.trust:
-            raise ValueError("contour radius exceeds the model trust radius")
-        z = model.center + radius * phase
-        if kernel == "critical":
-            num = model.eval_deriv(z, 2)
-            den = model.eval_deriv(z, 1)
-        else:
-            num = model.eval_deriv(z, 1)
-            den = model(z) - (2.0 if kernel == "plus" else -2.0)
-        ratio = num / den
-        count = weight * np.sum(ratio * phase)
-        if abs(count - round(count.real)) > 0.1:
-            raise ContourPlacementError(
-                f"root count {count:.4f} at center {model.center:.6g} "
-                "is not close to an integer; adjust the circles"
-            )
-        counts.append(float(count.real))
-        gz = np.asarray(g(z), dtype=complex)
-        total += weight * np.sum(gz * ratio * phase)
-    return float(np.real(total)), counts
+    if radius > trust:
+        raise ValueError("contour radius exceeds the model trust radius")
+    centers = np.asarray(centers, dtype=complex)
+    if kernel == "critical":
+        base, level = models[:, 1:] * np.arange(1, models.shape[1]), 0.0
+    else:
+        base, level = models, (2.0 if kernel == "plus" else -2.0)
+    # columns past the last nonzero coefficient, which underflowed to 0 in
+    # build_models on a wide ring, are dropped: radius^k may overflow there
+    base = base[:, : np.max(np.flatnonzero(base.any(axis=0)), initial=-1) + 1]
+    k = np.arange(base.shape[1])
+    j = np.arange(CONTOUR_NODES)
+    phase = np.exp(2j * np.pi * j / CONTOUR_NODES)
+    # w_j^k / radius^k = e^(i k theta_j), the angle reduced exactly mod 2 pi
+    table = phase[np.outer(k, j) % CONTOUR_NODES]
+    scaled = base * radius**k
+    # the kernel times w_j, one row per circle
+    ratio = (scaled * k) @ table / (scaled @ table - level)
+    counts = ratio.mean(axis=1)
+    # a nan count fails too
+    bad = np.flatnonzero(~(np.abs(counts - np.round(counts.real)) <= 0.1))
+    if bad.size:
+        i = bad[0]
+        raise ContourPlacementError(
+            f"root count {counts[i]:.4f} at center {complex(centers[i]):.6g} "
+            "is not close to an integer; adjust the circles"
+        )
+    z = centers[:, None] + radius * phase
+    total = np.sum(np.mean(np.asarray(g(z), dtype=complex) * ratio, axis=1))
+    return float(np.real(total)), counts.real.tolist()

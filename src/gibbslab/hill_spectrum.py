@@ -33,12 +33,10 @@ from .floquet import (
     NUMERICAL_FAILURES,
     TAYLOR_ORDER,
     InsufficientPointsError,
-    Monodromy,
     build_models,
     contour_sum,
     locate_spectral_points,
     transfer_discriminant,
-    transfer_monodromy,
 )
 from .fourier_field import (
     PeriodicField,
@@ -53,8 +51,6 @@ __all__ = [
     "HillSpectralData",
     "FrameEstimate",
     "BorgReport",
-    "hill_monodromy",
-    "hill_discriminant",
     "hill_discriminant_batch",
     "hill_periodic_spectrum",
     "borg_check",
@@ -96,22 +92,9 @@ def _hill_nodes(q: PeriodicField, steps: int):
     return (zero, one, qd, zero)
 
 
-def hill_monodromy(q: PeriodicField, lam: complex, steps: int = DEFAULT_STEPS) -> Monodromy:
-    """Transfer matrix of (f, f') over one period pi."""
-    _check_potential(q)
-    return transfer_monodromy(_hill_nodes(q, steps), _HILL_C, np.pi, steps, lam, q.content_hash())
-
-
 def hill_discriminant_batch(q: PeriodicField, steps: int = DEFAULT_STEPS):
     _check_potential(q)
     return transfer_discriminant(_hill_nodes(q, steps), _HILL_C, np.pi, steps)
-
-
-def hill_discriminant(q: PeriodicField, lam: complex, steps: int = DEFAULT_STEPS):
-    val = complex(hill_discriminant_batch(q, steps)(np.asarray([lam]))[0])
-    if abs(complex(lam).imag) == 0.0:
-        return val.real
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +441,10 @@ def pw_statistic_contour(
         kernel = "plus" if m % 2 == 0 else "minus"
         # the second circle either gives a record or raises
         for attempt, r in enumerate((radius, 1.6 * radius)):
-            models = build_models(disc, np.array([center]), r + 0.1)
+            trust = r + 0.1
+            models = build_models(disc, np.array([center]), trust)
             try:
-                value, counts = contour_sum(models, lambda z: z, kernel, r)
+                value, counts = contour_sum(models, [center], trust, lambda z: z, kernel, r)
             except NUMERICAL_FAILURES:
                 if attempt == 1:
                     raise

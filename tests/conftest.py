@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gibbslab.floquet import _mat_prod, _segment_count
+from gibbslab import dirac_spectrum as ds
+from gibbslab import hill_spectrum as hs
+from gibbslab.floquet import _mat_prod, _segment_count, rk4_transfer, step_polynomials
 from gibbslab.fourier_field import PeriodicField, evaluate, default_grid_size, lp_integral
 from gibbslab.gibbs_sampler import RejectionBudgetError, _batch_in_omega, gibbs_weight
 
@@ -35,6 +37,24 @@ def real_even_field(cutoff: int, seed: int, scale: float = 0.1) -> PeriodicField
         c[cutoff + n] = z
         c[cutoff - n] = np.conj(z)
     return PeriodicField(cutoff, c)
+
+
+def system_args(system: str, field: PeriodicField, steps: int):
+    """(B's Taylor coefficients at the step starts, C, period) of the Dirac or Hill system."""
+    if system == "dirac":
+        return ds._dirac_nodes(field, steps), ds._DIRAC_C, 2 * np.pi
+    return hs._hill_nodes(field, steps), hs._HILL_C, np.pi
+
+
+def transfer(system: str, field: PeriodicField, steps: int, lam):
+    """The four monodromy entries (11, 12, 21, 22) of the Dirac or Hill system on a batch."""
+    step_poly = step_polynomials(*system_args(system, field, steps), steps)
+    return rk4_transfer(step_poly, steps, lam)
+
+
+def determinant(m):
+    """det of the monodromy matrices whose entries ``transfer`` returns."""
+    return m[0] * m[3] - m[1] * m[2]
 
 
 def picard_monodromy(

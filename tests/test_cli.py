@@ -148,6 +148,26 @@ class TestBasics:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, spec",
+        [
+            ("--statistic", "dirac"),
+            ("--statistic", "hill"),
+            ("--statistic", "dirac:critical"),
+            ("--statistic", "coord"),
+            ("--statistic", "coord:"),
+            ("--observables", "coord"),
+        ],
+    )
+    def test_short_statistic_is_a_config_error(self, inputs, tmp_path, capsys, flag, spec):
+        # a descriptor cut short used to raise IndexError, a traceback
+        out = tmp_path / "out.json"
+        command = ["concentration"] if flag == "--statistic" else ["invariance", "--time", "0.01"]
+        argv = [*command, "--ensemble", inputs["ens"], f"{flag}={spec}", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
     def test_every_subcommand_writes_a_manifest(self, command, inputs, tmp_path):
         out = tmp_path / "result.json"

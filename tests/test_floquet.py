@@ -1,5 +1,7 @@
+import importlib
 import inspect
 import itertools
+import pkgutil
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gibbslab
 from gibbslab import concentration_harness as ch
 from gibbslab import dirac_spectrum as ds
 from gibbslab import floquet
@@ -22,6 +25,7 @@ from gibbslab.floquet import (
 )
 from gibbslab.fourier_field import PeriodicField
 from conftest import (
+    determinant,
     dirac_rk4_nodes,
     hill_rk4_nodes,
     picard_monodromy,
@@ -29,6 +33,8 @@ from conftest import (
     real_even_field,
     rk4_staged_oracle,
     rk4_step_polynomials,
+    system_args,
+    transfer,
 )
 
 STEPS = 1024
@@ -44,24 +50,11 @@ def step_tol(steps: int) -> float:
     return TOL * (STEPS / steps) ** 5
 
 
-def system_args(system: str, field: PeriodicField, steps: int):
-    """(B's Taylor coefficients at the step starts, C, period) of the Dirac or Hill system."""
-    if system == "dirac":
-        return ds._dirac_nodes(field, steps), ds._DIRAC_C, 2 * np.pi
-    return hs._hill_nodes(field, steps), hs._HILL_C, np.pi
-
-
 def rk4_args(system: str, field: PeriodicField, steps: int):
     """(B at the RK4 nodes, C, period) of the Dirac or Hill system."""
     if system == "dirac":
         return dirac_rk4_nodes(field, steps), ds._DIRAC_C, 2 * np.pi
     return hill_rk4_nodes(field, steps), hs._HILL_C, np.pi
-
-
-def transfer(system: str, field: PeriodicField, steps: int, lam):
-    """The four monodromy entries of the Dirac or Hill system on a batch."""
-    step_poly = step_polynomials(*system_args(system, field, steps), steps)
-    return rk4_transfer(step_poly, steps, lam)
 
 
 def unsegmented(system: str, field: PeriodicField, steps: int, lam: np.ndarray) -> np.ndarray:
@@ -150,12 +143,12 @@ class TestEngineProperties:
     @settings(max_examples=20, deadline=None)
     @given(dirac_fields, lams)
     def test_dirac_unimodular(self, f, lam):
-        assert abs(ds.monodromy(f, lam, steps=STEPS).determinant - 1.0) < TOL
+        assert abs(determinant(transfer("dirac", f, STEPS, np.array([lam])))[0] - 1.0) < TOL
 
     @settings(max_examples=20, deadline=None)
     @given(hill_potentials(), lams)
     def test_hill_unimodular(self, q, lam):
-        assert abs(hs.hill_monodromy(q, lam, steps=STEPS).determinant - 1.0) < TOL
+        assert abs(determinant(transfer("hill", q, STEPS, np.array([lam])))[0] - 1.0) < TOL
 
     @settings(max_examples=20, deadline=None)
     @given(dirac_fields, hill_potentials(), lam_batches(), step_counts)
@@ -405,7 +398,7 @@ class TestCountedRoots:
     @staticmethod
     def targets(disc, centers) -> np.ndarray:
         """The rows locate_spectral_points solves: f' (padded), f - 2 and f + 2."""
-        coefs = np.array([m.coef for m in floquet.build_models(disc, centers, floquet.TRUST)])
+        coefs = floquet.build_models(disc, centers, floquet.TRUST)
         deriv = np.zeros_like(coefs)
         deriv[:, :-1] = coefs[:, 1:] * np.arange(1, coefs.shape[1])
         plus, minus = coefs.copy(), coefs.copy()
@@ -472,6 +465,98 @@ class TestCountedRoots:
         assert got[5].size == 0 and got[6].size == 0
 
 
+def contour_sum_reference(models, centers, g, kernel: str, radius: float):
+    """contour_sum one circle at a time, each model evaluated by np.polyval."""
+    w = radius * np.exp(2j * np.pi * np.arange(floquet.CONTOUR_NODES) / floquet.CONTOUR_NODES)
+    total, counts = 0.0, []
+    for coef, x in zip(models, centers):
+        deriv = coef[1:] * np.arange(1, coef.size)
+        if kernel == "critical":
+            num = np.polyval((deriv[1:] * np.arange(1, deriv.size))[::-1], w)
+            den = np.polyval(deriv[::-1], w)
+        else:
+            num = np.polyval(deriv[::-1], w)
+            den = np.polyval(coef[::-1], w) - (2.0 if kernel == "plus" else -2.0)
+        ratio = num / den * w
+        counts.append(np.mean(ratio).real)
+        total += np.mean(g(x + w) * ratio)
+    return total.real, counts
+
+
+class TestContourSum:
+    """Every circle in one batched evaluation, against the per-circle sum."""
+
+    MEMBER = TestTaylorSteps.DIRAC_MEMBERS[0]
+    G = ds.lorentzian(3.0)
+
+    @pytest.mark.parametrize(
+        "kernel, trust, radius, nodes",
+        [
+            ("critical", ds.CHECK_TRUST, 0.2, 24),
+            ("plus", ds.CHECK_TRUST, 0.2, 24),
+            ("minus", ds.CHECK_TRUST, 0.2, 24),
+            # more coefficients than the circle has nodes, on radii whose
+            # circles pass no root of the kernel's target closely
+            ("critical", 2.5, 2.4, 72),
+            ("plus", 2.5, 2.4, 72),
+            ("minus", 2.5, 2.3, 72),
+        ],
+    )
+    def test_matches_per_circle_polyval(self, kernel, trust, radius, nodes):
+        disc = ds.discriminant_batch(self.MEMBER, 128)
+        centers = np.array(ds.critical_points(self.MEMBER, (-4.8, 4.8), steps=128).critical_points)
+        models = floquet.build_models(disc, centers, trust)
+        assert models.shape == (centers.size, nodes)
+        got, counts = floquet.contour_sum(models, centers, trust, self.G, kernel, radius)
+        want, want_counts = contour_sum_reference(models, centers, self.G, kernel, radius)
+        assert abs(got - want) <= 1e-13 * abs(want)
+        # counts are near integers, some near 0
+        assert np.allclose(counts, want_counts, rtol=1e-13, atol=1e-13)
+
+    def test_first_failing_circle_is_named(self):
+        # only the second circle passes next to a critical point of
+        # 2 cos(pi z): the zero at 1 lies 1e-3 inside its rim
+        disc = lambda z: 2.0 * np.cos(np.pi * np.asarray(z))
+        centers = np.array([0.0, 0.801, 2.0])
+        models = floquet.build_models(disc, centers, 0.25)
+        with pytest.raises(floquet.ContourPlacementError, match=r"at center 0\.801\+0j "):
+            floquet.contour_sum(models, centers, 0.25, self.G, "critical", 0.2)
+        keep = [0, 2]
+        _, counts = floquet.contour_sum(models[keep], centers[keep], 0.25, self.G, "critical", 0.2)
+        assert np.allclose(counts, [1.0, 1.0], atol=1e-12)
+        # with a later circle failing too, the first one in center order is named
+        centers[2] = 1.801
+        models = floquet.build_models(disc, centers, 0.25)
+        with pytest.raises(floquet.ContourPlacementError, match=r"at center 0\.801\+0j "):
+            floquet.contour_sum(models, centers, 0.25, self.G, "critical", 0.2)
+
+    def test_radius_past_trust_rejected(self):
+        disc = lambda z: 2.0 * np.cos(np.pi * np.asarray(z))
+        models = floquet.build_models(disc, np.array([0.0]), 0.25)
+        with pytest.raises(ValueError, match="trust"):
+            floquet.contour_sum(models, [0.0], 0.25, self.G, "critical", 0.3)
+
+    def test_pw_statistic_at_radius_three(self):
+        # models of 88 coefficients; t^2 pinned from the per-circle np.polyval sum
+        q = unit_mass(real_even_field(8, 41))
+        records = hs.pw_statistic_contour(q, [2, 3, 4, 5], radius=3.0)
+        want = [4.053913768904666, 9.022272777777403, 16.018235946202594, 25.012141049595]
+        assert [r["radius"] for r in records] == [3.0] * 4
+        assert np.allclose([r["count"] for r in records], 2.0, atol=1e-8)
+        assert np.allclose([r["t_sq"] for r in records], want, rtol=0.0, atol=1e-10)
+
+    def test_pw_statistic_on_a_wide_ring(self):
+        # at radius 14 the models carry 280 coefficients, the last of them
+        # underflowed to 0, and radius^k overflows past k = 268
+        q = PeriodicField(2, [0.1, 0.0, 0.0, 0.0, 0.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            records = hs.pw_statistic_contour(q, [6, 8], radius=14.0)
+        want = [36.00014285561523, 64.0000793651504]
+        assert [r["radius"] for r in records] == [14.0, 14.0]
+        assert np.allclose([r["t_sq"] for r in records], want, rtol=0.0, atol=1e-10)
+
+
 def test_engine_rejects_wrong_node_count():
     nodes = (np.zeros(128), np.ones(128), np.zeros(128), np.zeros(128))
     with pytest.raises(ValueError):
@@ -483,6 +568,16 @@ def test_engine_rejects_mismatched_step_polynomials():
                                  (0.0, 0.0, -1.0, 0.0), np.pi, 64)
     with pytest.raises(ValueError):
         rk4_transfer(step_poly, 128, np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "name", sorted(m.name for m in pkgutil.iter_modules(gibbslab.__path__))
+)
+def test_every_export_resolves(name):
+    # the benchmark's tracer skips a name of __all__ that does not resolve,
+    # so a stale export would go unseen there
+    module = importlib.import_module(f"gibbslab.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
 def test_traced_argument_names_bind():

@@ -14,10 +14,15 @@ from gibbslab.fourier_field import (
     zero_field,
 )
 from gibbslab.gibbs_sampler import GibbsEnsemble, GibbsParams, importance_ensemble
+from conftest import determinant, transfer
 
 
 def mathieu(eps: float) -> PeriodicField:
     return field_from_modes(2, {2: eps, -2: eps})  # 2*eps*cos(2x)
+
+
+def hill_discriminant(q: PeriodicField, lam: float) -> float:
+    return float(hs.hill_discriminant_batch(q)(np.array([lam], dtype=complex))[0].real)
 
 
 def rescale_l1(q: PeriodicField, target: float) -> PeriodicField:
@@ -27,31 +32,31 @@ def rescale_l1(q: PeriodicField, target: float) -> PeriodicField:
 
 class TestMonodromy:
     def test_free_values(self):
-        assert hs.hill_discriminant(zero_field(1), 1.0) == pytest.approx(-2.0, abs=1e-9)
-        assert hs.hill_discriminant(zero_field(1), 4.0) == pytest.approx(2.0, abs=1e-9)
+        assert hill_discriminant(zero_field(1), 1.0) == pytest.approx(-2.0, abs=1e-9)
+        assert hill_discriminant(zero_field(1), 4.0) == pytest.approx(2.0, abs=1e-9)
 
     def test_constant_shift_closed_form(self):
         c = 0.4
         q = field_from_modes(0, {0: c}).with_cutoff(2)
         for lam in (0.7, 2.0, 9.3):
             expect = 2 * np.cos(np.pi * np.sqrt(complex(lam - c)))
-            assert hs.hill_discriminant(q, lam) == pytest.approx(
+            assert hill_discriminant(q, lam) == pytest.approx(
                 float(expect.real), abs=1e-8
             )
 
     def test_rejects_odd_modes(self):
         q = field_from_modes(1, {1: 0.1, -1: 0.1})
         with pytest.raises(hs.OddModeError):
-            hs.hill_monodromy(q, 1.0)
+            hs.hill_discriminant_batch(q)
 
     def test_rejects_complex_potential(self):
         q = field_from_modes(2, {2: 0.1})
-        with pytest.raises(ValueError):
-            hs.hill_monodromy(q, 1.0)
+        with pytest.raises(ValueError, match="real valued"):
+            hs.hill_discriminant_batch(q)
 
     def test_wronskian(self):
-        m = hs.hill_monodromy(mathieu(0.3), 2.2)
-        assert abs(m.determinant - 1.0) < 1e-9
+        m = transfer("hill", mathieu(0.3), hs.DEFAULT_STEPS, np.array([2.2 + 0j]))
+        assert abs(determinant(m)[0] - 1.0) < 1e-9
 
 
 class TestSpectrum:
