@@ -235,10 +235,19 @@ def cmd_convexity(args) -> dict:
     }
 
 
+def _flow_steps(time: float, dt: float) -> int:
+    if dt == 0.0 or not np.isfinite(time / dt):
+        raise ValueError(f"--time {time:g} over --dt {dt:g} is not a finite step count")
+    steps = int(round(time / dt))
+    if steps < 1:
+        raise ValueError(f"--time {time:g} over --dt {dt:g} is {steps} steps, fewer than 1")
+    return steps
+
+
 def cmd_flow(args) -> dict:
     field = load_field(args.field)
     cutoff = args.cutoff or field.cutoff
-    steps = max(1, int(round(args.time / args.dt)))
+    steps = _flow_steps(args.time, args.dt)
     params = fl.FlowParams(p=args.p, beta=args.beta, dt=args.dt, steps=steps, cutoff=cutoff)
     traj = fl.evolve_trajectory(field, params, snapshots=args.snapshots)
     final = traj[-1].with_cutoff(cutoff)
@@ -270,7 +279,7 @@ def _observables_from_spec(spec: str, p: float) -> dict:
 
 def cmd_invariance(args) -> dict:
     ens = gs.load_ensemble_jsonl(args.ensemble)
-    steps = max(1, int(round(args.time / args.dt)))
+    steps = _flow_steps(args.time, args.dt)
     cutoff = args.cutoff or ens.params.cutoff
     params = fl.FlowParams(
         p=ens.params.p, beta=ens.params.beta, dt=args.dt, steps=steps, cutoff=cutoff

@@ -353,6 +353,8 @@ def linear_statistic_contour(
     if radius >= 0.25:
         raise ValueError("contour radius must stay below 1/4")
     centers = np.asarray(centers, dtype=complex)
+    if centers.size == 0:
+        raise ValueError("no contour centers (the default centers are the integers in the window)")
     disc = discriminant_batch(field, steps)
     trust = max(0.25, radius + 0.05)
     models = build_models(disc, centers, trust)

@@ -24,9 +24,9 @@ Three layers, all pure functions over immutable inputs:
   spectrally accurate access to values, derivatives and roots near the
   center.  A set of models is one complex array, a row of coefficients
   per center.  The discriminant is entire of exponential type pi (in
-  lambda for Dirac, in s = sqrt(lambda) for Hill), so the circle's node
-  count follows from the growth bound (pi r)^n / n! <= 1e-16 (see
-  build_models);
+  lambda for Dirac, in u = sqrt(lambda - lambda_lo) for Hill), so the
+  circle's node count follows from the growth bound (pi r)^n / n! <= 1e-16
+  (see build_models);
 * window scans that bracket sign changes and near-double minima on a real
   grid, refine them through disk models, read every double point at a
   real critical point with a small dip, and return the located points
@@ -294,8 +294,12 @@ def build_models(f_batch, centers: np.ndarray, trust: float) -> np.ndarray:
     circle has radius r = 2 * trust and the least multiple of 8 nodes n
     with (pi r)^n / n! <= 1e-16, so the trapezoid rule recovers every
     coefficient kept (one per node) to 1e-16 of the function's size on the
-    circle; the coefficients follow from one FFT per circle.  For Hill's
-    lambda plane, of exponential type 0, the bound is conservative.
+    circle; the coefficients follow from one FFT per circle.  Hill's
+    discriminant in u = sqrt(lambda - lambda_lo) has type pi only for large
+    u; near lambda = 0 its values on the ring are larger, but its high
+    coefficients fall faster, as those of cos(pi sqrt(lambda)) do, and 32
+    nodes on r = 0.7 agree with 128 to 5e-16 of the ring's maximum on
+    members of mass 1 and 100.
     """
     centers = np.asarray(centers, dtype=complex)
     radius = 2.0 * trust

@@ -483,6 +483,8 @@ def load_ensemble_jsonl(path) -> GibbsEnsemble:
             rec = json.loads(line)
             samples.append(field_from_json(rec["field"]))
             weights.append(float(rec["weight"]))
+    if len(samples) != header["count"]:
+        raise ValueError(f"{path}: header count {header['count']}, {len(samples)} records")
     return GibbsEnsemble(
         params,
         tuple(samples),

@@ -15,10 +15,13 @@ which stays within 1/4 of the integers under the smallness hypotheses
 int q dx/2pi = 0 and int |q| dx/2pi < 1/2, making it a sampling sequence
 for band-limited functions of band 2.
 
-For lambda >= 0.5 the scan and the local models work in the variable
-s = sqrt(lambda), where the free spectrum is the integer lattice and the
-cluster spacing is uniform; negative and near-zero lambda are scanned
-directly.  All outputs carry the period convention marker "pi".
+The scan and its local models work in the one variable
+u = sqrt(lambda - lambda_lo), with lambda_lo = min(-1, -1.2 sup|q| - 0.5)
+at least 0.5 below the whole spectrum (lambda_0 >= min q), so a single
+real window covers every eigenvalue.  For large u, u is s = sqrt(lambda)
+plus a vanishing shift, so the free spectrum sits near the integer
+lattice and the cluster spacing is uniform.  All outputs carry the
+period convention marker "pi".
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ __all__ = [
 
 PERIOD_CONVENTION = "pi"
 DEFAULT_STEPS = 256
-BRANCH_SPLIT = 0.5  # lambda below this is handled in the lambda plane
 
 
 class OddModeError(ValueError):
@@ -156,52 +158,30 @@ def hill_periodic_spectrum(
     Residuals |Delta^2 - 4| are evaluated with the direct solver at every
     returned eigenvalue.
     """
+    if not lambda_max >= 0.0:
+        raise ValueError(f"lambda_max must be non-negative, got {lambda_max}")
     disc = hill_discriminant_batch(q, steps)
     qsup = float(np.max(np.abs(np.real(evaluate(q, default_grid_size(q.cutoff)).values))))
-
-    found: list[tuple[float, float, int]] = []  # (lambda, level, multiplicity)
-
+    # lambda_0 >= min q >= -sup|q| (Rayleigh), so lam_lo lies at least 0.5
+    # below the whole spectrum.  Delta(lam_lo + u^2) is entire and even in
+    # u and grows like Delta(s^2) for large u.  Every root has
+    # u >= sqrt(0.5), beyond the trust radius 0.35 around u = 0, so no model
+    # centered on the grid (u >= 0) reaches the mirrored root at -u.
     lam_lo = min(-1.0, -1.2 * qsup - 0.5)
-    lam_grid = np.arange(lam_lo, 0.9 + 0.04, 0.04)
-    roots_lam = locate_spectral_points(disc, lam_grid)
-    for r in roots_lam:
-        if not r.is_critical and r.value < BRANCH_SPLIT:
-            found.append((r.value, r.level, r.multiplicity))
 
-    s_max = math.sqrt(lambda_max) + 0.6
-    s_grid = np.arange(math.sqrt(BRANCH_SPLIT) - 0.1, s_max, 0.1)
+    def disc_u(u):
+        u = np.asarray(u, dtype=complex)
+        return disc(lam_lo + u * u)
 
-    def disc_s(svals):
-        svals = np.asarray(svals, dtype=complex)
-        return disc(svals * svals)
-
-    roots_s = locate_spectral_points(disc_s, s_grid)
-    for r in roots_s:
-        lam = r.value * r.value
-        if not r.is_critical and lam >= BRANCH_SPLIT:
-            found.append((lam, r.level, r.multiplicity))
-
-    found.sort(key=lambda t: t[0])
-    # de-duplicate the branch seam: identical roots reported by both scans
-    deduped: list[tuple[float, float, int]] = []
-    for lam, level, mult in found:
-        if (
-            deduped
-            and abs(lam - deduped[-1][0]) < 1e-8
-            and level == deduped[-1][1]
-            and mult == deduped[-1][2]
-        ):
-            continue
-        deduped.append((lam, level, mult))
-    found = deduped
+    u_grid = np.arange(0.0, math.sqrt(lambda_max - lam_lo) + 0.6, 0.1)
     eigs: list[float] = []
     series: list[str] = []
-    for lam, level, mult in found:
+    for r in locate_spectral_points(disc_u, u_grid):  # ascending in u, so in lambda
+        lam = lam_lo + r.value * r.value
         if lam > lambda_max:
             break
-        for _ in range(mult):
-            eigs.append(lam)
-            series.append(_series_label(level))
+        eigs.extend([lam] * r.multiplicity)
+        series.extend([_series_label(r.level)] * r.multiplicity)
 
     eigenvalues = np.asarray(eigs)
     resid = np.abs(np.real(disc(eigenvalues.astype(complex))) ** 2 - 4.0)

@@ -225,6 +225,24 @@ def rk4_staged_oracle(b_nodes, c, length: float, steps: int, lam: np.ndarray):
     return tuple(p.reshape(shape) for p in psi)
 
 
+def hill_oracle(q: PeriodicField, lambda_max: float, K: int = 32) -> np.ndarray:
+    """Periodic and antiperiodic eigenvalues of -f'' + q f up to lambda_max, sorted.
+
+    ``eigvalsh`` of the Hermitian matrices of the operator in the bases
+    e^{2inx} (periodic) and e^{i(2n+1)x} (antiperiodic), |n| <= K, with
+    entries freq_m^2 delta_mn + qhat_{2(m-n)}; no transfer matrix is involved.
+    """
+    ns = np.arange(-K, K + 1)
+    diff = 2 * (ns[:, None] - ns[None, :])
+    coupling = np.zeros(diff.shape, dtype=complex)
+    for n, c in zip(q.modes, q.coeffs):
+        coupling[diff == n] = c
+    both = np.sort(np.concatenate([
+        np.linalg.eigvalsh(np.diag((2.0 * ns + shift) ** 2) + coupling) for shift in (0, 1)
+    ]))
+    return both[both <= lambda_max]
+
+
 def hessian_fd_oracle(field: PeriodicField, direction, p: float, h: float = 1e-4) -> float:
     """Second central difference of the L^p energy along a Direction of the field's cutoff.
 

@@ -138,6 +138,65 @@ class TestBasics:
             assert err.startswith("configuration error:") and "Traceback" not in err
             assert not out.exists()
 
+    def test_contour_statistic_without_centers_is_a_config_error(
+        self, small_complex_field, tmp_path, capsys
+    ):
+        # --centers auto takes the integers in the window, and (0.2, 0.8) has
+        # none; the empty contour sum used to be written as the value 0.0
+        out = tmp_path / "stat.json"
+        argv = ["statistic", "--field", small_complex_field, "--method", "contour",
+                "--g", "builtin:lorentzian:c=3", "--window", "0.2", "0.8", "--out", str(out)]
+        assert main(argv) == 2
+        assert "configuration error: no contour centers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, time",
+        [("flow", "0"), ("flow", "-1"), ("flow", "4e-4"), ("invariance", "-0.5")],
+    )
+    def test_time_below_one_step_is_a_config_error(
+        self, inputs, tmp_path, capsys, command, time
+    ):
+        # round(time / dt) < 1 used to run one forward step and report time dt
+        out = tmp_path / "out.json"
+        source = ["--field", inputs["phi"]] if command == "flow" else ["--ensemble", inputs["ens"]]
+        argv = [command, *source, "--dt", "1e-3", f"--time={time}", "--out", str(out)]
+        assert main(argv) == 2
+        assert "fewer than 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt, time", [("0", "0.01"), ("1e-3", "inf")])
+    def test_infinite_step_count_is_a_config_error(self, inputs, tmp_path, capsys, dt, time):
+        # time / dt used to raise ZeroDivisionError or OverflowError, a traceback
+        argv = ["flow", "--field", inputs["phi"], "--dt", dt, "--time", time,
+                "--out", str(tmp_path / "flow.json")]
+        assert main(argv) == 2
+        assert "is not a finite step count" in capsys.readouterr().err
+
+    def test_negative_time_and_dt_run_backwards(self, inputs, tmp_path):
+        out = tmp_path / "flow.json"
+        argv = ["flow", "--field", inputs["phi"], "--dt=-1e-3", "--time=-0.01", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["time"] == pytest.approx(-0.01)
+
+    def test_truncated_ensemble_is_a_config_error(self, inputs, tmp_path, capsys):
+        # a header of count 40 over 2 records used to load as a 2-member ensemble
+        lines = Path(inputs["ens"]).read_text().splitlines(keepends=True)
+        ens = tmp_path / "short.jsonl"
+        ens.write_text("".join(lines[:3]))
+        out = tmp_path / "conc.json"
+        argv = ["concentration", "--ensemble", str(ens), "--statistic", "l2", "--out", str(out)]
+        assert main(argv) == 2
+        assert "header count 40, 2 records" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_lambda_max_is_a_config_error(self, mathieu_field, tmp_path, capsys):
+        out = tmp_path / "hill.json"
+        argv = ["hill-spectrum", "--field", mathieu_field, "--lambda-max=-1", "--out", str(out)]
+        assert main(argv) == 2
+        assert "lambda_max must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invariance_without_observables_is_a_config_error(self, inputs, tmp_path, capsys):
         out = tmp_path / "inv.json"
         argv = ["invariance", "--ensemble", inputs["ens"], "--time", "0.01",

@@ -327,3 +327,13 @@ class TestSerialization:
         assert np.array_equal(back.weights, ens.weights)
         for fa, fb in zip(back.samples, ens.samples):
             assert np.abs(fa.coeffs - fb.coeffs).max() < 1e-15
+
+    def test_record_count_must_match_header(self, tmp_path):
+        ens = importance_ensemble(5, nls_params(cutoff=3), seed=10)
+        path = tmp_path / "ens.jsonl"
+        save_ensemble_jsonl(ens, path)
+        lines = path.read_text().splitlines(keepends=True)
+        for kept in (lines[:3], lines + lines[-1:]):
+            path.write_text("".join(kept))
+            with pytest.raises(ValueError, match="header count 5"):
+                load_ensemble_jsonl(path)

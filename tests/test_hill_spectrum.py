@@ -11,10 +11,16 @@ from gibbslab.fourier_field import (
     default_grid_size,
     evaluate,
     field_from_modes,
+    l2_norm_sq,
     zero_field,
 )
-from gibbslab.gibbs_sampler import GibbsEnsemble, GibbsParams, importance_ensemble
-from conftest import determinant, transfer
+from gibbslab.gibbs_sampler import (
+    GibbsEnsemble,
+    GibbsParams,
+    importance_ensemble,
+    sample_kdv_loop,
+)
+from conftest import determinant, hill_oracle, transfer
 
 
 def mathieu(eps: float) -> PeriodicField:
@@ -97,12 +103,50 @@ class TestSpectrum:
         n = min(base.eigenvalues.size, shifted.eigenvalues.size)
         assert np.abs(shifted.eigenvalues[:n] - base.eigenvalues[:n] - c).max() < 1e-7
 
+    @pytest.mark.parametrize("lambda_0", [0.5, -3.0])
+    def test_constant_shift_moves_lambda_0_anywhere(self, lambda_0):
+        # the shift c puts the shifted lambda_0 at 0.5, where an earlier
+        # lambda-plane scan met the sqrt(lambda) scan, or well below zero
+        eps = 0.1
+        base = hs.hill_periodic_spectrum(mathieu(eps), 26.0)
+        c = lambda_0 - base.eigenvalues[0]
+        shifted_q = PeriodicField(
+            2, mathieu(eps).coeffs + np.array([0, 0, c, 0, 0], dtype=complex)
+        )
+        shifted = hs.hill_periodic_spectrum(shifted_q, 26.0 + c)
+        assert shifted.eigenvalues.size == base.eigenvalues.size
+        assert shifted.series == base.series
+        assert np.abs(shifted.eigenvalues - base.eigenvalues - c).max() < 1e-7
+        assert shifted.eigenvalues[0] == pytest.approx(lambda_0, abs=1e-7)
+
     def test_midpoints_structure(self):
         data = hs.hill_periodic_spectrum(mathieu(0.2), 40.0)
         t = data.two_sided_t(4)
         assert t[4] == 0.0
         assert np.all(np.diff(t) > 0)
         assert np.allclose(t, -t[::-1])
+
+
+class TestOracle:
+    """Spectra of pi-periodic KdV members against the Fourier-matrix oracle."""
+
+    @pytest.mark.parametrize("mass", [1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
+    def test_members_match_oracle(self, mass, seed):
+        q = sample_kdv_loop(8, seed, pi_periodic=True)
+        q = q * math.sqrt(mass / l2_norm_sq(q))  # sup|q| from about 1.4 to 18
+        data = hs.hill_periodic_spectrum(q, 40.0)
+        ref = hill_oracle(q, 40.0)
+        eig = data.eigenvalues
+        assert eig.size == ref.size
+        double = np.zeros(eig.size, dtype=bool)
+        double[1:] |= np.diff(eig) == 0.0
+        double[:-1] |= np.diff(eig) == 0.0
+        # both sides agree to about 1e-11 on these members
+        assert np.abs(eig - ref)[~double].max() < 1e-8
+        # a double point is a critical point inside the oracle's (narrow) gap
+        for j in np.flatnonzero(double)[::2]:
+            assert ref[j] - 1e-8 <= eig[j] <= ref[j + 1] + 1e-8
 
 
 class TestMidpointRange:
