@@ -101,7 +101,7 @@ def cmd_dirac_spectrum(args) -> dict:
     field = load_field(args.field)
     # one closure serves both passes and the trace
     disc = ds.discriminant_batch(field, args.steps)
-    data = ds.spectral_data_from(disc, (args.window[0], args.window[1]), refine_tol=args.tol)
+    data = ds.spectral_data_from(field, disc, tuple(args.window), refine_tol=args.tol)
     out = data.to_json()
     out["potential_hash"] = field.content_hash()
     if args.trace_csv:
@@ -317,6 +317,7 @@ def cmd_concentration(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    tol_help = "truncation bound of every periodic point; residuals above max(100 tol, 1e-6) fail"
     ap = argparse.ArgumentParser(
         prog="gibbslab",
         description="Random periodic potentials, their Dirac/Hill spectral data, "
@@ -353,14 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dirac-spectrum", help="Dirac periodic and critical points")
     sp.add_argument("--field", required=True)
     sp.add_argument("--window", type=float, nargs=2, required=True)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=1e-8, help=tol_help)
     sp.add_argument("--trace-csv", default=None, help="optional discriminant trace CSV")
     common(sp, cmd_dirac_spectrum, steps=ds.DEFAULT_STEPS)
 
     sp = sub.add_parser("hill-spectrum", help="Hill eigenvalues, gaps and midpoints")
     sp.add_argument("--field", required=True)
     sp.add_argument("--lambda-max", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=1e-8, help=tol_help)
     common(sp, cmd_hill_spectrum, steps=hs.DEFAULT_STEPS)
 
     sp = sub.add_parser("statistic", help="linear statistic, direct or contour")

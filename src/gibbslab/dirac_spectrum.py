@@ -7,7 +7,9 @@ The transfer matrix solves Psi' = A(x, lambda) Psi on [0, 2pi] with
 which is trace free, so det Psi is conserved.  The discriminant is
 Delta(lambda) = trace Psi_lambda(2pi); for the zero potential it equals
 2 cos(pi lambda).  Periodic spectrum and critical points are the real
-solutions of Delta = +/-2 and Delta' = 0.
+solutions of Delta = +/-2 and Delta' = 0.  The former are the eigenvalues
+of 2L, L = [[-P, Q + d/dx], [Q - d/dx, P]] as (lambda / 2) Psi = L Psi,
+on the modes e^{ikx} (Delta = 2) and e^{i(k+1/2)x} (Delta = -2).
 
 Linear statistics sum a strip-holomorphic, real-symmetric test function
 over a two-sided index range of spectral points, either directly or by a
@@ -23,12 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floquet import (
-    DOUBLE_TOL,
     TAYLOR_ORDER,
     InsufficientPointsError,
     build_models,
+    check_residuals,
     contour_sum,
     locate_spectral_points,
+    mode_spectrum,
+    multiplication_matrix,
     transfer_discriminant,
 )
 from .fourier_field import PeriodicField, taylor_samples
@@ -84,6 +88,7 @@ class SpectralPoint:
     series: str          # 'principal' (Delta = 2) or 'complementary' (Delta = -2)
     multiplicity: int
     residual: float      # |Delta(value)^2 - 4| from the direct solver
+    truncation_bound: float  # distance to the operator's eigenvalues, each of them
 
     def to_json(self) -> dict:
         return {
@@ -91,6 +96,7 @@ class SpectralPoint:
             "series": self.series,
             "multiplicity": self.multiplicity,
             "residual": self.residual,
+            "truncation_bound": self.truncation_bound,
         }
 
 
@@ -122,10 +128,6 @@ class SpectralDataDirac:
         }
 
 
-def _series_name(level: float) -> str:
-    return "principal" if level > 0 else "complementary"
-
-
 def _scan_grid(window: tuple[float, float], spacing: float = 0.1) -> np.ndarray:
     lo, hi = window
     if hi <= lo:
@@ -134,41 +136,47 @@ def _scan_grid(window: tuple[float, float], spacing: float = 0.1) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _periodic_points(disc, window, refine_tol: float) -> tuple[SpectralPoint, ...]:
-    """Real solutions of Delta^2 = 4 in the window, located on the closure ``disc``."""
-    roots = locate_spectral_points(disc, _scan_grid(window))
-    roots = [r for r in roots if not r.is_critical and window[0] <= r.value <= window[1]]
-    pts = []
-    if roots:
-        check = np.real(disc(np.array([r.value for r in roots], dtype=complex)))
-        for r, dval in zip(roots, check):
-            resid = abs(dval * dval - 4.0)
-            if resid > max(refine_tol * 100.0, DOUBLE_TOL):
-                raise FloatingPointError(
-                    f"defining-equation residual {resid:.2e} too large at {r.value:.8f}; "
-                    "increase the step budget or refine the window grid"
-                )
-            pts.append(SpectralPoint(r.value, _series_name(r.level), r.multiplicity, resid))
-    return tuple(pts)
+def _periodic_points(field, disc, window, refine_tol: float) -> tuple[SpectralPoint, ...]:
+    """The mode matrices' eigenvalues in the window, checked on ``disc``; two of one
+    series whose truncation-bound intervals overlap are one double point at their mean."""
+    if window[1] <= window[0]:
+        raise ValueError("empty window")
+
+    def matrix(freqs):  # 2L in the components psi1 +- i psi2, on the modes e^(iwx)
+        m = 2j * multiplication_matrix(field.coeffs, freqs)
+        d = np.diag(2.0 * freqs)
+        return np.block([[d, m], [m.conj().T, -d]]), np.concatenate([freqs, freqs])
+
+    edge = max(abs(window[0]), abs(window[1])) / 2.0
+    values, anti, bounds = mode_spectrum(matrix, 1.0, field.cutoff, edge, window, refine_tol)
+    found = []  # (value, antiperiodic, multiplicity, truncation bound)
+    for series in (False, True):
+        v, b = values[anti == series], bounds[anti == series]
+        i = 0
+        while i < v.size:
+            m = 2 if i + 1 < v.size and v[i + 1] - v[i] <= b[i] + b[i + 1] else 1
+            half = (v[i + m - 1] - v[i]) / 2
+            found.append((v[i] + half, series, m, b[i : i + m].max() + half))
+            i += m
+    found.sort()
+    points = np.array([f[0] for f in found])
+    delta = np.real(disc(points.astype(complex)))
+    resid = check_residuals(np.abs(delta * delta - 4.0), points, refine_tol)
+    return tuple(
+        SpectralPoint(float(v), "complementary" if a else "principal", m, float(r), float(b))
+        for (v, a, m, b), r in zip(found, resid)
+    )
 
 
 def _critical_data(disc, window, refine_tol: float) -> SpectralDataDirac:
     """Real zeros of Delta' in the window, located on the closure ``disc``."""
-    roots = locate_spectral_points(
-        disc, _scan_grid(window), levels=(), want_critical=True
-    )
-    vals = [r.value for r in roots if r.is_critical and window[0] <= r.value <= window[1]]
+    roots = locate_spectral_points(disc, _scan_grid(window))
+    vals = [float(v) for v in roots if window[0] <= v <= window[1]]
     checks, residuals = np.empty((0, 0), dtype=complex), np.empty(0)
     if vals:
         # |Delta'| from fresh disk models centered on the points, in one batch
         checks = build_models(disc, np.array(vals), CHECK_TRUST)
-        residuals = np.abs(checks[:, 1])
-        bad = np.flatnonzero(residuals > max(refine_tol * 100.0, 1e-6))
-        if bad.size:
-            i = bad[0]
-            raise FloatingPointError(
-                f"|Delta'| residual {residuals[i]:.2e} too large at {vals[i]:.8f}"
-            )
+        residuals = check_residuals(np.abs(checks[:, 1]), vals, refine_tol)
     return SpectralDataDirac(
         window=window,
         critical_points=tuple(vals),
@@ -185,11 +193,11 @@ def periodic_eigenvalues(
 ) -> SpectralDataDirac:
     """Real solutions of Delta^2 = 4 in the window, with series labels.
 
-    Eigenvalues of the free system sit on the integer lattice with unit
-    spacing, so the scan grid uses spacing 0.1.  Returned points satisfy
-    |Delta^2 - 4| < max(100 * refine_tol, DOUBLE_TOL) against the direct solver.
+    Every point lies within its truncation bound, at most ``refine_tol``,
+    of the operator's eigenvalues and satisfies |Delta^2 - 4| <=
+    max(100 * refine_tol, 1e-6) against the direct solver at ``steps``.
     """
-    pts = _periodic_points(discriminant_batch(field, steps), window, refine_tol)
+    pts = _periodic_points(field, discriminant_batch(field, steps), window, refine_tol)
     return SpectralDataDirac(window=window, periodic_points=pts)
 
 
@@ -214,16 +222,16 @@ def spectral_data(
     The same as :func:`periodic_eigenvalues` and :func:`critical_points` at
     the same steps, with the step polynomials built once for both passes.
     """
-    return spectral_data_from(discriminant_batch(field, steps), window, refine_tol)
+    return spectral_data_from(field, discriminant_batch(field, steps), window, refine_tol)
 
 
-def spectral_data_from(disc, window: tuple[float, float], refine_tol: float = 1e-8):
-    """:func:`spectral_data` on a closure from :func:`discriminant_batch`.
+def spectral_data_from(field, disc, window: tuple[float, float], refine_tol: float = 1e-8):
+    """:func:`spectral_data` with ``disc`` the field's :func:`discriminant_batch` closure.
 
     A caller that evaluates the discriminant elsewhere too (a trace) shares
     the closure, and so its step polynomials, with both passes.
     """
-    pts = _periodic_points(disc, window, refine_tol)
+    pts = _periodic_points(field, disc, window, refine_tol)
     crit = _critical_data(disc, window, refine_tol)
     return dataclasses.replace(crit, periodic_points=pts)
 

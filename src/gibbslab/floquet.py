@@ -1,6 +1,6 @@
 """Shared machinery for periodic 2x2 spectral problems.
 
-Three layers, all pure functions over immutable inputs:
+Four layers, all pure functions over immutable inputs:
 
 * a fixed-step order-8 Taylor propagator (TAYLOR_ORDER) for the
   trace-free system Psi' = (B(x) + lambda C) Psi with real B and C,
@@ -23,17 +23,16 @@ Three layers, all pure functions over immutable inputs:
   (the discriminant) recovered from samples on a circle, giving cheap and
   spectrally accurate access to values, derivatives and roots near the
   center.  A set of models is one complex array, a row of coefficients
-  per center.  The discriminant is entire of exponential type pi (in
-  lambda for Dirac, in u = sqrt(lambda - lambda_lo) for Hill), so the
-  circle's node count follows from the growth bound (pi r)^n / n! <= 1e-16
-  (see build_models);
-* window scans that bracket sign changes and near-double minima on a real
-  grid, refine them through disk models, read every double point at a
-  real critical point with a small dip, and return the located points
-  (value, level, multiplicity) only.  The models' roots come from one
-  batched solve per scan: an argument-principle count on the trust circle,
-  Newton on the real roots bracketed by sign changes, and np.roots only
-  for the rows whose count disagrees with the roots found.
+  per center.  The discriminant is entire of exponential type pi (Dirac)
+  or of lower growth (Hill), so the circle's node count follows from the
+  growth bound (pi r)^n / n! <= 1e-16 (see build_models);
+* a window scan for the real zeros of the discriminant's derivative (the
+  critical points): models at the discrete extrema of a grid, their
+  derivative rows solved at once by an argument-principle count, Newton on
+  the real roots bracketed by sign changes, and np.roots only where the
+  count disagrees with the roots found;
+* periodic spectra by Hill's method: eigenvalues of the operator's
+  Hermitian Fourier mode matrices, each with a truncation bound.
 
 Contour sums for linear statistics are evaluated on the models, every
 circle at once as one product of the coefficient rows with a table of the
@@ -44,7 +43,6 @@ the calculus-of-residues identities hold to model accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +52,10 @@ __all__ = [
     "rk4_transfer",
     "transfer_discriminant",
     "build_models",
-    "LocatedRoot",
     "locate_spectral_points",
+    "multiplication_matrix",
+    "mode_spectrum",
+    "check_residuals",
     "contour_sum",
     "ContourPlacementError",
     "InsufficientPointsError",
@@ -295,11 +295,9 @@ def build_models(f_batch, centers: np.ndarray, trust: float) -> np.ndarray:
     with (pi r)^n / n! <= 1e-16, so the trapezoid rule recovers every
     coefficient kept (one per node) to 1e-16 of the function's size on the
     circle; the coefficients follow from one FFT per circle.  Hill's
-    discriminant in u = sqrt(lambda - lambda_lo) has type pi only for large
-    u; near lambda = 0 its values on the ring are larger, but its high
-    coefficients fall faster, as those of cos(pi sqrt(lambda)) do, and 32
-    nodes on r = 0.7 agree with 128 to 5e-16 of the ring's maximum on
-    members of mass 1 and 100.
+    discriminant, 2 cos(pi sqrt(lambda)) in the free case, is of order 1/2
+    in lambda: its high coefficients fall faster than those of type pi, so
+    the rule holds for it too.
     """
     centers = np.asarray(centers, dtype=complex)
     radius = 2.0 * trust
@@ -313,38 +311,10 @@ def build_models(f_batch, centers: np.ndarray, trust: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Root location on a real window
+# Critical points on a real window
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocatedRoot:
-    value: float
-    level: float        # discriminant level (+2/-2), or nan for critical points
-    multiplicity: int
-
-    @property
-    def is_critical(self) -> bool:
-        return np.isnan(self.level)
-
-
-def _candidate_centers(grid: np.ndarray, d: np.ndarray, levels, want_critical: bool):
-    cands: list[float] = []
-    for level in levels:
-        f = d - level
-        sign_change = np.nonzero(f[:-1] * f[1:] < 0)[0]
-        cands.extend(0.5 * (grid[i] + grid[i + 1]) for i in sign_change)
-        cands.extend(grid[np.nonzero(f == 0.0)[0]])
-        a = np.abs(f)
-        interior = np.nonzero((a[1:-1] <= a[:-2]) & (a[1:-1] <= a[2:]) & (a[1:-1] < 1.0))[0]
-        cands.extend(grid[i + 1] for i in interior)
-    if want_critical:
-        slope = np.diff(d)
-        turn = np.nonzero(slope[:-1] * slope[1:] < 0)[0]
-        cands.extend(grid[i + 1] for i in turn)
-    return sorted(cands)
-
-
-def _thin_centers(cands: list[float], min_sep: float) -> np.ndarray:
+def _thin_centers(cands: np.ndarray, min_sep: float) -> np.ndarray:
     kept: list[float] = []
     for c in cands:
         if not kept or c - kept[-1] >= min_sep:
@@ -353,15 +323,9 @@ def _thin_centers(cands: list[float], min_sep: float) -> np.ndarray:
 
 
 # Window-scan tolerances.  Disk models are trusted within TRUST of their
-# centers; a root with imaginary part at most IMAG_TOL counts as real; a
-# real critical point (imaginary part at most DOUBLE_IMAG_TOL) with dip
-# |f^2 - 4| below DOUBLE_TOL is a double point, and simple roots within
-# MERGE_WINDOW of it at its level are its edges.
+# centers; a root with imaginary part at most IMAG_TOL counts as real.
 TRUST = 0.35
 IMAG_TOL = 1e-3
-DOUBLE_IMAG_TOL = 1e-6
-DOUBLE_TOL = 1e-6
-MERGE_WINDOW = 0.02
 
 # Counted root location (_disk_roots): count nodes on the trust circle,
 # real samples of its diameter, Newton steps and the tolerances for a found
@@ -441,81 +405,128 @@ def _disk_roots(coefs: np.ndarray, trust: float) -> list[np.ndarray]:
     return out
 
 
-def locate_spectral_points(
-    f_batch,
-    grid: np.ndarray,
-    levels=(2.0, -2.0),
-    want_critical: bool = False,
-) -> list[LocatedRoot]:
-    """Find real solutions of f = level (and optionally f' = 0) on a window.
+def locate_spectral_points(f_batch, grid: np.ndarray) -> np.ndarray:
+    """Real zeros of f' on a window, sorted.
 
-    Returns the points sorted by value, each with its level (nan for a
-    critical point) and multiplicity; the disk models stay internal.
-
-    The grid must be fine enough that every target lies within ``TRUST`` of
-    a sign change, a local minimum of |f - level|, or a discrete extremum;
-    grid spacing at most 0.35 * TRUST guarantees this for simple roots.
-
-    The targets f' and f - level of every model are solved in one batch
+    The grid must be fine enough that every zero lies within ``TRUST`` of a
+    discrete extremum of the samples; disk models are centered at those
+    extrema and their derivative rows solved in one batch
     (:func:`_disk_roots`): counted, then bracketed and polished, with
-    ``np.roots`` only for the rows whose count disagrees.
-
-    One rule decides multiplicity.  A real critical point c of a model
-    (imaginary part at most ``DOUBLE_IMAG_TOL``) whose dip |f(c)^2 - 4| is
-    below ``DOUBLE_TOL`` is a double point of the level nearest Re f(c),
-    reported at c: below that dip the two edges, a close real pair or a
-    conjugate pair just off the axis, are numerically indistinguishable
-    and the critical point is the well-conditioned quantity.  Every other
-    root of f = level with imaginary part at most ``IMAG_TOL`` is a simple
-    point.  Each hit is kept only by the model whose center is nearest to
-    it; then a simple point within ``MERGE_WINDOW`` of a kept double point
-    at its level is dropped as one of that double point's edges.  The edges
-    may be kept by a different model than the critical point, so this runs
-    after ownership.  The double-point rule runs only when ``levels`` is
-    non-empty, since a critical-only scan could keep none of its hits.
+    ``np.roots`` only for the rows whose count disagrees.  A root with
+    imaginary part at most ``IMAG_TOL`` is kept, by the model whose center is
+    nearest to it only.
     """
     grid = np.asarray(grid, dtype=float)
     d = np.real(np.asarray(f_batch(grid.astype(complex))))
-    cands = _candidate_centers(grid, d, levels, want_critical)
-    if not cands:
-        return []
+    slope = np.diff(d)
+    cands = grid[1:-1][slope[:-1] * slope[1:] < 0]
+    if not cands.size:
+        return np.empty(0)
     centers = _thin_centers(cands, 0.35 * TRUST)
     coefs = build_models(f_batch, centers, TRUST)
-
-    # one solve for every model's targets: f' (padded), then f - level per level
     n = coefs.shape[1]
     deriv = np.pad(coefs[:, 1:] * np.arange(1, n), ((0, 0), (0, 1)))
-    constant = np.arange(n) == 0
-    roots = _disk_roots(np.concatenate([deriv, *(coefs - lv * constant for lv in levels)]), TRUST)
+    owned = []
+    for mi, (x0, roots) in enumerate(zip(centers, _disk_roots(deriv, TRUST))):
+        for w in np.real(roots[np.abs(np.imag(roots)) <= IMAG_TOL]):
+            value = float(x0 + w)
+            if np.argmin(np.abs(centers - value)) == mi:
+                owned.append(value)
+    return np.sort(owned)
 
-    hits: list[tuple[int, LocatedRoot]] = []  # (model index, root)
-    for mi, x0 in enumerate(centers):
-        crit = roots[mi]
-        if want_critical:
-            for w in np.real(crit[np.abs(np.imag(crit)) <= IMAG_TOL]):
-                hits.append((mi, LocatedRoot(float(x0 + w), math.nan, 1)))
-        if levels:
-            for w in np.real(crit[np.abs(np.imag(crit)) <= DOUBLE_IMAG_TOL]):
-                lam = float(x0 + w)
-                fc = np.polyval(coefs[mi, ::-1], lam - x0)
-                level = math.copysign(2.0, np.real(fc))
-                if abs(fc**2 - 4.0) < DOUBLE_TOL and level in levels:
-                    hits.append((mi, LocatedRoot(lam, level, 2)))
-        for li, level in enumerate(levels, start=1):
-            at_level = roots[li * len(centers) + mi]
-            for w in np.real(at_level[np.abs(np.imag(at_level)) <= IMAG_TOL]):
-                hits.append((mi, LocatedRoot(float(x0 + w), level, 1)))
 
-    # each hit is kept only by the model whose center is nearest to it
-    owned = [r for mi, r in hits if np.argmin(np.abs(centers - r.value)) == mi]
-    doubles = [r for r in owned if r.multiplicity == 2]
+# ---------------------------------------------------------------------------
+# Periodic spectra from Fourier mode matrices
+# ---------------------------------------------------------------------------
 
-    def is_edge(r: LocatedRoot) -> bool:
-        return r.multiplicity == 1 and any(
-            dp.level == r.level and abs(dp.value - r.value) < MERGE_WINDOW for dp in doubles
-        )
+# mode_spectrum's first frequency cutoff lies START_BANDS coupling bandwidths
+# past the window's edge; each further pass, MAX_PASSES in all, adds one
+START_BANDS = 3
+MAX_PASSES = 8
+# eigh is exact for a perturbation of about this times the matrix norm
+EIGH_ROUNDING = 4.0 * np.finfo(float).eps
 
-    return sorted((r for r in owned if not is_edge(r)), key=lambda r: r.value)
+
+def multiplication_matrix(coeffs, freqs: np.ndarray) -> np.ndarray:
+    """Multiplication by sum_n c_n e^(inx), ``coeffs`` as ``PeriodicField.coeffs``, on the
+    modes e^(iwx), w in ``freqs``: entry (a, b) is c_(freqs[a] - freqs[b]), zero past the cutoff."""
+    c = np.asarray(coeffs, dtype=complex)
+    m = (c.size - 1) // 2
+    diff = np.rint(freqs[:, None] - freqs[None, :]).astype(int)
+    near = np.abs(diff) <= m
+    return np.where(near, c[np.where(near, diff + m, 0)], 0.0)
+
+
+def _kato_temple(r2: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    r = np.sqrt(r2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(gap > r, r2 / (gap - r), np.inf)
+
+
+def _truncation_bounds(theta: np.ndarray, v: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """For each eigenpair (theta, v) of H[in, in], a distance to an eigenvalue of H.
+
+    With ``coupling`` = H[out, in], r = ||H[out, in] v|| is the residual of
+    the zero-padded v in H, so an eigenvalue lies within r of theta (Parlett,
+    The Symmetric Eigenvalue Problem, Thm 4.5.1) and within r^2 / (gap - r),
+    gap the distance to the rest of theta (Kato-Temple).  As the edges of a
+    narrow gap are close, the same holds for each eigenvalue and its nearer
+    neighbour as a pair, r^2 the sum of theirs; the least bound is taken.
+    """
+    y = coupling @ v
+    r2 = np.einsum("ij,ij->j", y.conj(), y).real
+    i = np.arange(theta.size)
+    pad = np.concatenate([[-np.inf], theta, [np.inf]])
+    below, above = theta - pad[:-2], pad[2:] - theta
+    j = np.where(below <= above, i - 1, i + 1).clip(0, theta.size - 1)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    pair = _kato_temple(r2 + r2[j], np.minimum(theta[lo] - pad[lo], pad[hi + 2] - theta[hi]))
+    return np.minimum(np.sqrt(r2), np.minimum(_kato_temple(r2, np.minimum(below, above)), pair))
+
+
+def mode_spectrum(matrix, spacing: float, bandwidth: int, edge: float, window, tol: float):
+    """Periodic and antiperiodic eigenvalues in ``window`` by Hill's method.
+
+    ``matrix(freqs)`` gives a Hermitian operator's matrix on the modes e^(iwx),
+    w in freqs, and each row's w; it couples modes at most ``bandwidth``
+    apart, and its diagonal reaches the window's edge at |w| = ``edge``
+    (Deconinck & Kutz, J. Comput. Phys. 219 (2006) 296-321; Curtis &
+    Deconinck, Math. Comp. 79 (2010) 169-187).  The periodic (antiperiodic)
+    series is solved on w = spacing * j (j + 1/2), |w| <= W, with W growing
+    by a bandwidth until every truncation bound in the window, from the
+    modes W < |w| <= W + bandwidth, is at most ``tol``.  Returns (values,
+    antiperiodic, bounds) sorted by value.
+    """
+    step = max(bandwidth, 1)
+    width = math.ceil(edge) + START_BANDS * step
+    for _ in range(MAX_PASSES):
+        values, series, bounds = [], [], []
+        for anti in (False, True):
+            n = math.ceil((width + bandwidth) / spacing)
+            freqs = spacing * (np.arange(-n - 1, n + 1) + 0.5 * anti)
+            h, rows = matrix(freqs[np.abs(freqs) <= width + bandwidth])
+            inner = np.abs(rows) <= width
+            theta, v = np.linalg.eigh(h[np.ix_(inner, inner)])
+            keep = (window[0] <= theta) & (theta <= window[1])
+            bound = _truncation_bounds(theta, v, h[np.ix_(~inner, inner)])[keep]
+            values.append(theta[keep])
+            series.append(np.full(bound.size, anti))
+            bounds.append(np.maximum(bound, EIGH_ROUNDING * np.max(np.abs(theta))))
+        values, series, bounds = map(np.concatenate, (values, series, bounds))
+        if not np.any(bounds > tol):
+            order = np.argsort(values, kind="stable")
+            return values[order], series[order], bounds[order]
+        width += step
+    raise FloatingPointError(f"truncation bound {bounds.max():.2e} above {tol:.1e}")
+
+
+def check_residuals(resid: np.ndarray, points, tol: float) -> np.ndarray:
+    """``resid`` at ``points``, or FloatingPointError if one exceeds max(100 tol, 1e-6)."""
+    bad = np.flatnonzero(resid > max(100.0 * tol, 1e-6))
+    if bad.size:
+        i = bad[0]
+        raise FloatingPointError(f"residual {resid[i]:.2e} at {points[i]:.8f}; more steps needed")
+    return resid
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,10 @@ which stays within 1/4 of the integers under the smallness hypotheses
 int q dx/2pi = 0 and int |q| dx/2pi < 1/2, making it a sampling sequence
 for band-limited functions of band 2.
 
-The scan and its local models work in the one variable
-u = sqrt(lambda - lambda_lo), with lambda_lo = min(-1, -1.2 sup|q| - 0.5)
-at least 0.5 below the whole spectrum (lambda_0 >= min q), so a single
-real window covers every eigenvalue.  For large u, u is s = sqrt(lambda)
-plus a vanishing shift, so the free spectrum sits near the integer
-lattice and the cluster spacing is uniform.  All outputs carry the
-period convention marker "pi".
+The eigenvalues are those of the operator's matrices on the modes e^{2inx}
+(periodic) and e^{i(2n+1)x} (antiperiodic), each with a truncation bound
+and the residual |Delta^2 - 4| of the transfer-matrix discriminant.  All
+outputs carry the period convention marker "pi".
 """
 
 from __future__ import annotations
@@ -32,13 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floquet import (
-    DOUBLE_TOL,
     NUMERICAL_FAILURES,
     TAYLOR_ORDER,
     InsufficientPointsError,
     build_models,
+    check_residuals,
     contour_sum,
-    locate_spectral_points,
+    mode_spectrum,
+    multiplication_matrix,
     transfer_discriminant,
 )
 from .fourier_field import (
@@ -110,6 +108,7 @@ class HillSpectralData:
     gaps: tuple[tuple[float, float, float], ...]
     midpoints: np.ndarray            # t_n for n = 0..n_max, t_0 = 0
     residuals: np.ndarray
+    truncation_bounds: np.ndarray    # distance to an eigenvalue of the operator
     lambda_max: float
     period_convention: str = PERIOD_CONVENTION
     ordering_ok: bool = True
@@ -136,14 +135,11 @@ class HillSpectralData:
             "gaps": [[float(a), float(b), float(c)] for a, b, c in self.gaps],
             "midpoints": [float(t) for t in self.midpoints],
             "residuals": [float(r) for r in self.residuals],
+            "truncation_bounds": [float(b) for b in self.truncation_bounds],
             "lambda_max": self.lambda_max,
             "period_convention": self.period_convention,
             "ordering_ok": self.ordering_ok,
         }
-
-
-def _series_label(level: float) -> str:
-    return "periodic" if level > 0 else "antiperiodic"
 
 
 def hill_periodic_spectrum(
@@ -154,43 +150,24 @@ def hill_periodic_spectrum(
 ) -> HillSpectralData:
     """All periodic and antiperiodic eigenvalues up to lambda_max.
 
-    Double points (closed gaps) appear twice and produce zero-length gaps.
-    Residuals |Delta^2 - 4| are evaluated with the direct solver at every
-    returned eigenvalue.
+    Each lies within its truncation bound, at most ``tol``, of the
+    operator's; both edges of a gap are listed, however narrow.  Residuals
+    |Delta^2 - 4| come from the direct solver (floquet.check_residuals).
     """
     if not lambda_max >= 0.0:
         raise ValueError(f"lambda_max must be non-negative, got {lambda_max}")
     disc = hill_discriminant_batch(q, steps)
-    qsup = float(np.max(np.abs(np.real(evaluate(q, default_grid_size(q.cutoff)).values))))
-    # lambda_0 >= min q >= -sup|q| (Rayleigh), so lam_lo lies at least 0.5
-    # below the whole spectrum.  Delta(lam_lo + u^2) is entire and even in
-    # u and grows like Delta(s^2) for large u.  Every root has
-    # u >= sqrt(0.5), beyond the trust radius 0.35 around u = 0, so no model
-    # centered on the grid (u >= 0) reaches the mirrored root at -u.
-    lam_lo = min(-1.0, -1.2 * qsup - 0.5)
 
-    def disc_u(u):
-        u = np.asarray(u, dtype=complex)
-        return disc(lam_lo + u * u)
+    def matrix(freqs):  # -d^2/dx^2 + q on the modes e^(iwx)
+        return np.diag(freqs * freqs) + multiplication_matrix(q.coeffs, freqs), freqs
 
-    u_grid = np.arange(0.0, math.sqrt(lambda_max - lam_lo) + 0.6, 0.1)
-    eigs: list[float] = []
-    series: list[str] = []
-    for r in locate_spectral_points(disc_u, u_grid):  # ascending in u, so in lambda
-        lam = lam_lo + r.value * r.value
-        if lam > lambda_max:
-            break
-        eigs.extend([lam] * r.multiplicity)
-        series.extend([_series_label(r.level)] * r.multiplicity)
-
-    eigenvalues = np.asarray(eigs)
-    resid = np.abs(np.real(disc(eigenvalues.astype(complex))) ** 2 - 4.0)
-    bad = resid > max(100.0 * tol, DOUBLE_TOL)
-    if np.any(bad):
-        raise FloatingPointError(
-            f"{int(bad.sum())} eigenvalues exceed the defining-equation residual "
-            f"(max {resid.max():.2e}); raise the step budget"
-        )
+    # q's mean shifts the diagonal w^2, which reaches lambda_max at edge
+    edge = math.sqrt(max(lambda_max - q.mode(0).real, 0.0))
+    window = (-np.inf, lambda_max)
+    eigenvalues, anti, bounds = mode_spectrum(matrix, 2.0, q.cutoff, edge, window, tol)
+    series = ["antiperiodic" if a else "periodic" for a in anti]
+    delta = np.real(disc(eigenvalues.astype(complex)))
+    resid = check_residuals(np.abs(delta * delta - 4.0), eigenvalues, tol)
 
     # ordering sanity: after lambda_0 the series labels come in equal pairs
     # alternating antiperiodic / periodic
@@ -198,8 +175,6 @@ def hill_periodic_spectrum(
     for j in range(1, eigenvalues.size - 1, 2):
         if series[j] != series[j + 1]:
             ordering_ok = False
-    if eigenvalues.size and not np.all(np.diff(eigenvalues) >= -1e-12):
-        ordering_ok = False
 
     gaps: list[tuple[float, float, float]] = []
     tvals: list[float] = [0.0]
@@ -218,6 +193,7 @@ def hill_periodic_spectrum(
         gaps=tuple(gaps),
         midpoints=np.asarray(tvals),
         residuals=resid,
+        truncation_bounds=bounds,
         lambda_max=lambda_max,
         ordering_ok=ordering_ok,
     )

@@ -243,6 +243,39 @@ def hill_oracle(q: PeriodicField, lambda_max: float, K: int = 32) -> np.ndarray:
     return both[both <= lambda_max]
 
 
+def dirac_oracle(field: PeriodicField, window, K: int = 64) -> list:
+    """Periodic points of the Dirac system in the window as (value, series, multiplicity), sorted.
+
+    ``eigvalsh`` of the Hermitian matrix of 2L, L = [[-P, Q + d/dx], [Q - d/dx, P]]
+    with Q + iP the field, in the bases e^{ikx} ('principal', Delta = 2) and
+    e^{i(k+1/2)x} ('complementary', Delta = -2), |k| <= K; no transfer matrix
+    is involved.  Two eigenvalues of one series closer than 1e-9 are one
+    point of multiplicity 2 at their mean.
+    """
+    ks = np.arange(-K, K + 1)
+    diff = ks[:, None] - ks[None, :]
+    Q = np.zeros(diff.shape, dtype=complex)
+    P = np.zeros(diff.shape, dtype=complex)
+    for n in field.modes:
+        c, c_minus = field.mode(n), np.conj(field.mode(-n))
+        Q[diff == n] = 0.5 * (c + c_minus)
+        P[diff == n] = 0.5j * (c_minus - c)
+    points = []
+    for shift, series in ((0.0, "principal"), (0.5, "complementary")):
+        D = np.diag(1j * (ks + shift))
+        lam = 2.0 * np.linalg.eigvalsh(np.block([[-P, Q + D], [Q - D, P]]))
+        lam = lam[(window[0] <= lam) & (lam <= window[1])]
+        i = 0
+        while i < lam.size:
+            if i + 1 < lam.size and lam[i + 1] - lam[i] < 1e-9:
+                points.append((0.5 * (lam[i] + lam[i + 1]), series, 2))
+                i += 2
+            else:
+                points.append((lam[i], series, 1))
+                i += 1
+    return sorted(points)
+
+
 def hessian_fd_oracle(field: PeriodicField, direction, p: float, h: float = 1e-4) -> float:
     """Second central difference of the L^p energy along a Direction of the field's cutoff.
 

@@ -8,8 +8,9 @@ import pytest
 from gibbslab import dirac_spectrum as ds
 from gibbslab import floquet
 from gibbslab.floquet import _ring_nodes, build_models
-from gibbslab.fourier_field import PeriodicField, field_from_modes, zero_field
-from conftest import picard_monodromy, random_field, transfer
+from gibbslab.fourier_field import PeriodicField, field_from_modes, l2_norm_sq, zero_field
+from gibbslab.gibbs_sampler import sample_wiener_loop
+from conftest import dirac_oracle, picard_monodromy, random_field, transfer
 
 
 def small_field(seed: int, cutoff: int = 3, scale: float = 0.05) -> PeriodicField:
@@ -205,6 +206,32 @@ class TestSpectralData:
         assert np.allclose(sel, np.arange(-2, 3) + 0.01)
         with pytest.raises(ds.InsufficientPointsError):
             ds.two_sided_slice(np.array([0.0, 1.0]), 2)
+
+
+class TestOracle:
+    """Periodic points against the Fourier-matrix oracle at K = 64."""
+
+    # eigvalsh is exact for a perturbation of a few eps times the matrix
+    # norm, so the oracle itself is off by up to about 8 eps (2K + 1)
+    ORACLE_ROUNDING = 8 * np.finfo(float).eps * 129
+
+    def test_unit_mass_members(self):
+        # the gaps of these members are open down to widths of a few 1e-6,
+        # which a discriminant scan read as closed up to about 1.5e-4 wide;
+        # the zero field's points are all double, off the window's edges
+        cases = [(zero_field(8), (-20.5, 20.5))]
+        for i in range(12):
+            f = sample_wiener_loop(8, 9001 + i)
+            cases.append((f * math.sqrt(1.0 / l2_norm_sq(f)), (-20.0, 20.0)))
+        for f, window in cases:
+            pts = ds.periodic_eigenvalues(f, window, steps=256).periodic_points
+            ref = dirac_oracle(f, window)
+            assert [(p.series, p.multiplicity) for p in pts] == [(s, m) for _, s, m in ref]
+            err = np.abs(np.array([p.value for p in pts]) - np.array([v for v, _, _ in ref]))
+            bounds = np.array([p.truncation_bound for p in pts])
+            assert err.max() < 1e-9
+            assert np.all(bounds <= 1e-8)
+            assert np.all(err <= bounds + self.ORACLE_ROUNDING)
 
 
 class TestTestFunctions:

@@ -1,6 +1,5 @@
 import importlib
 import inspect
-import itertools
 import pkgutil
 import warnings
 
@@ -15,11 +14,9 @@ from gibbslab import dirac_spectrum as ds
 from gibbslab import floquet
 from gibbslab import hill_spectrum as hs
 from gibbslab.floquet import (
-    DOUBLE_TOL,
     SEGMENT_LANES,
     TAYLOR_ORDER,
     _segment_count,
-    locate_spectral_points,
     rk4_transfer,
     step_polynomials,
 )
@@ -89,54 +86,6 @@ def lam_batches(draw, real: bool = False):
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     lam = rng.uniform(-3.0, 3.0, n)
     return lam if real else lam + 1j * rng.uniform(-1.0, 1.0, n)
-
-
-CENTERS = np.linspace(-0.9, 0.9, 7)
-
-
-def near_double_roots(z0: float, peak: float) -> list:
-    """Located points within 0.1 of z0 for f = peak cos(pi(z - z0)) + 0.01 sin^3."""
-
-    def f(z):
-        w = np.pi * (np.asarray(z, dtype=complex) - z0)
-        return peak * np.cos(w) + 0.01 * np.sin(w) ** 3
-
-    roots = locate_spectral_points(f, np.arange(-2.0, 2.05, 0.1))
-    return [r for r in roots if abs(r.value - z0) < 0.1]
-
-
-class TestNearDoublePoint:
-    """A dip 4 delta below DOUBLE_TOL is one double point at the critical point z0."""
-
-    def test_conjugate_pair_reported_once(self):
-        # f reaches 2 - delta at z0: f = 2 has a conjugate pair just off the axis
-        for z0, delta in itertools.product(CENTERS, (1e-8, 4e-8, 1e-7)):
-            near = near_double_roots(z0, 2.0 - delta)
-            assert len(near) == 1, (z0, delta, near)
-            assert near[0].multiplicity == 2 and near[0].level == 2.0
-            assert abs(near[0].value - z0) < 1e-6
-
-    def test_real_pair_reported_once(self):
-        # f reaches 2 + delta at z0: f = 2 has two real roots about
-        # 2 sqrt(delta) / pi apart, with the critical point between them
-        for z0, delta in itertools.product(CENTERS, (1e-8, 4e-8, 1e-7)):
-            near = near_double_roots(z0, 2.0 + delta)
-            assert len(near) == 1, (z0, delta, near)
-            assert near[0].multiplicity == 2 and near[0].level == 2.0
-            assert abs(near[0].value - z0) < 1e-6
-
-    def test_dip_above_double_tol(self):
-        # delta = 1e-5: the dip 4e-5 exceeds DOUBLE_TOL, so the real pair
-        # stays two simple roots about 1.0e-3 from z0 and the conjugate pair,
-        # 1.0e-3 off the axis (beyond IMAG_TOL), gives no root
-        delta = 1e-5
-        assert 4.0 * delta > DOUBLE_TOL
-        for z0 in CENTERS:
-            near = near_double_roots(z0, 2.0 + delta)
-            assert [(r.multiplicity, r.level) for r in near] == [(1, 2.0), (1, 2.0)], (z0, near)
-            for r, side in zip(near, (-1.0, 1.0)):
-                assert abs((r.value - z0) * side - 1.0066e-3) < 1e-6
-            assert near_double_roots(z0, 2.0 - delta) == []
 
 
 class TestEngineProperties:
@@ -397,7 +346,11 @@ class TestCountedRoots:
 
     @staticmethod
     def targets(disc, centers) -> np.ndarray:
-        """The rows locate_spectral_points solves: f' (padded), f - 2 and f + 2."""
+        """Each model's f' (padded), f - 2 and f + 2 as rows for the generic solver.
+
+        locate_spectral_points solves the f' rows only; the level rows keep
+        the solver tested on roots of f itself.
+        """
         coefs = floquet.build_models(disc, centers, floquet.TRUST)
         deriv = np.zeros_like(coefs)
         deriv[:, :-1] = coefs[:, 1:] * np.arange(1, coefs.shape[1])

@@ -127,26 +127,59 @@ class TestSpectrum:
         assert np.allclose(t, -t[::-1])
 
 
+# eigvalsh is exact for a perturbation of a few eps times the matrix norm,
+# so the K = 64 oracle itself is off by up to about 8 eps (2K + 1)^2
+ORACLE_ROUNDING = 8 * np.finfo(float).eps * 129**2
+
+
+def scaled_kdv_member(seed: int, mass: float) -> PeriodicField:
+    q = sample_kdv_loop(8, seed, pi_periodic=True)
+    return q * math.sqrt(mass / l2_norm_sq(q))
+
+
 class TestOracle:
-    """Spectra of pi-periodic KdV members against the Fourier-matrix oracle."""
+    """Spectra of pi-periodic KdV members against the Fourier-matrix oracle at K = 64."""
+
+    @staticmethod
+    def assert_matches_oracle(data: hs.HillSpectralData, ref: np.ndarray) -> None:
+        eig = data.eigenvalues
+        assert eig.size == ref.size
+        err = np.abs(eig - ref)
+        assert err.max() < 1e-9
+        assert np.all(data.truncation_bounds <= 1e-8)
+        assert np.all(err <= data.truncation_bounds + ORACLE_ROUNDING)
 
     @pytest.mark.parametrize("mass", [1.0, 10.0, 100.0])
     @pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
     def test_members_match_oracle(self, mass, seed):
-        q = sample_kdv_loop(8, seed, pi_periodic=True)
-        q = q * math.sqrt(mass / l2_norm_sq(q))  # sup|q| from about 1.4 to 18
-        data = hs.hill_periodic_spectrum(q, 40.0)
-        ref = hill_oracle(q, 40.0)
-        eig = data.eigenvalues
-        assert eig.size == ref.size
-        double = np.zeros(eig.size, dtype=bool)
-        double[1:] |= np.diff(eig) == 0.0
-        double[:-1] |= np.diff(eig) == 0.0
-        # both sides agree to about 1e-11 on these members
-        assert np.abs(eig - ref)[~double].max() < 1e-8
-        # a double point is a critical point inside the oracle's (narrow) gap
-        for j in np.flatnonzero(double)[::2]:
-            assert ref[j] - 1e-8 <= eig[j] <= ref[j + 1] + 1e-8
+        q = scaled_kdv_member(seed, mass)  # sup|q| from about 1.4 to 18
+        self.assert_matches_oracle(hs.hill_periodic_spectrum(q, 40.0), hill_oracle(q, 40.0, K=64))
+
+    def test_unit_mass_members_to_112(self):
+        # every unit-mass member has gaps too narrow for a discriminant scan
+        # to tell from closed ones in this range; each gap edge is its own
+        # eigenvalue here
+        for i in range(40):
+            q = scaled_kdv_member(9002 + i, 1.0)
+            data = hs.hill_periodic_spectrum(q, 112.0, steps=256)
+            self.assert_matches_oracle(data, hill_oracle(q, 112.0, K=64))
+
+    @pytest.mark.parametrize("member", [0, 3, 4])
+    def test_high_mass_members_return_every_eigenvalue_or_raise(self, member):
+        # at mass 3,000 the residual check at 512 steps fails on most
+        # members, which then raise; a returned list is never short
+        q = scaled_kdv_member(1000 + member, 3000.0)
+        ref = hill_oracle(q, 12.96, K=64)
+        try:
+            data = hs.hill_periodic_spectrum(q, 12.96, steps=512)
+        except FloatingPointError:
+            assert member != 4
+            return
+        self.assert_matches_oracle(data, ref)
+        if member == 4:
+            # its two bands [-25.787, -25.779] and [-25.595, -25.587]
+            bands = data.eigenvalues[(data.eigenvalues > -25.8) & (data.eigenvalues < -25.5)]
+            assert bands.size == 4
 
 
 class TestMidpointRange:
