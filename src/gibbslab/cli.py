@@ -184,9 +184,7 @@ def _parse_index_range(spec: str) -> list[int]:
 
 def cmd_pw_statistic(args) -> dict:
     field = load_field(args.field)
-    records = hs.pw_statistic_contour(
-        field, _parse_index_range(args.n), steps=args.steps, radius=args.radius
-    )
+    records = hs.pw_statistic_contour(field, _parse_index_range(args.n), steps=args.steps)
     return {
         "records": records,
         "period_convention": hs.PERIOD_CONVENTION,
@@ -389,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pw-statistic", help="midpoint squares by Cauchy circles")
     sp.add_argument("--field", required=True)
     sp.add_argument("--n", default="1..4", help="index range, e.g. 1..8")
-    sp.add_argument("--radius", type=float, default=0.25)
     common(sp, cmd_pw_statistic, steps=hs.DEFAULT_STEPS)
 
     sp = sub.add_parser("convexity", help="certify uniform convexity on sampled fields")

@@ -295,6 +295,8 @@ def empirical_log_mgf(
     overflows float64 are trimmed and counted.  L(0) = 0 exactly.  Each
     bootstrap replicate evaluates the whole grid on one (T, n) array.
     """
+    if bootstrap < 1:
+        raise ValueError(f"bootstrap needs at least 1 replicate, got {bootstrap}")
     if t_grid is None:
         t_grid = default_t_grid(sample)
     t_grid = np.asarray(t_grid, float)

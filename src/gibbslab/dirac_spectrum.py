@@ -358,8 +358,8 @@ def linear_statistic_contour(
     circle must enclose the intended roots only; the g = 1 root count is
     checked for integrality and a failure raises ContourPlacementError.
     """
-    if radius >= 0.25:
-        raise ValueError("contour radius must stay below 1/4")
+    if not 0.0 < radius < 0.25:
+        raise ValueError(f"contour radius must lie in (0, 1/4), got {radius}")
     centers = np.asarray(centers, dtype=complex)
     if centers.size == 0:
         raise ValueError("no contour centers (the default centers are the integers in the window)")

@@ -566,8 +566,8 @@ def contour_sum(
     """
     if kernel not in ("critical", "plus", "minus"):
         raise ValueError("kernel must be 'critical', 'plus' or 'minus'")
-    if radius > trust:
-        raise ValueError("contour radius exceeds the model trust radius")
+    if not 0.0 < radius <= trust:
+        raise ValueError(f"contour radius {radius} is not in (0, trust = {trust}]")
     centers = np.asarray(centers, dtype=complex)
     if kernel == "critical":
         base, level = models[:, 1:] * np.arange(1, models.shape[1]), 0.0

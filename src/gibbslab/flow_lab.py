@@ -334,14 +334,16 @@ def invariance_check(
     observable, the weighted KS distance between the before and after
     ensembles is compared against a permutation null band (the
     ``BAND_QUANTILE`` of distances obtained by randomly re-splitting the
-    pooled samples), seeded for reproducibility.  At least 8 members and
-    one observable are required.
+    pooled samples), seeded for reproducibility.  At least 8 members, one
+    observable and one permutation are required.
     """
     n = len(ensemble)
     if n < 8:
         raise ValueError("invariance check needs at least 8 members")
     if not observables:
         raise ValueError("invariance check needs at least one observable")
+    if permutations < 1:
+        raise ValueError(f"invariance check needs at least 1 permutation, got {permutations}")
 
     G = _flow_grid(max(f.cutoff for f in ensemble.samples), params)
     rows = max(1, BLOCK_LANES // G)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floquet import (
-    NUMERICAL_FAILURES,
     TAYLOR_ORDER,
     InsufficientPointsError,
     build_models,
@@ -64,6 +63,7 @@ __all__ = [
 
 PERIOD_CONVENTION = "pi"
 DEFAULT_STEPS = 256
+SPECTRUM_TOL = 1e-8
 
 
 class OddModeError(ValueError):
@@ -142,10 +142,21 @@ class HillSpectralData:
         }
 
 
+def _mode_eigenvalues(q: PeriodicField, lambda_max: float, tol: float):
+    """floquet.mode_spectrum of -d^2/dx^2 + q: (values, antiperiodic, bounds) up to lambda_max."""
+
+    def matrix(freqs):  # -d^2/dx^2 + q on the modes e^(iwx)
+        return np.diag(freqs * freqs) + multiplication_matrix(q.coeffs, freqs), freqs
+
+    # q's mean shifts the diagonal w^2, which reaches lambda_max at edge
+    edge = math.sqrt(max(lambda_max - q.mode(0).real, 0.0))
+    return mode_spectrum(matrix, 2.0, q.cutoff, edge, (-np.inf, lambda_max), tol)
+
+
 def hill_periodic_spectrum(
     q: PeriodicField,
     lambda_max: float,
-    tol: float = 1e-8,
+    tol: float = SPECTRUM_TOL,
     steps: int = DEFAULT_STEPS,
 ) -> HillSpectralData:
     """All periodic and antiperiodic eigenvalues up to lambda_max.
@@ -157,14 +168,7 @@ def hill_periodic_spectrum(
     if not lambda_max >= 0.0:
         raise ValueError(f"lambda_max must be non-negative, got {lambda_max}")
     disc = hill_discriminant_batch(q, steps)
-
-    def matrix(freqs):  # -d^2/dx^2 + q on the modes e^(iwx)
-        return np.diag(freqs * freqs) + multiplication_matrix(q.coeffs, freqs), freqs
-
-    # q's mean shifts the diagonal w^2, which reaches lambda_max at edge
-    edge = math.sqrt(max(lambda_max - q.mode(0).real, 0.0))
-    window = (-np.inf, lambda_max)
-    eigenvalues, anti, bounds = mode_spectrum(matrix, 2.0, q.cutoff, edge, window, tol)
+    eigenvalues, anti, bounds = _mode_eigenvalues(q, lambda_max, tol)
     series = ["antiperiodic" if a else "periodic" for a in anti]
     delta = np.real(disc(eigenvalues.astype(complex)))
     resid = check_residuals(np.abs(delta * delta - 4.0), eigenvalues, tol)
@@ -237,6 +241,8 @@ def borg_check(q: PeriodicField, data: HillSpectralData, n_max: int) -> BorgRepo
     3/2 and pairwise separations above 1/2.  Violated hypotheses make the
     report fail without raising.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > data.n_max:
         raise ValueError(f"data holds midpoints up to n = {data.n_max} < {n_max}")
     g = default_grid_size(q.cutoff)
@@ -374,50 +380,42 @@ def frame_bounds_estimate(
 # Cauchy-formula midpoint squares
 # ---------------------------------------------------------------------------
 
-def pw_statistic_contour(
-    q: PeriodicField,
-    indices,
-    steps: int = DEFAULT_STEPS,
-    radius: float = 0.25,
-) -> list[dict]:
-    """t_m^2 by the Cauchy integral around m^2 (even m: Delta=2 series; odd:
-    Delta=-2), i.e. (1/4 pi i) contour of lambda Delta'/(Delta -+ 2).
+def pw_statistic_contour(q: PeriodicField, indices, steps: int = DEFAULT_STEPS) -> list[dict]:
+    """t_m^2 = (1/4 pi i) contour of lambda Delta'/(Delta -+ 2) around gap m
+    (even m: Delta = 2 series; odd: Delta = -2), one record per index.
 
-    The circle radius defaults to 1/4; when the enclosed root count is not
-    2 the radius is grown once (reported), and a placement that still fails
-    raises.  Returns one record per index with the value, count and radius.
+    Circle m is centred at the mode-matrix gap midpoint mu_m with radius
+    min(h_m + 1/4, (h_m + d_m) / 2), h_m half the gap and d_m the distance
+    from mu_m to the nearest other eigenvalue; one set of models serves every
+    circle.  A root count other than 2, gap edges not of the kernel's series
+    or a t_m^2 off mu_m (floquet.check_residuals) raises FloatingPointError.
     """
+    ms = np.array([int(m) for m in indices])
+    if ms.size == 0 or ms.min() < 1:
+        raise ValueError("indices must be positive, and at least one is needed")
     disc = hill_discriminant_batch(q, steps)
+    # by min-max lambda_{2m+1} <= (m+1)^2 + max q, and max q <= sum |q_n|
+    lam_max = (ms.max() + 1.0) ** 2 + np.sum(np.abs(q.coeffs)) + 1.0
+    lam, anti, _ = _mode_eigenvalues(q, lam_max, SPECTRUM_TOL)
+    odd = ms % 2 == 1
+    if np.any(anti[2 * ms - 1] != odd) or np.any(anti[2 * ms] != odd):
+        raise FloatingPointError("gap edges are not of the kernel's series")
+    lo, hi = lam[2 * ms - 1], lam[2 * ms]
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    near = np.minimum(center - lam[2 * ms - 2], lam[2 * ms + 1] - center)
+    radius = np.minimum(half + 0.25, 0.5 * (half + near))
+    trust = float(radius.max()) + 0.1
+    models = build_models(disc, center, trust)
     out = []
-    for m in indices:
-        m = int(m)
-        if m < 1:
-            raise ValueError("indices must be positive")
-        center = float(m * m)
-        kernel = "plus" if m % 2 == 0 else "minus"
-        # the second circle either gives a record or raises
-        for attempt, r in enumerate((radius, 1.6 * radius)):
-            trust = r + 0.1
-            models = build_models(disc, np.array([center]), trust)
-            try:
-                value, counts = contour_sum(models, [center], trust, lambda z: z, kernel, r)
-            except NUMERICAL_FAILURES:
-                if attempt == 1:
-                    raise
-                continue
-            if abs(counts[0] - 2.0) <= 0.1:
-                out.append({
-                    "index": m,
-                    "t_sq": 0.5 * value,
-                    "count": counts[0],
-                    "radius": r,
-                    "radius_adapted": attempt > 0,
-                })
-                break
-            if attempt == 1:
-                raise FloatingPointError(
-                    f"circle at {center} encloses {counts[0]:.2f} roots, expected 2"
-                )
+    for i, (m, r) in enumerate(zip(ms.tolist(), radius.tolist())):
+        kernel = "minus" if odd[i] else "plus"
+        value, (count,) = contour_sum(
+            models[i : i + 1], center[i : i + 1], trust, lambda z: z, kernel, r
+        )
+        if abs(count - 2.0) > 0.1:
+            raise FloatingPointError(f"circle at {center[i]:.6f} holds {count:.2f} roots, not 2")
+        out.append({"index": m, "t_sq": 0.5 * value, "count": count, "radius": r})
+    check_residuals(np.abs([r["t_sq"] for r in out] - center), center, SPECTRUM_TOL)
     return out
 
 

@@ -227,6 +227,47 @@ class TestBasics:
         assert capsys.readouterr().err.startswith("configuration error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("radius", ["0", "-0.3"])
+    def test_nonpositive_contour_radius_is_a_config_error(
+        self, small_complex_field, tmp_path, capsys, radius
+    ):
+        # radius 0 wrote the value 0.0 (every root count 0 is an integer), and
+        # -0.3 integrated a circle of radius 0.3 on models trusted to 0.25
+        out = tmp_path / "stat.json"
+        argv = ["statistic", "--field", small_complex_field, "--method", "contour",
+                "--g", "builtin:lorentzian:c=3", "--window", "-1.5", "1.5",
+                f"--radius={radius}", "--out", str(out)]
+        assert main(argv) == 2
+        assert "contour radius must lie in (0, 1/4)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag", [("concentration", "--bootstrap"), ("invariance", "--permutations")]
+    )
+    def test_no_resamples_is_a_config_error(self, inputs, tmp_path, capsys, command, flag):
+        # --bootstrap 0 wrote NaN for envelope_eta and every stderr, and
+        # --permutations 0 ended in an IndexError traceback from np.quantile
+        out = tmp_path / "out.json"
+        extra = ["--statistic", "coord:a1"] if command == "concentration" else ["--time", "0.01"]
+        argv = [command, "--ensemble", inputs["ens"], *extra, flag, "0", "--out", str(out)]
+        assert main(argv) == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_borg_check_needs_a_midpoint(self, mathieu_field, tmp_path, capsys):
+        # n_max 0 used to fail in numpy: "zero-size array to reduction operation"
+        out = tmp_path / "borg.json"
+        argv = ["borg-check", "--field", mathieu_field, "--n-max", "0", "--out", str(out)]
+        assert main(argv) == 2
+        assert "n_max must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pw_statistic_has_no_radius(self, mathieu_field, tmp_path):
+        # each circle's radius follows from the gaps
+        argv = ["pw-statistic", "--field", mathieu_field, "--radius", "0.25",
+                "--out", str(tmp_path / "pw.json")]
+        assert main(argv) == 2
+
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
     def test_every_subcommand_writes_a_manifest(self, command, inputs, tmp_path):
         out = tmp_path / "result.json"

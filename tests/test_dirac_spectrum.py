@@ -293,7 +293,8 @@ class TestLinearStatistics:
 
     def test_radius_cap(self):
         g = ds.lorentzian(3.0)
-        with pytest.raises(ValueError):
-            ds.linear_statistic_contour(
-                zero_field(1), g, np.array([0.0], dtype=complex), radius=0.3
-            )
+        for radius in (0.3, 0.0, -0.3):
+            with pytest.raises(ValueError, match="radius must lie in"):
+                ds.linear_statistic_contour(
+                    zero_field(1), g, np.array([0.0], dtype=complex), radius=radius
+                )

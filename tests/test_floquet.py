@@ -484,19 +484,37 @@ class TestContourSum:
             floquet.contour_sum(models, centers, 0.25, self.G, "critical", 0.2)
 
     def test_radius_past_trust_rejected(self):
+        # a negative radius integrates the circle of radius |radius|, past the
+        # trust at -0.3; radius 0 gives every count 0, an integer
         disc = lambda z: 2.0 * np.cos(np.pi * np.asarray(z))
         models = floquet.build_models(disc, np.array([0.0]), 0.25)
-        with pytest.raises(ValueError, match="trust"):
-            floquet.contour_sum(models, [0.0], 0.25, self.G, "critical", 0.3)
+        for radius in (0.3, 0.0, -0.3):
+            with pytest.raises(ValueError, match="trust"):
+                floquet.contour_sum(models, [0.0], 0.25, self.G, "critical", radius)
+
+    @staticmethod
+    def pw_circles(q, indices, radius):
+        """t_m^2 and root counts on circles of one radius at m^2, one model each."""
+        disc = hs.hill_discriminant_batch(q)
+        t_sq, counts = [], []
+        for m in indices:
+            center = np.array([float(m * m)])
+            models = floquet.build_models(disc, center, radius + 0.1)
+            kernel = "plus" if m % 2 == 0 else "minus"
+            value, count = floquet.contour_sum(
+                models, center, radius + 0.1, lambda z: z, kernel, radius
+            )
+            t_sq.append(0.5 * value)
+            counts += count
+        return np.array(t_sq), np.array(counts)
 
     def test_pw_statistic_at_radius_three(self):
         # models of 88 coefficients; t^2 pinned from the per-circle np.polyval sum
         q = unit_mass(real_even_field(8, 41))
-        records = hs.pw_statistic_contour(q, [2, 3, 4, 5], radius=3.0)
+        t_sq, counts = self.pw_circles(q, [2, 3, 4, 5], 3.0)
         want = [4.053913768904666, 9.022272777777403, 16.018235946202594, 25.012141049595]
-        assert [r["radius"] for r in records] == [3.0] * 4
-        assert np.allclose([r["count"] for r in records], 2.0, atol=1e-8)
-        assert np.allclose([r["t_sq"] for r in records], want, rtol=0.0, atol=1e-10)
+        assert np.allclose(counts, 2.0, atol=1e-8)
+        assert np.allclose(t_sq, want, rtol=0.0, atol=1e-10)
 
     def test_pw_statistic_on_a_wide_ring(self):
         # at radius 14 the models carry 280 coefficients, the last of them
@@ -504,10 +522,9 @@ class TestContourSum:
         q = PeriodicField(2, [0.1, 0.0, 0.0, 0.0, 0.1])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            records = hs.pw_statistic_contour(q, [6, 8], radius=14.0)
+            t_sq, _ = self.pw_circles(q, [6, 8], 14.0)
         want = [36.00014285561523, 64.0000793651504]
-        assert [r["radius"] for r in records] == [14.0, 14.0]
-        assert np.allclose([r["t_sq"] for r in records], want, rtol=0.0, atol=1e-10)
+        assert np.allclose(t_sq, want, rtol=0.0, atol=1e-10)
 
 
 def test_engine_rejects_wrong_node_count():

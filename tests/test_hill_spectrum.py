@@ -298,6 +298,65 @@ class TestPwStatistic:
             direct = data.t(r["index"]) ** 2
             assert abs(r["t_sq"] - direct) < 1e-6
 
+    def test_unit_mass_members_match_oracle(self):
+        # circles of radius 1/4 at m^2 raised on 57 of these 240 (member,
+        # index) pairs, and missed the oracle by up to 0.45 on 31 more
+        for seed in range(2000, 2040):
+            q = scaled_kdv_member(seed, 1.0)
+            recs = hs.pw_statistic_contour(q, range(1, 7), steps=1024)
+            ref = hill_oracle(q, 60.0, K=64)
+            assert [sorted(r) for r in recs] == [["count", "index", "radius", "t_sq"]] * 6
+            assert [r["index"] for r in recs] == [1, 2, 3, 4, 5, 6]
+            err = np.array([r["t_sq"] for r in recs]) - 0.5 * (ref[1:12:2] + ref[2:13:2])
+            assert np.max(np.abs(err)) < 1e-7, seed
+
+    @pytest.mark.parametrize("c", [0.5, -3.0])
+    def test_shift_covariance(self, c):
+        # adding c to q adds c to every eigenvalue; circles at m^2 lost index 1
+        q = mathieu(0.1)
+        base = [r["t_sq"] for r in hs.pw_statistic_contour(q, [1, 2, 3, 4])]
+        moved = hs.pw_statistic_contour(q + field_from_modes(2, {0: c}), [1, 2, 3, 4])
+        assert np.allclose([r["t_sq"] - c for r in moved], base, rtol=0.0, atol=1e-7)
+
+    def test_models_built_once(self, monkeypatch):
+        built = []
+        original = hs.build_models
+
+        def counting(f_batch, centers, trust):
+            built.append(len(centers))
+            return original(f_batch, centers, trust)
+
+        monkeypatch.setattr(hs, "build_models", counting)
+        hs.pw_statistic_contour(mathieu(0.05), [1, 2, 3, 4])
+        assert built == [4]
+
+    def test_each_check_raises(self, monkeypatch):
+        q = mathieu(0.05)
+        contour_sum, mode_eigenvalues = hs.contour_sum, hs._mode_eigenvalues
+
+        def shifted(shift, count):
+            def fake(*args):
+                value, _ = contour_sum(*args)
+                return value + 2.0 * shift, [count]
+            return fake
+
+        # a root count of 1, then a t^2 1e-5 off the gap midpoint
+        for fake, match in ((shifted(0.0, 1.0), "1.00 roots"), (shifted(1e-5, 2.0), "residual")):
+            monkeypatch.setattr(hs, "contour_sum", fake)
+            with pytest.raises(FloatingPointError, match=match):
+                hs.pw_statistic_contour(q, [1, 2])
+        monkeypatch.setattr(hs, "contour_sum", contour_sum)
+
+        def relabelled(*args):  # gap edges of the other series
+            values, anti, bounds = mode_eigenvalues(*args)
+            return values, ~anti, bounds
+
+        monkeypatch.setattr(hs, "_mode_eigenvalues", relabelled)
+        with pytest.raises(FloatingPointError, match="series"):
+            hs.pw_statistic_contour(q, [1, 2])
+        with pytest.raises(ValueError, match="positive"):
+            hs.pw_statistic_contour(q, [0, 1])
+
 
 class TestGapSummability:
     def test_free_all_zero(self):
