@@ -128,9 +128,9 @@ def cmd_statistic(args) -> dict:
     window = (args.window[0], args.window[1])
     if args.centers == "auto":
         lo, hi = int(np.ceil(window[0])), int(np.floor(window[1]))
-        centers = np.arange(lo, hi + 1).astype(complex)
+        centers = np.arange(lo, hi + 1).astype(float)
     else:
-        centers = np.array([complex(float(c)) for c in args.centers.split(",")])
+        centers = np.array([float(c) for c in args.centers.split(",")])
     if args.method == "contour":
         value = ds.linear_statistic_contour(
             field, g, centers, radius=args.radius, kernel=args.kernel, steps=args.steps

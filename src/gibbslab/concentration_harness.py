@@ -52,6 +52,11 @@ DIRAC_STEPS = 128
 HILL_STEPS = 128
 T_GRID_POINTS = 41
 
+# Bootstrap replicates are evaluated in blocks whose (block, T, n)
+# temporaries hold about this many elements (one replicate at least): 512 KiB
+# each; blocks of 2^18 took twice as long at 100 and 1,000 members
+BOOTSTRAP_BLOCK_ELEMENTS = 2**16
+
 
 class DegenerateWeightsError(ValueError):
     """The weights leave nothing to estimate: one is negative, they sum to
@@ -277,10 +282,11 @@ def default_t_grid(sample: StatisticSample) -> np.ndarray:
 
 
 def _log_mean_exp(centered: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Weighted log-mean-exp of t * centered at every t, one (T, n) array."""
-    a = t[:, None] * centered
-    peak = np.max(a, axis=1)
-    return peak + np.log(np.sum(weights * np.exp(a - peak[:, None]), axis=1) / np.sum(weights))
+    """Weighted log-mean-exp of t * centered at every t: (..., n) samples give (..., T)."""
+    a = t[:, None] * centered[..., None, :]
+    peak = np.max(a, axis=-1)
+    total = np.sum(weights[..., None, :] * np.exp(a - peak[..., None]), axis=-1)
+    return peak + np.log(total / np.sum(weights, axis=-1)[..., None])
 
 
 def empirical_log_mgf(
@@ -292,8 +298,10 @@ def empirical_log_mgf(
     """Weighted log-mean-exp of the centered statistic with bootstrap bands.
 
     The grid must be symmetric around zero.  Grid points where the exponent
-    overflows float64 are trimmed and counted.  L(0) = 0 exactly.  Each
-    bootstrap replicate evaluates the whole grid on one (T, n) array.
+    overflows float64 are trimmed and counted.  L(0) = 0 exactly.  The
+    bootstrap replicates are evaluated a block at a time, the block's whole
+    grid on one (block, T, n) array of about BOOTSTRAP_BLOCK_ELEMENTS
+    elements.
     """
     if bootstrap < 1:
         raise ValueError(f"bootstrap needs at least 1 replicate, got {bootstrap}")
@@ -312,9 +320,11 @@ def empirical_log_mgf(
     rng = np.random.default_rng(np.random.SeedSequence((seed, _BOOTSTRAP_TAG)))
     n = centered.size
     boots = np.empty((bootstrap, t_use.size))
-    for b in range(bootstrap):
-        idx = rng.integers(0, n, n)
-        boots[b] = _log_mean_exp(centered[idx], w[idx], t_use)
+    block = max(1, BOOTSTRAP_BLOCK_ELEMENTS // max(1, t_use.size * n))
+    for s in range(0, bootstrap, block):
+        # the same stream as one rng.integers(0, n, n) per replicate
+        idx = rng.integers(0, n, (min(block, bootstrap - s), n))
+        boots[s : s + len(idx)] = _log_mean_exp(centered[idx], w[idx], t_use)
     stderr = boots.std(axis=0)
     return LogMgfCurve(t=t_use, value=vals, stderr=stderr, trimmed=trimmed)
 

@@ -357,10 +357,11 @@ def linear_statistic_contour(
     Delta'/(Delta -+ 2) (eigenvalue series) over a chain of circles.  Each
     circle must enclose the intended roots only; the g = 1 root count is
     checked for integrality and a failure raises ContourPlacementError.
+    The centers must be real (floquet.build_models).
     """
     if not 0.0 < radius < 0.25:
         raise ValueError(f"contour radius must lie in (0, 1/4), got {radius}")
-    centers = np.asarray(centers, dtype=complex)
+    centers = np.asarray(centers)
     if centers.size == 0:
         raise ValueError("no contour centers (the default centers are the integers in the window)")
     disc = discriminant_batch(field, steps)

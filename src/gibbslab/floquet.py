@@ -25,7 +25,9 @@ Four layers, all pure functions over immutable inputs:
   center.  A set of models is one complex array, a row of coefficients
   per center.  The discriminant is entire of exponential type pi (Dirac)
   or of lower growth (Hill), so the circle's node count follows from the
-  growth bound (pi r)^n / n! <= 1e-16 (see build_models);
+  growth bound (pi r)^n / n! <= 1e-16 (see build_models).  It is real on
+  the real axis, Delta(conj z) = conj Delta(z), and the centers are real,
+  so only the upper half of each circle is evaluated;
 * a window scan for the real zeros of the discriminant's derivative (the
   critical points): models at the discrete extrema of a grid, their
   derivative rows solved at once by an argument-principle count, Newton on
@@ -298,14 +300,24 @@ def build_models(f_batch, centers: np.ndarray, trust: float) -> np.ndarray:
     discriminant, 2 cos(pi sqrt(lambda)) in the free case, is of order 1/2
     in lambda: its high coefficients fall faster than those of type pi, so
     the rule holds for it too.
+
+    ``f_batch`` must also satisfy f(conj z) = conj f(z), as every
+    :func:`transfer_discriminant` closure does (B and C are real), and the
+    centers must be real (ValueError otherwise): each circle is its own
+    mirror image, so ``f_batch`` sees only the nodes 0 .. n/2 of the upper
+    half, and node n - j takes the conjugate of node j's value.
     """
-    centers = np.asarray(centers, dtype=complex)
+    if np.any(np.imag(centers) != 0.0):
+        raise ValueError("disk model centers must be real")
+    centers = np.real(centers)
     radius = 2.0 * trust
     nodes = _ring_nodes(radius)
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    half = nodes // 2
+    theta = 2.0 * np.pi * np.arange(half + 1) / nodes
     ring = radius * np.exp(1j * theta)
     pts = (centers[:, None] + ring[None, :]).ravel()
-    vals = np.asarray(f_batch(pts), dtype=complex).reshape(centers.size, nodes)
+    upper = np.asarray(f_batch(pts), dtype=complex).reshape(centers.size, half + 1)
+    vals = np.concatenate([upper, upper[:, half - 1 : 0 : -1].conj()], axis=1)
     # r^-k underflows quietly to 0 where r^k would overflow on a wide circle
     return np.fft.fft(vals, axis=1) * (radius ** -np.arange(nodes) / nodes)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,48 @@ class TestLogMgf:
         sample = ch.collect_statistic(ens, lambda f: 100.0 * np.real(f.mode(1)), name="big")
         curve = ch.empirical_log_mgf(sample, np.linspace(-50, 50, 21), bootstrap=10)
         assert curve.trimmed > 0
+
+    @staticmethod
+    def bootstrap_reference(sample, t, bootstrap, seed):
+        """Bootstrap stderr one replicate at a time: a draw of n indices and a
+        (T, n) log-mean-exp each, in the replicates' order."""
+        centered = sample.values - sample.weighted_mean()
+        w, n = sample.weights, sample.values.size
+        rng = np.random.default_rng(np.random.SeedSequence((seed, ch._BOOTSTRAP_TAG)))
+        boots = np.empty((bootstrap, t.size))
+        for b in range(bootstrap):
+            idx = rng.integers(0, n, n)
+            a = t[:, None] * centered[idx]
+            peak = np.max(a, axis=1)
+            total = np.sum(w[idx] * np.exp(a - peak[:, None]), axis=1)
+            boots[b] = peak + np.log(total / np.sum(w[idx]))
+        return boots.std(axis=0)
+
+    # blocks of 133 replicates at T = 41, n = 12, and of 3 under the small cap;
+    # 1,000 replicates is a multiple of neither
+    @pytest.mark.parametrize("cap", [ch.BOOTSTRAP_BLOCK_ELEMENTS, 3 * 41 * 12])
+    def test_blocked_bootstrap_matches_per_replicate_loop(self, cap, monkeypatch):
+        monkeypatch.setattr(ch, "BOOTSTRAP_BLOCK_ELEMENTS", cap)
+        rng = np.random.default_rng(4)
+        values, weights = rng.normal(size=12), rng.uniform(0.5, 2.0, 12)
+        sample = ch.StatisticSample(values, weights, "x", "synthetic")
+        curve = ch.empirical_log_mgf(sample, bootstrap=1000, seed=9)
+        assert curve.t.size == 41
+        want = self.bootstrap_reference(sample, curve.t, 1000, 9)
+        assert np.array_equal(curve.stderr, want)
+
+    def test_bootstrap_memory_is_capped(self):
+        # unblocked, 100 replicates of 5,000 members on the 41-point grid
+        # would be 164 MB per temporary
+        rng = np.random.default_rng(5)
+        sample = ch.StatisticSample(rng.normal(size=5000), rng.uniform(size=5000), "x", "synthetic")
+        tracemalloc.start()
+        try:
+            ch.empirical_log_mgf(sample, bootstrap=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestSubgaussianFit:

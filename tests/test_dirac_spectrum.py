@@ -112,7 +112,7 @@ class TestDiscriminant:
         # pi; its closed form is sampled, so only the ring's aliasing is seen
         # (the transfer matrix's step error would add to it)
         disc = lambda z: 2.0 * np.cos(np.pi * np.asarray(z))
-        centers = np.array([0.0, 0.5, -1.3, 2.2 + 0.3j])
+        centers = np.array([0.0, 0.5, -1.3, 2.2])
         assert [_ring_nodes(2.0 * t) for t in (0.25, 0.35, 0.5)] == [24, 32, 32]
         for trust in (0.25, 0.35, 0.5, 1.5):
             r = 2.0 * trust

@@ -323,6 +323,85 @@ class TestTaylorSteps:
             assert new <= old, (new, old)
 
 
+def full_ring_models(f_batch, centers: np.ndarray, trust: float) -> np.ndarray:
+    """Disk models from f sampled on every node of each circle, one FFT per circle."""
+    radius = 2.0 * trust
+    nodes = floquet._ring_nodes(radius)
+    ring = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    vals = np.asarray(f_batch((centers[:, None] + ring).ravel())).reshape(centers.size, nodes)
+    return np.fft.fft(vals, axis=1) * (radius ** -np.arange(nodes) / nodes)
+
+
+class TestHalfRing:
+    """build_models samples the upper half of each circle and mirrors the rest."""
+
+    @pytest.mark.parametrize("trust", [0.25, floquet.TRUST, 1.5])
+    def test_upper_half_nodes_only(self, trust):
+        seen = []
+
+        def counting(z):
+            seen.append(np.asarray(z))
+            return 2.0 * np.cos(np.pi * np.asarray(z))
+
+        centers = np.array([0.0, 0.5, -1.3, 2.2])
+        models = floquet.build_models(counting, centers, trust)
+        nodes = floquet._ring_nodes(2.0 * trust)
+        assert models.shape == (centers.size, nodes)
+        assert len(seen) == 1 and seen[0].size == centers.size * (nodes // 2 + 1)
+        offsets = seen[0].reshape(centers.size, -1) - centers[:, None]
+        assert np.all(offsets.imag >= 0.0)
+        assert np.allclose(np.abs(offsets), 2.0 * trust, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "disc, centers",
+        [
+            (ds.discriminant_batch(TestTaylorSteps.DIRAC_MEMBERS[0], 128), [-3.1, -0.4, 0.9, 2.5]),
+            (hs.hill_discriminant_batch(TestTaylorSteps.HILL_MEMBERS[0], 128), [0.3, 4.0, 9.2]),
+        ],
+        ids=["dirac", "hill"],
+    )
+    @pytest.mark.parametrize("trust", [ds.CHECK_TRUST, floquet.TRUST])
+    def test_matches_full_ring(self, disc, centers, trust):
+        centers = np.array(centers)
+        got = floquet.build_models(disc, centers, trust)
+        want = full_ring_models(disc, centers, trust)
+        scaled = (2.0 * trust) ** np.arange(want.shape[1])
+        size = np.max(np.abs(want) * scaled, axis=1)
+        assert np.all(np.max(np.abs(got - want) * scaled, axis=1) <= 1e-14 * size)
+
+    def test_non_real_center_rejected(self):
+        disc = lambda z: 2.0 * np.cos(np.pi * np.asarray(z))
+        with pytest.raises(ValueError, match="real"):
+            floquet.build_models(disc, np.array([0.0, 2.2 + 0.3j]), 0.25)
+        # a complex array on the real axis is real
+        real = floquet.build_models(disc, np.array([0.0, 2.2]), 0.25)
+        assert np.array_equal(floquet.build_models(disc, np.array([0.0, 2.2 + 0j]), 0.25), real)
+
+    def test_dirac_statistic_member_lanes(self, monkeypatch):
+        # one member of the Dirac statistic evaluates Delta on the 97-point
+        # scan grid of (-4.8, 4.8), then on the upper halves of the scan
+        # models' 32-node circles (17 nodes each) and of the check models'
+        # 24-node circles (13 each)
+        lanes, centers = [], []
+        original_transfer, original_models = floquet.rk4_transfer, floquet.build_models
+
+        def counting_transfer(step_poly, steps, lam):
+            lanes.append(np.size(lam))
+            return original_transfer(step_poly, steps, lam)
+
+        def counting_models(f_batch, centers_, trust):
+            centers.append(np.size(centers_))
+            return original_models(f_batch, centers_, trust)
+
+        monkeypatch.setattr(floquet, "rk4_transfer", counting_transfer)
+        monkeypatch.setattr(floquet, "build_models", counting_models)
+        monkeypatch.setattr(ds, "build_models", counting_models)
+        _, stat = ch.make_statistic("dirac:critical:lorentzian:c=3:M=3")
+        assert np.isfinite(stat(TestTaylorSteps.DIRAC_MEMBERS[0]))
+        assert len(centers) == 2 and min(centers) > 0
+        assert lanes == [97, 17 * centers[0], 13 * centers[1]]
+
+
 def companion_roots(coef: np.ndarray, trust: float) -> np.ndarray:
     """In-disk roots of np.roots on the trimmed row, the rule before the count."""
     scale = np.abs(coef) * trust ** np.arange(coef.size)
