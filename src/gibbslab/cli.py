@@ -126,12 +126,15 @@ def cmd_statistic(args) -> dict:
     field = load_field(args.field)
     g = ds.parse_test_function(args.g)
     window = (args.window[0], args.window[1])
-    if args.centers == "auto":
-        lo, hi = int(np.ceil(window[0])), int(np.floor(window[1]))
-        centers = np.arange(lo, hi + 1).astype(float)
-    else:
-        centers = np.array([float(c) for c in args.centers.split(",")])
-    if args.method == "contour":
+    if args.method == "contour" and args.centers == "auto":
+        # circles on the field's critical points, integrated on the disk
+        # models of their |Delta'| checks, as the dirac:critical statistic does
+        crit = ds.critical_points(field, window, steps=args.steps)
+        value = ds.contour_statistic(
+            crit.critical_models, crit.critical_points, g, radius=args.radius, kernel=args.kernel
+        )
+    elif args.method == "contour":
+        centers = [float(c) for c in args.centers.split(",")]
         value = ds.linear_statistic_contour(
             field, g, centers, radius=args.radius, kernel=args.kernel, steps=args.steps
         )
@@ -366,7 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", required=True)
     sp.add_argument("--method", choices=["contour", "direct"], required=True)
     sp.add_argument("--g", required=True, help="test function, e.g. builtin:lorentzian:c=3")
-    sp.add_argument("--centers", default="auto")
+    sp.add_argument(
+        "--centers",
+        default="auto",
+        help="comma-separated real contour centers, or 'auto' for the field's critical "
+        "points in --window",
+    )
     sp.add_argument("--kernel", choices=["critical", "plus", "minus"], default="critical")
     sp.add_argument("--radius", type=float, default=0.2)
     sp.add_argument("--window", type=float, nargs=2, default=[-3.5, 3.5])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import NUMERICAL_FAILURES, contour_sum
+from .floquet import NUMERICAL_FAILURES
 from .fourier_field import PeriodicField, l2_norm_sq, lp_integral
 from .gibbs_sampler import GibbsEnsemble
 from . import dirac_spectrum as ds
@@ -182,9 +182,7 @@ def make_statistic(spec: str):
             points = np.array(crit.critical_points)
             pts = ds.two_sided_slice(points, m)
             rows = (pts[0] <= points) & (points <= pts[-1])
-            return contour_sum(
-                crit.critical_models[rows], points[rows], ds.CHECK_TRUST, g, "critical", 0.2
-            )[0]
+            return ds.contour_statistic(crit.critical_models[rows], points[rows], g)
 
         return name, stat
     if head == "hill":

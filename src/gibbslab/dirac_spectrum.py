@@ -26,6 +26,7 @@ import numpy as np
 
 from .floquet import (
     TAYLOR_ORDER,
+    TRUST,
     InsufficientPointsError,
     build_models,
     check_residuals,
@@ -48,6 +49,7 @@ __all__ = [
     "spectral_data_from",
     "two_sided_slice",
     "linear_statistic_direct",
+    "contour_statistic",
     "linear_statistic_contour",
     "lorentzian",
     "cos_gauss",
@@ -57,9 +59,6 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 256
-# trust radius of the disk models of the |Delta'| checks, which the Dirac
-# statistic integrates on
-CHECK_TRUST = 0.25
 
 
 # Psi' = (B(x) + lambda C) Psi with B = [[Q, P], [P, -Q]] and C = [[0, -1/2], [1/2, 0]]
@@ -106,7 +105,7 @@ class SpectralDataDirac:
     periodic_points: tuple[SpectralPoint, ...] = ()
     critical_points: tuple[float, ...] = ()
     critical_residuals: tuple[float, ...] = ()
-    # the |Delta'| checks' disk models (trust CHECK_TRUST), one row per
+    # the |Delta'| checks' disk models (trust floquet.TRUST), one row per
     # critical point, for contour sums; not serialized
     critical_models: np.ndarray = dataclasses.field(
         default_factory=lambda: np.empty((0, 0), dtype=complex), compare=False, repr=False
@@ -170,12 +169,11 @@ def _periodic_points(field, disc, window, refine_tol: float) -> tuple[SpectralPo
 
 def _critical_data(disc, window, refine_tol: float) -> SpectralDataDirac:
     """Real zeros of Delta' in the window, located on the closure ``disc``."""
-    roots = locate_spectral_points(disc, _scan_grid(window))
-    vals = [float(v) for v in roots if window[0] <= v <= window[1]]
+    vals = locate_spectral_points(disc, _scan_grid(window)).tolist()
     checks, residuals = np.empty((0, 0), dtype=complex), np.empty(0)
     if vals:
         # |Delta'| from fresh disk models centered on the points, in one batch
-        checks = build_models(disc, np.array(vals), CHECK_TRUST)
+        checks = build_models(disc, np.array(vals), TRUST)
         residuals = check_residuals(np.abs(checks[:, 1]), vals, refine_tol)
     return SpectralDataDirac(
         window=window,
@@ -233,7 +231,37 @@ def spectral_data_from(field, disc, window: tuple[float, float], refine_tol: flo
     """
     pts = _periodic_points(field, disc, window, refine_tol)
     crit = _critical_data(disc, window, refine_tol)
+    _check_gaps(pts, np.array(crit.critical_points))
     return dataclasses.replace(crit, periodic_points=pts)
+
+
+def _check_gaps(points: tuple[SpectralPoint, ...], crit: np.ndarray) -> None:
+    """FloatingPointError unless the critical points between the first and the last
+    periodic point lie one in each gap, in order.
+
+    Delta' has exactly one zero in each gap, two consecutive periodic points
+    of one series counted with multiplicity (a double point is a closed
+    gap), and none in a band.  Each gap is widened by its edges' truncation
+    bounds.
+    """
+    if not points:
+        return
+    expanded = [p for p in points for _ in range(p.multiplicity)]
+    v = np.array([p.value for p in expanded])
+    b = np.array([p.truncation_bound for p in expanded])
+    gap = np.array([p.series == q.series for p, q in zip(expanded, expanded[1:])], dtype=bool)
+    lo, hi = (v - b)[:-1][gap], (v + b)[1:][gap]
+    inner = crit[(v[0] - b[0] <= crit) & (crit <= v[-1] + b[-1])]
+    if inner.size != lo.size:
+        raise FloatingPointError(
+            f"{inner.size} critical points in {lo.size} gaps between {v[0]:.8f} and {v[-1]:.8f}"
+        )
+    out = np.flatnonzero((inner < lo) | (inner > hi))
+    if out.size:
+        i = out[0]
+        raise FloatingPointError(
+            f"critical point {inner[i]:.8f} outside its gap [{lo[i]:.8f}, {hi[i]:.8f}]"
+        )
 
 
 def two_sided_slice(points: np.ndarray, M: int) -> np.ndarray:
@@ -343,6 +371,27 @@ def linear_statistic_direct(points, g, M: int) -> float:
     return float(np.real(np.sum(g(sel.astype(complex)))))
 
 
+def contour_statistic(
+    models: np.ndarray, centers, g, radius: float = 0.2, kernel: str = "critical"
+) -> float:
+    """Residue-calculus evaluation of the linear statistic on disk models.
+
+    ``models`` are the discriminant's :func:`floquet.build_models` rows at
+    the real ``centers``, of trust floquet.TRUST, such as the
+    ``critical_models`` of :func:`critical_points`.  Integrates g times
+    Delta''/Delta' (critical points) or Delta'/(Delta -+ 2) (eigenvalue
+    series) over a chain of circles.  Each circle must enclose the intended
+    roots only; the g = 1 root count is checked for integrality and a
+    failure raises ContourPlacementError.
+    """
+    if not 0.0 < radius < 0.25:
+        raise ValueError(f"contour radius must lie in (0, 1/4), got {radius}")
+    if np.size(centers) == 0:
+        raise ValueError("no contour centers (the default centers are the field's critical points)")
+    value, _counts = contour_sum(models, centers, TRUST, g, kernel, radius)
+    return value
+
+
 def linear_statistic_contour(
     field: PeriodicField,
     g,
@@ -351,21 +400,8 @@ def linear_statistic_contour(
     kernel: str = "critical",
     steps: int = DEFAULT_STEPS,
 ) -> float:
-    """Residue-calculus evaluation of the linear statistic.
-
-    Integrates g times Delta''/Delta' (critical points) or
-    Delta'/(Delta -+ 2) (eigenvalue series) over a chain of circles.  Each
-    circle must enclose the intended roots only; the g = 1 root count is
-    checked for integrality and a failure raises ContourPlacementError.
-    The centers must be real (floquet.build_models).
-    """
-    if not 0.0 < radius < 0.25:
-        raise ValueError(f"contour radius must lie in (0, 1/4), got {radius}")
+    """:func:`contour_statistic` on disk models of the field's discriminant at ``centers``,
+    which must be real (floquet.build_models)."""
     centers = np.asarray(centers)
-    if centers.size == 0:
-        raise ValueError("no contour centers (the default centers are the integers in the window)")
-    disc = discriminant_batch(field, steps)
-    trust = max(0.25, radius + 0.05)
-    models = build_models(disc, centers, trust)
-    value, _counts = contour_sum(models, centers, trust, g, kernel, radius)
-    return value
+    models = build_models(discriminant_batch(field, steps), centers, TRUST)
+    return contour_statistic(models, centers, g, radius, kernel)

@@ -29,10 +29,9 @@ Four layers, all pure functions over immutable inputs:
   the real axis, Delta(conj z) = conj Delta(z), and the centers are real,
   so only the upper half of each circle is evaluated;
 * a window scan for the real zeros of the discriminant's derivative (the
-  critical points): models at the discrete extrema of a grid, their
-  derivative rows solved at once by an argument-principle count, Newton on
-  the real roots bracketed by sign changes, and np.roots only where the
-  count disagrees with the roots found;
+  critical points): a model at each discrete extremum of a grid, and one
+  batched Newton solve of their derivative rows, each root checked to lie
+  between its extremum's grid neighbours;
 * periodic spectra by Hill's method: eigenvalues of the operator's
   Hermitian Fourier mode matrices, each with a truncation bound.
 
@@ -326,125 +325,61 @@ def build_models(f_batch, centers: np.ndarray, trust: float) -> np.ndarray:
 # Critical points on a real window
 # ---------------------------------------------------------------------------
 
-def _thin_centers(cands: np.ndarray, min_sep: float) -> np.ndarray:
-    kept: list[float] = []
-    for c in cands:
-        if not kept or c - kept[-1] >= min_sep:
-            kept.append(c)
-    return np.asarray(kept, dtype=float)
-
-
-# Window-scan tolerances.  Disk models are trusted within TRUST of their
-# centers; a root with imaginary part at most IMAG_TOL counts as real.
-TRUST = 0.35
-IMAG_TOL = 1e-3
-
-# Counted root location (_disk_roots): count nodes on the trust circle,
-# real samples of its diameter, Newton steps and the tolerances for a found
-# root and for an integral count.
-COUNT_NODES = 256
-REAL_SAMPLES = 33
+# Disk models of the discriminant are trusted within TRUST of their centers.
+# Newton steps of the critical-point solve, and the size of the last step
+# that counts as converged.
+TRUST = 0.25
 NEWTON_STEPS = 10
 NEWTON_TOL = 1e-13
-COUNT_TOL = 0.1
-
-
-def _disk_roots(coefs: np.ndarray, trust: float) -> list[np.ndarray]:
-    """Roots inside |w| <= trust of each row's polynomial sum_k coefs[i, k] w^k.
-
-    Each row is first trimmed: its coefficients past the last one whose
-    size |c_k| trust^k exceeds 1e-14 of the row's largest are zeroed.  The
-    roots of every row are then found at once:
-
-    * the argument principle counts the roots in the disk, the trapezoid
-      rule on COUNT_NODES nodes of |w| = trust (an FFT each for g and w g');
-    * sign changes of Re g on REAL_SAMPLES samples of [-trust, trust]
-      bracket the real roots, and Newton steps from the bracket midpoints
-      polish them; a root counts as found when it is finite, its last step
-      is at most NEWTON_TOL and it lies in its own bracket.
-
-    A row whose count is within COUNT_TOL of an integer equal to the number
-    found, with every bracket's root found, returns those roots.  Any other
-    row (a conjugate pair, two roots in one sample cell, a root near the
-    circle) returns the in-disk roots of ``np.roots`` on the same trimmed
-    coefficients, as every row did before the count.
-    """
-    rows, n = coefs.shape
-    if n > COUNT_NODES:
-        raise ValueError("more coefficients than count nodes")
-    k = np.arange(n)
-    radius_k = trust**k
-    size = np.abs(coefs) * radius_k
-    top = size.max(axis=1)
-    degree = n - 1 - np.argmax((size > 1e-14 * top[:, None])[:, ::-1], axis=1)
-    trimmed = np.where(k <= degree[:, None], coefs, 0.0)
-    scaled = trimmed * radius_k
-    samples = np.linspace(-trust, trust, REAL_SAMPLES)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        on_circle = np.fft.fft(np.concatenate([scaled, scaled * k]), COUNT_NODES, axis=1)
-        count = np.mean(on_circle[rows:] / on_circle[:rows], axis=1)
-        on_axis = (trimmed @ (samples[:, None] ** k).T).real
-        row, cell = np.nonzero(on_axis[:, :-1] * on_axis[:, 1:] < 0.0)
-        z = 0.5 * (samples[cell] + samples[cell + 1]).astype(complex)
-        c, dc = trimmed[row], trimmed[row, 1:] * k[1:]
-        for _ in range(NEWTON_STEPS):
-            powers = np.vander(z, n, increasing=True)
-            step = np.einsum("ij,ij->i", c, powers) / np.einsum("ij,ij->i", dc, powers[:, :-1])
-            z = z - step
-    found = (
-        np.isfinite(z)
-        & (np.abs(step) <= NEWTON_TOL)
-        & (samples[cell] <= z.real)
-        & (z.real < samples[cell + 1])
-    )
-    whole = np.rint(count.real)
-    accepted = (
-        (np.abs(count - whole) <= COUNT_TOL)
-        & (whole == np.bincount(row[found], minlength=rows))
-        & (np.bincount(row[~found], minlength=rows) == 0)
-    )
-    # the brackets come in row order, so each row's roots are one slice of z
-    per_row = np.split(z, np.cumsum(np.bincount(row, minlength=rows))[:-1])
-    out = []
-    for i in range(rows):
-        if accepted[i]:
-            out.append(per_row[i])
-        elif top[i] == 0.0:  # no count on a zero row
-            out.append(np.empty(0, dtype=complex))
-        else:
-            roots = np.roots(trimmed[i, degree[i] :: -1])
-            out.append(roots[np.abs(roots) <= trust])
-    return out
 
 
 def locate_spectral_points(f_batch, grid: np.ndarray) -> np.ndarray:
-    """Real zeros of f' on a window, sorted.
+    """Real zeros of f' on a window, one for each discrete extremum of f on the grid.
 
-    The grid must be fine enough that every zero lies within ``TRUST`` of a
-    discrete extremum of the samples; disk models are centered at those
-    extrema and their derivative rows solved in one batch
-    (:func:`_disk_roots`): counted, then bracketed and polished, with
-    ``np.roots`` only for the rows whose count disagrees.  A root with
-    imaginary part at most ``IMAG_TOL`` is kept, by the model whose center is
-    nearest to it only.
+    Each zero must be simple and lie between the grid neighbours of its
+    extremum x_i, alone there, as the critical points of the Dirac
+    discriminant do (one in each gap; Grebert & Kappeler, The Defocusing
+    NLS Equation and Its Normal Form, EMS 2014).  A disk model is centered
+    at every x_i and the f' rows of all models are solved at once by
+    NEWTON_STEPS Newton steps from w = 0.  A root that is not finite, whose
+    last step exceeds NEWTON_TOL or that lies outside (x_{i-1}, x_{i+1}),
+    or two extrema that resolve to one root, raise FloatingPointError.
+    Returns the zeros sorted.
     """
     grid = np.asarray(grid, dtype=float)
     d = np.real(np.asarray(f_batch(grid.astype(complex))))
     slope = np.diff(d)
-    cands = grid[1:-1][slope[:-1] * slope[1:] < 0]
-    if not cands.size:
+    ext = np.flatnonzero(slope[:-1] * slope[1:] < 0) + 1
+    if not ext.size:
         return np.empty(0)
-    centers = _thin_centers(cands, 0.35 * TRUST)
-    coefs = build_models(f_batch, centers, TRUST)
-    n = coefs.shape[1]
-    deriv = np.pad(coefs[:, 1:] * np.arange(1, n), ((0, 0), (0, 1)))
-    owned = []
-    for mi, (x0, roots) in enumerate(zip(centers, _disk_roots(deriv, TRUST))):
-        for w in np.real(roots[np.abs(np.imag(roots)) <= IMAG_TOL]):
-            value = float(x0 + w)
-            if np.argmin(np.abs(centers - value)) == mi:
-                owned.append(value)
-    return np.sort(owned)
+    centers = grid[ext]
+    coefs = build_models(f_batch, centers, TRUST).real
+    k = np.arange(1, coefs.shape[1])
+    deriv = coefs[:, 1:] * k  # f'
+    second = deriv[:, 1:] * k[:-1]  # f''
+    w = np.zeros(centers.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(NEWTON_STEPS):
+            powers = np.vander(w, k.size, increasing=True)
+            step = np.einsum("ij,ij->i", deriv, powers) / np.einsum(
+                "ij,ij->i", second, powers[:, :-1]
+            )
+            w = w - step
+    points = centers + w
+    # a nan fails every comparison
+    ok = (np.abs(step) <= NEWTON_TOL) & (grid[ext - 1] < points) & (points < grid[ext + 1])
+    if not ok.all():
+        raise FloatingPointError(
+            f"no converged zero of f' between the grid neighbours of the extremum at "
+            f"{centers[np.argmin(ok)]:.8f}"
+        )
+    order = np.argsort(points)
+    # two models agree on a root to far below 1e3 NEWTON_TOL
+    same = np.flatnonzero(np.diff(points[order]) <= 1e3 * NEWTON_TOL)
+    if same.size:
+        i, j = np.sort(centers[order[same[0] : same[0] + 2]])
+        raise FloatingPointError(f"the extrema at {i:.8f} and {j:.8f} resolve to one zero")
+    return points[order]
 
 
 # ---------------------------------------------------------------------------

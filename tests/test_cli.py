@@ -141,8 +141,8 @@ class TestBasics:
     def test_contour_statistic_without_centers_is_a_config_error(
         self, small_complex_field, tmp_path, capsys
     ):
-        # --centers auto takes the integers in the window, and (0.2, 0.8) has
-        # none; the empty contour sum used to be written as the value 0.0
+        # --centers auto takes the field's critical points in the window, and
+        # (0.2, 0.8) has none; the empty contour sum used to be written as 0.0
         out = tmp_path / "stat.json"
         argv = ["statistic", "--field", small_complex_field, "--method", "contour",
                 "--g", "builtin:lorentzian:c=3", "--window", "0.2", "0.8", "--out", str(out)]
@@ -427,6 +427,22 @@ class TestSpectrumCommands:
             validate(obj, "statistic")
             vals[method] = obj["value"]
         assert abs(vals["contour"] - vals["direct"]) < 1e-6
+
+    def test_auto_centers_are_the_critical_points(self, tmp_path):
+        # the critical point 2.186 of this field lies 0.014 inside the rim of
+        # a radius-0.2 circle at the integer 2, whose count 1.0098 passed the
+        # integrality test: contour read 0.566019 when auto meant the integers
+        field = tmp_path / "f.json"
+        save_field(field_from_modes(2, {1: 0.3, -2: 0.2j}), field)
+        vals = {}
+        for method in ("contour", "direct"):
+            out = tmp_path / f"{method}.json"
+            argv = ["statistic", "--field", str(field), "--method", method,
+                    "--g", "builtin:lorentzian:c=3", "--out", str(out)]
+            assert main(argv) == 0
+            vals[method] = json.loads(out.read_text())["value"]
+        assert abs(vals["contour"] - 0.565309) < 1e-6
+        assert abs(vals["contour"] - vals["direct"]) < 1e-9
 
     def test_borg_and_frames_and_pw(self, mathieu_field, tmp_path):
         out = tmp_path / "borg.json"

@@ -200,6 +200,43 @@ class TestSpectralData:
         assert shared.periodic_points and shared.critical_points
         assert json.dumps(shared.to_json()) == json.dumps(separate.to_json())
 
+    @staticmethod
+    def unit_mass_member():
+        f = sample_wiener_loop(8, 9001)
+        return f * math.sqrt(1.0 / l2_norm_sq(f))
+
+    def test_a_missed_critical_point_raises(self, monkeypatch):
+        # Delta' has one zero in each gap between the first and the last
+        # periodic point, so a scan that loses one fails spectral_data
+        f, window = self.unit_mass_member(), (-4.8, 4.8)
+        assert len(ds.spectral_data(f, window, steps=128).critical_points) == 9
+        located = ds.locate_spectral_points
+        monkeypatch.setattr(ds, "locate_spectral_points", lambda *a: np.delete(located(*a), 4))
+        with pytest.raises(FloatingPointError, match="8 critical points in 9 gaps"):
+            ds.spectral_data(f, window, steps=128)
+        # critical_points alone has no periodic points to count gaps on
+        assert len(ds.critical_points(f, window, steps=128).critical_points) == 8
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda pts: np.sort(np.append(pts, pts[4] + 0.01)), "10 critical points in 9"),
+            # 0.104 to -0.046, in the band between the gaps at -1.26 and 0.104
+            (lambda pts: pts - 0.15 * (np.arange(pts.size) == 4), "outside its gap"),
+        ],
+        ids=["doubled", "in-a-band"],
+    )
+    def test_gap_check_rejects(self, edit, message):
+        # points the |Delta'| residual check would reject first
+        data = ds.spectral_data(self.unit_mass_member(), (-4.8, 4.8), steps=128)
+        with pytest.raises(FloatingPointError, match=message):
+            ds._check_gaps(data.periodic_points, edit(np.array(data.critical_points)))
+
+    def test_closed_gaps_hold_their_double_points(self):
+        data = ds.spectral_data(zero_field(8), (-3.5, 3.5))
+        assert [p.multiplicity for p in data.periodic_points] == [2] * 7
+        assert np.allclose(data.critical_points, np.arange(-3, 4), rtol=0.0, atol=1e-12)
+
     def test_two_sided_slice(self):
         pts = np.arange(-4, 5) + 0.01
         sel = ds.two_sided_slice(pts, 2)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -335,7 +336,7 @@ def full_ring_models(f_batch, centers: np.ndarray, trust: float) -> np.ndarray:
 class TestHalfRing:
     """build_models samples the upper half of each circle and mirrors the rest."""
 
-    @pytest.mark.parametrize("trust", [0.25, floquet.TRUST, 1.5])
+    @pytest.mark.parametrize("trust", [0.25, 0.35, 1.5])
     def test_upper_half_nodes_only(self, trust):
         seen = []
 
@@ -360,7 +361,7 @@ class TestHalfRing:
         ],
         ids=["dirac", "hill"],
     )
-    @pytest.mark.parametrize("trust", [ds.CHECK_TRUST, floquet.TRUST])
+    @pytest.mark.parametrize("trust", [0.25, 0.35])
     def test_matches_full_ring(self, disc, centers, trust):
         centers = np.array(centers)
         got = floquet.build_models(disc, centers, trust)
@@ -380,8 +381,8 @@ class TestHalfRing:
     def test_dirac_statistic_member_lanes(self, monkeypatch):
         # one member of the Dirac statistic evaluates Delta on the 97-point
         # scan grid of (-4.8, 4.8), then on the upper halves of the scan
-        # models' 32-node circles (17 nodes each) and of the check models'
-        # 24-node circles (13 each)
+        # models' and of the check models' circles, all of trust
+        # floquet.TRUST: 24 nodes, 13 of them evaluated
         lanes, centers = [], []
         original_transfer, original_models = floquet.rk4_transfer, floquet.build_models
 
@@ -399,11 +400,12 @@ class TestHalfRing:
         _, stat = ch.make_statistic("dirac:critical:lorentzian:c=3:M=3")
         assert np.isfinite(stat(TestTaylorSteps.DIRAC_MEMBERS[0]))
         assert len(centers) == 2 and min(centers) > 0
-        assert lanes == [97, 17 * centers[0], 13 * centers[1]]
+        assert lanes == [97, 13 * centers[0], 13 * centers[1]]
 
 
 def companion_roots(coef: np.ndarray, trust: float) -> np.ndarray:
-    """In-disk roots of np.roots on the trimmed row, the rule before the count."""
+    """In-disk roots of np.roots on the row, trimmed past its last coefficient
+    whose size |c_k| trust^k exceeds 1e-14 of the largest."""
     scale = np.abs(coef) * trust ** np.arange(coef.size)
     if scale.max() == 0.0:
         return np.empty(0, dtype=complex)
@@ -414,87 +416,57 @@ def companion_roots(coef: np.ndarray, trust: float) -> np.ndarray:
     return roots[np.abs(roots) <= trust]
 
 
-def model_rows(roots, size: int = 32) -> np.ndarray:
-    """Ascending coefficients of prod (w - r), zero-padded to ``size``."""
-    coef = np.atleast_1d(np.poly(np.asarray(roots, dtype=complex)))[::-1]
-    return np.concatenate([coef, np.zeros(size - coef.size)]).astype(complex)
+def grid_extrema(f_batch, grid: np.ndarray) -> np.ndarray:
+    """The grid points where the samples of f change direction."""
+    slope = np.diff(np.real(f_batch(grid.astype(complex))))
+    return grid[1:-1][slope[:-1] * slope[1:] < 0]
 
 
-class TestCountedRoots:
-    """_disk_roots: counted and polished roots, np.roots only where the count disagrees."""
+def polynomial_with_critical_points(roots):
+    """f with f' = prod (z - r), held exactly by a disk model."""
+    coef = P.polyint(P.polyfromroots(roots))
+    return lambda z: P.polyval(np.asarray(z), coef)
 
-    @staticmethod
-    def targets(disc, centers) -> np.ndarray:
-        """Each model's f' (padded), f - 2 and f + 2 as rows for the generic solver.
 
-        locate_spectral_points solves the f' rows only; the level rows keep
-        the solver tested on roots of f itself.
-        """
-        coefs = floquet.build_models(disc, centers, floquet.TRUST)
-        deriv = np.zeros_like(coefs)
-        deriv[:, :-1] = coefs[:, 1:] * np.arange(1, coefs.shape[1])
-        plus, minus = coefs.copy(), coefs.copy()
-        plus[:, 0] -= 2.0
-        minus[:, 0] += 2.0
-        return np.concatenate([deriv, plus, minus])
+class TestCriticalSolve:
+    """locate_spectral_points: one Newton solve per grid extremum, each root in its bracket."""
 
-    @pytest.mark.parametrize(
-        "disc, window",
-        [
-            (ds.discriminant_batch(TestTaylorSteps.DIRAC_MEMBERS[0], 128), (-4.8, 4.8)),
-            (hs.hill_discriminant_batch(TestTaylorSteps.HILL_MEMBERS[0], 128), (-2.0, 13.0)),
-        ],
-        ids=["dirac", "hill"],
-    )
-    def test_member_models_match_companion_roots(self, disc, window, monkeypatch):
-        rows = self.targets(disc, np.arange(window[0], window[1], 0.35 * floquet.TRUST))
-        solves = []
-        original = np.roots
+    @pytest.mark.parametrize("member", range(len(TestTaylorSteps.DIRAC_MEMBERS)))
+    def test_members_match_companion_roots(self, member):
+        disc = ds.discriminant_batch(TestTaylorSteps.DIRAC_MEMBERS[member], 128)
+        grid = ds._scan_grid((-4.8, 4.8))
+        got = floquet.locate_spectral_points(disc, grid)
+        centers = grid_extrema(disc, grid)
+        models = floquet.build_models(disc, centers, floquet.TRUST)
+        want = []
+        for x, row in zip(centers, models):
+            # Delta' of the self-adjoint Dirac operator has real zeros only,
+            # one per gap, so each disk holds exactly one
+            roots = companion_roots(row[1:] * np.arange(1, row.size), floquet.TRUST)
+            assert roots.size == 1 and abs(roots[0].imag) < 1e-12
+            want.append(x + roots[0].real)
+        assert got.size == len(want) >= 8
+        assert np.max(np.abs(got - np.sort(want))) < 1e-12
 
-        def counting(p):
-            solves.append(p)
-            return original(p)
+    def test_root_outside_its_bracket_raises(self):
+        # f' = (z^2 - 0.02^2)(z - 0.15): f'(0) / f''(0) = -0.15, so Newton
+        # from the grid maximum at 0 lands on the root 0.15, past 0.12
+        f = polynomial_with_critical_points([-0.02, 0.02, 0.15])
+        grid = np.array([-0.2, -0.01, 0.0, 0.12, 0.3])
+        assert np.allclose(grid_extrema(f, grid), [-0.01, 0.0, 0.12])
+        with pytest.raises(FloatingPointError, match=r"extremum at 0\.00000000$"):
+            floquet.locate_spectral_points(f, grid)
 
-        monkeypatch.setattr(np, "roots", counting)
-        got = floquet._disk_roots(rows, floquet.TRUST)
-        monkeypatch.undo()
-        # most rows are settled by the count, and every row has np.roots' roots
-        assert len(solves) < 0.25 * len(rows)
-        for row, roots in zip(rows, got):
-            want = companion_roots(row, floquet.TRUST)
-            assert roots.size == want.size
-            assert np.all(np.abs(np.sort_complex(roots) - np.sort_complex(want)) < 1e-12)
-
-    def test_fallback_rows_only(self, monkeypatch):
-        far = [1.5, -2.0, 0.9 + 1.2j, 0.9 - 1.2j]
-        agreeing = [model_rows([-0.2, 0.15, *far]), model_rows(far)]
-        fallback = [
-            model_rows([0.1 + 0.01j, 0.1 - 0.01j, *far]),  # conjugate pair in the disk
-            model_rows([0.09, 0.1, -0.2, *far]),  # two roots in one sample cell
-            model_rows([floquet.TRUST - 5e-4, -0.1, *far]),  # a root near the circle
-        ]
-        constant = [np.zeros(32, dtype=complex), model_rows([])]
-        rows = np.array(agreeing + fallback + constant)
-        solves = []
-        original = np.roots
-
-        def counting(p):
-            solves.append(p)
-            return original(p)
-
-        monkeypatch.setattr(np, "roots", counting)
-        got = floquet._disk_roots(rows, floquet.TRUST)
-        # one solve per fallback row, on that row's trimmed coefficients
-        assert len(solves) == len(fallback)
-        for p, row in zip(solves, fallback):
-            assert np.array_equal(p, row[: p.size][::-1])
-        monkeypatch.undo()
-        assert np.allclose(np.sort_complex(got[0]), [-0.2, 0.15], atol=1e-14)
-        assert got[1].size == 0
-        for roots, row in zip(got[2:5], fallback):
-            assert np.array_equal(roots, companion_roots(row, floquet.TRUST))
-        assert got[2].size == 2 and got[3].size == 3 and got[4].size == 2
-        assert got[5].size == 0 and got[6].size == 0
+    def test_two_extrema_on_one_root_raise(self):
+        # the same with 0.17 in place of 0.12: the grid maximum at 0 and the
+        # minimum at 0.17 both find 0.15, inside both brackets, and 0.02 is missed
+        f = polynomial_with_critical_points([-0.02, 0.02, 0.15])
+        grid = np.array([-0.2, -0.01, 0.0, 0.17, 0.3])
+        with pytest.raises(FloatingPointError, match=r"at 0\.00000000 and 0\.17000000 resolve"):
+            floquet.locate_spectral_points(f, grid)
+        # a grid of spacing 0.01 finds all three
+        got = floquet.locate_spectral_points(f, np.linspace(-0.2, 0.3, 51))
+        assert np.allclose(got, [-0.02, 0.02, 0.15], rtol=0.0, atol=1e-14)
 
 
 def contour_sum_reference(models, centers, g, kernel: str, radius: float):
@@ -524,9 +496,9 @@ class TestContourSum:
     @pytest.mark.parametrize(
         "kernel, trust, radius, nodes",
         [
-            ("critical", ds.CHECK_TRUST, 0.2, 24),
-            ("plus", ds.CHECK_TRUST, 0.2, 24),
-            ("minus", ds.CHECK_TRUST, 0.2, 24),
+            ("critical", floquet.TRUST, 0.2, 24),
+            ("plus", floquet.TRUST, 0.2, 24),
+            ("minus", floquet.TRUST, 0.2, 24),
             # more coefficients than the circle has nodes, on radii whose
             # circles pass no root of the kernel's target closely
             ("critical", 2.5, 2.4, 72),
@@ -627,6 +599,20 @@ def test_every_export_resolves(name):
     # so a stale export would go unseen there
     module = importlib.import_module(f"gibbslab.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_bench_metric_functions_exist():
+    # the benchmark's per-layer metrics read these functions' self times by
+    # name; a renamed one would read 0 there without any error
+    read = {
+        floquet: ("rk4_transfer", "build_models", "locate_spectral_points", "contour_sum"),
+        ds: ("discriminant_batch", "critical_points"),
+        hs: ("hill_discriminant_batch", "hill_periodic_spectrum", "pw_statistic_contour"),
+    }
+    for module, names in read.items():
+        for name in names:
+            assert name in module.__all__, name
+            assert inspect.isfunction(getattr(module, name)), name
 
 
 def test_traced_argument_names_bind():
