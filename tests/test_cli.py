@@ -110,6 +110,13 @@ class TestBasics:
             assert main(argv) == 2
             assert "configuration error" in capsys.readouterr().err
 
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "x.jsonl")
+        argv = ["sample", "--ball", "1", "--cutoff", "4", "--count", "2", "--seed", "-1",
+                "--out", out]
+        assert main(argv) == 2
+        assert "configuration error: expected non-negative integer" in capsys.readouterr().err
+
     def test_zero_weight_sum_is_a_config_error(self, tmp_path, capsys):
         # at beta = -1e6 every member's Gibbs weight diverges and is set to 0;
         # the weighted mean used to crash with a bare ZeroDivisionError

@@ -5,6 +5,7 @@ import pytest
 
 from gibbslab.fourier_field import field_from_modes, l2_norm_sq, lp_integral, zero_field
 from gibbslab.gibbs_sampler import (
+    _HASH_ROUNDS,
     DivergentWeightError,
     GibbsEnsemble,
     GibbsParams,
@@ -13,6 +14,7 @@ from gibbslab.gibbs_sampler import (
     _coeffs_from_normals,
     _mass_on_normals,
     _normals_shape,
+    _round_states,
     _screen,
     effective_sample_size,
     gibbs_weight,
@@ -204,6 +206,9 @@ class TestScreenedRounds:
             (dict(kind="kdv", ball_radius=2.0), 300, 5),
             (dict(kind="kdv", pi_periodic=True), 300, 6),
             (dict(ball_radius=3.0, cutoff=5), 5000, 7),  # round 0 spans five chunks
+            (dict(), 1, 9),
+            (dict(), 12, 2**32 + 5),  # a two-word seed
+            (dict(kind="kdv", pi_periodic=True), 40, 8),  # about 80 % accepted
         ],
     )
     def test_bit_identical_to_building_every_row(self, kw, count, seed):
@@ -224,6 +229,24 @@ class TestScreenedRounds:
             importance_ensemble(10_000, params, 0, max_attempts=200_000)
         assert str(got.value) == str(expected.value)
         assert "(9979 of 10000 still pending)" in str(got.value)
+
+    def test_budget_runs_out_inside_a_block(self):
+        # the 12-member draw runs out of budget in its block of rounds
+        # 2908-3020, with 9 samples still pending
+        params = nls_params()
+        with pytest.raises(RejectionBudgetError) as expected:
+            rejection_oracle(12, params, 3, max_attempts=30_000)
+        with pytest.raises(RejectionBudgetError) as got:
+            importance_ensemble(12, params, 3, max_attempts=30_000)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value) == "no full acceptance after 30003 attempts (9 of 12 still pending)"
+
+    def test_negative_seed_raises_as_seed_sequence_does(self):
+        with pytest.raises(ValueError) as expected:
+            np.random.SeedSequence((-1, 0))
+        with pytest.raises(ValueError) as got:
+            importance_ensemble(3, nls_params(), -1)
+        assert str(got.value) == str(expected.value) == "expected non-negative integer"
 
     @pytest.mark.parametrize(
         "kw",
@@ -247,6 +270,22 @@ class TestScreenedRounds:
             screened = _screen(rows.reshape(rows.shape[0], -1), _mass_on_normals(params), radius)
             assert accepted.size > 0
             assert np.isin(accepted, screened).all()
+
+
+class TestRoundStates:
+    """The block hash gives the words numpy's SeedSequence((seed, r)) gives PCG64."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_matches_seed_sequence(self, seed):
+        # rounds 0 and 1, each side of a hash block and of 2**32, and 2**20
+        for first, count in [(0, 2), (_HASH_ROUNDS - 2, 4), (2**32 - 2, 4), (2**20, 1)]:
+            got = _round_states(seed, first, count)
+            want = np.array([
+                np.random.SeedSequence((seed, r)).generate_state(4, np.uint64)
+                for r in range(first, first + count)
+            ])
+            assert got.dtype == np.uint64
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMcmcEnsemble:
