@@ -8,6 +8,10 @@ the code version.  Result files contain no timestamps, so identical
 configurations produce bit-identical outputs regardless of the worker
 count; the manifest carries the timestamp.
 
+``COMMANDS`` describes each command once: handler, help and options.  A
+call builds the parser of the invoked command only; help, version and
+top-level errors come from the full parser, so they list every command.
+
 Exit codes: 0 success, 1 numerical failure (diagnostic on stderr),
 2 configuration error.
 """
@@ -54,7 +58,7 @@ def _write_csv(path: str, header: list[str], *columns) -> None:
 
 def run(args: argparse.Namespace) -> int:
     """Run the parsed subcommand, then write its result and its manifest."""
-    result = args.func(args)
+    result = COMMANDS[args.command][0](args)
     if result is not None:
         write_json(args.out, result)
     # the transfer-matrix discretisation; the step counts of commands with
@@ -64,7 +68,7 @@ def run(args: argparse.Namespace) -> int:
         integrator["statistic_steps"] = {"dirac": ch.DIRAC_STEPS, "hill": ch.HILL_STEPS}
     manifest = {
         "command": args.command,
-        "config": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
+        "config": {k: v for k, v in vars(args).items() if k != "command"},
         "seed": args.seed,
         "workers": getattr(args, "workers", 1),
         "version": __version__,
@@ -206,10 +210,7 @@ def cmd_convexity(args) -> dict:
         holder_bound=args.holder_k,
     )
     ens = gs.importance_ensemble(args.samples, params, args.seed)
-    cparams = hc.ConvexityParams(
-        delta=args.delta, gamma=args.gamma or 0.3, holder_bound=args.holder_k
-    )
-
+    cparams = hc.ConvexityParams(delta=args.delta, gamma=args.gamma, holder_bound=args.holder_k)
     items = [
         hc.certify_convexity(
             args.functional, f, args.beta, args.p, args.ball, cparams, weight=args.weight
@@ -221,7 +222,7 @@ def cmd_convexity(args) -> dict:
         "weight": args.weight,
         "params": {
             "delta": args.delta,
-            "gamma": args.gamma or 0.3,
+            "gamma": args.gamma,
             "c_gamma": cparams.c_gamma,
             "c_delta": cparams.c_delta,
             "kappa": cparams.kappa,
@@ -317,8 +318,106 @@ def cmd_concentration(args) -> dict:
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    tol_help = "truncation bound of every periodic point; residuals above max(100 tol, 1e-6) fail"
+# Each command once: name -> (handler, help, own options, trailing options).
+# A subparser takes its own options, then --out and --seed, then the trailing.
+_FIELD = ("--field", dict(required=True))
+_P = ("--p", dict(type=float, default=4.0))
+_BETA = ("--beta", dict(type=float, default=-1.0))
+_TOL = ("--tol", dict(type=float, default=1e-8, help="truncation bound of every periodic "
+                     "point; residuals above max(100 tol, 1e-6) fail"))
+_OUT = ("--out", dict(required=True, help="output JSON path"))
+# recorded in the manifest only: evaluation runs in one thread
+_WORKERS = ("--workers", dict(type=int, default=1))
+_DIRAC_STEPS = ("--steps", dict(type=int, default=ds.DEFAULT_STEPS, help="integrator steps"))
+_HILL_STEPS = ("--steps", dict(type=int, default=hs.DEFAULT_STEPS, help="integrator steps"))
+
+COMMANDS = {
+    "sample": (cmd_sample, "draw a Gibbs ensemble", [
+        ("--kind", dict(choices=["nls", "kdv"], default="nls")),
+        _P, _BETA,
+        ("--ball", dict(type=float, required=True, help="L2 mass bound N")),
+        ("--cutoff", dict(type=int, required=True)),
+        ("--count", dict(type=int, required=True)),
+        ("--method", dict(choices=["importance", "mcmc"], default="importance")),
+        ("--step-size", dict(type=float, default=0.3)),
+        ("--gamma", dict(type=float, help="Holder exponent")),
+        ("--holder-k", dict(type=float, help="Holder bound K")),
+        ("--pi-periodic", dict(action="store_true")),
+    ], []),
+    "dirac-spectrum": (cmd_dirac_spectrum, "Dirac periodic and critical points", [
+        _FIELD,
+        ("--window", dict(type=float, nargs=2, required=True)),
+        _TOL,
+        ("--trace-csv", dict(help="optional discriminant trace CSV")),
+    ], [_DIRAC_STEPS]),
+    "hill-spectrum": (cmd_hill_spectrum, "Hill eigenvalues, gaps and midpoints", [
+        _FIELD,
+        ("--lambda-max", dict(type=float, required=True)),
+        _TOL,
+    ], [_HILL_STEPS]),
+    "statistic": (cmd_statistic, "linear statistic, direct or contour", [
+        _FIELD,
+        ("--method", dict(choices=["contour", "direct"], required=True)),
+        ("--g", dict(required=True, help="test function, e.g. builtin:lorentzian:c=3")),
+        ("--centers", dict(default="auto", help="comma-separated real contour centers, or "
+                           "'auto' for the field's critical points in --window")),
+        ("--kernel", dict(choices=["critical", "plus", "minus"], default="critical")),
+        ("--radius", dict(type=float, default=0.2)),
+        ("--window", dict(type=float, nargs=2, default=[-3.5, 3.5])),
+        ("--index-range", dict(type=int, default=3)),
+    ], [_DIRAC_STEPS]),
+    "borg-check": (cmd_borg_check, "midpoint margins under smallness hypotheses", [
+        _FIELD,
+        ("--n-max", dict(type=int, default=10)),
+    ], [_HILL_STEPS]),
+    "frame-bounds": (cmd_frame_bounds, "sampling frame bounds of the midpoints", [
+        _FIELD,
+        ("--range", dict(type=int, default=10, help="two-sided index range J")),
+        ("--family", dict(type=int, default=64)),
+    ], [_HILL_STEPS]),
+    "pw-statistic": (cmd_pw_statistic, "midpoint squares by Cauchy circles", [
+        _FIELD,
+        ("--n", dict(default="1..4", help="index range, e.g. 1..8")),
+    ], [_HILL_STEPS]),
+    "convexity": (cmd_convexity, "certify uniform convexity on sampled fields", [
+        _P, _BETA,
+        ("--ball", dict(type=float, default=1.0)),
+        ("--holder-k", dict(type=float, default=5.0)),
+        ("--cutoff", dict(type=int, default=8)),
+        ("--samples", dict(type=int, default=50)),
+        ("--functional", dict(choices=["H", "H_K", "G_N"], default="G_N")),
+        ("--weight", dict(choices=["l2", "h1", "h_delta"], default="h1")),
+        ("--delta", dict(type=float, default=0.75)),
+        ("--gamma", dict(type=float, default=0.3)),
+    ], [_WORKERS]),
+    "flow": (cmd_flow, "evolve a field and report conservation", [
+        _FIELD, _P, _BETA,
+        ("--dt", dict(type=float, required=True)),
+        ("--time", dict(type=float, required=True)),
+        ("--cutoff", dict(type=int)),
+        ("--snapshots", dict(type=int, default=8)),
+    ], []),
+    "invariance": (cmd_invariance, "distribution drift of observables under the flow", [
+        ("--ensemble", dict(required=True)),
+        ("--time", dict(type=float, required=True)),
+        ("--dt", dict(type=float, default=1e-3)),
+        ("--cutoff", dict(type=int)),
+        ("--observables", dict(default="l2,V")),
+        ("--permutations", dict(type=int, default=200)),
+    ], [_WORKERS]),
+    "concentration": (cmd_concentration, "log-MGF curve and sub-Gaussian fit", [
+        ("--ensemble", dict(required=True)),
+        ("--statistic", dict(required=True)),
+        ("--t-grid", dict(help="lo:hi:points, symmetric around 0, e.g. --t-grid=-2:2:41")),
+        ("--eta-bound", dict(type=float)),
+        ("--bootstrap", dict(type=int, default=200)),
+        ("--curve-csv", dict()),
+    ], [_WORKERS]),
+}
+
+
+def build_parser(*names: str) -> argparse.ArgumentParser:
+    """The top-level parser with the subparsers of ``names``, or of every command."""
     ap = argparse.ArgumentParser(
         prog="gibbslab",
         description="Random periodic potentials, their Dirac/Hill spectral data, "
@@ -326,123 +425,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"gibbslab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp, func, workers=False, steps=None):
-        sp.set_defaults(func=func)
-        sp.add_argument("--out", required=True, help="output JSON path")
-        sp.add_argument("--seed", type=int, default=_default_seed())
-        if workers:
-            # recorded in the manifest only: evaluation runs in one thread,
-            # and results do not depend on it
-            sp.add_argument("--workers", type=int, default=1)
-        if steps is not None:
-            sp.add_argument("--steps", type=int, default=steps, help="integrator steps")
-
-    sp = sub.add_parser("sample", help="draw a Gibbs ensemble")
-    sp.add_argument("--kind", choices=["nls", "kdv"], default="nls")
-    sp.add_argument("--p", type=float, default=4.0)
-    sp.add_argument("--beta", type=float, default=-1.0)
-    sp.add_argument("--ball", type=float, required=True, help="L2 mass bound N")
-    sp.add_argument("--cutoff", type=int, required=True)
-    sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--method", choices=["importance", "mcmc"], default="importance")
-    sp.add_argument("--step-size", type=float, default=0.3)
-    sp.add_argument("--gamma", type=float, default=None, help="Holder exponent")
-    sp.add_argument("--holder-k", type=float, default=None, help="Holder bound K")
-    sp.add_argument("--pi-periodic", action="store_true")
-    common(sp, cmd_sample)
-
-    sp = sub.add_parser("dirac-spectrum", help="Dirac periodic and critical points")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--window", type=float, nargs=2, required=True)
-    sp.add_argument("--tol", type=float, default=1e-8, help=tol_help)
-    sp.add_argument("--trace-csv", default=None, help="optional discriminant trace CSV")
-    common(sp, cmd_dirac_spectrum, steps=ds.DEFAULT_STEPS)
-
-    sp = sub.add_parser("hill-spectrum", help="Hill eigenvalues, gaps and midpoints")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--lambda-max", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-8, help=tol_help)
-    common(sp, cmd_hill_spectrum, steps=hs.DEFAULT_STEPS)
-
-    sp = sub.add_parser("statistic", help="linear statistic, direct or contour")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--method", choices=["contour", "direct"], required=True)
-    sp.add_argument("--g", required=True, help="test function, e.g. builtin:lorentzian:c=3")
-    sp.add_argument(
-        "--centers",
-        default="auto",
-        help="comma-separated real contour centers, or 'auto' for the field's critical "
-        "points in --window",
-    )
-    sp.add_argument("--kernel", choices=["critical", "plus", "minus"], default="critical")
-    sp.add_argument("--radius", type=float, default=0.2)
-    sp.add_argument("--window", type=float, nargs=2, default=[-3.5, 3.5])
-    sp.add_argument("--index-range", type=int, default=3)
-    common(sp, cmd_statistic, steps=ds.DEFAULT_STEPS)
-
-    sp = sub.add_parser("borg-check", help="midpoint margins under smallness hypotheses")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--n-max", type=int, default=10)
-    common(sp, cmd_borg_check, steps=hs.DEFAULT_STEPS)
-
-    sp = sub.add_parser("frame-bounds", help="sampling frame bounds of the midpoints")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--range", type=int, default=10, help="two-sided index range J")
-    sp.add_argument("--family", type=int, default=64)
-    common(sp, cmd_frame_bounds, steps=hs.DEFAULT_STEPS)
-
-    sp = sub.add_parser("pw-statistic", help="midpoint squares by Cauchy circles")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--n", default="1..4", help="index range, e.g. 1..8")
-    common(sp, cmd_pw_statistic, steps=hs.DEFAULT_STEPS)
-
-    sp = sub.add_parser("convexity", help="certify uniform convexity on sampled fields")
-    sp.add_argument("--p", type=float, default=4.0)
-    sp.add_argument("--beta", type=float, default=-1.0)
-    sp.add_argument("--ball", type=float, default=1.0)
-    sp.add_argument("--holder-k", type=float, default=5.0)
-    sp.add_argument("--cutoff", type=int, default=8)
-    sp.add_argument("--samples", type=int, default=50)
-    sp.add_argument("--functional", choices=["H", "H_K", "G_N"], default="G_N")
-    sp.add_argument("--weight", choices=["l2", "h1", "h_delta"], default="h1")
-    sp.add_argument("--delta", type=float, default=0.75)
-    sp.add_argument("--gamma", type=float, default=0.3)
-    common(sp, cmd_convexity, workers=True)
-
-    sp = sub.add_parser("flow", help="evolve a field and report conservation")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--p", type=float, default=4.0)
-    sp.add_argument("--beta", type=float, default=-1.0)
-    sp.add_argument("--dt", type=float, required=True)
-    sp.add_argument("--time", type=float, required=True)
-    sp.add_argument("--cutoff", type=int, default=None)
-    sp.add_argument("--snapshots", type=int, default=8)
-    common(sp, cmd_flow)
-
-    sp = sub.add_parser("invariance", help="distribution drift of observables under the flow")
-    sp.add_argument("--ensemble", required=True)
-    sp.add_argument("--time", type=float, required=True)
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("--cutoff", type=int, default=None)
-    sp.add_argument("--observables", default="l2,V")
-    sp.add_argument("--permutations", type=int, default=200)
-    common(sp, cmd_invariance, workers=True)
-
-    sp = sub.add_parser("concentration", help="log-MGF curve and sub-Gaussian fit")
-    sp.add_argument("--ensemble", required=True)
-    sp.add_argument("--statistic", required=True)
-    sp.add_argument(
-        "--t-grid",
-        default=None,
-        help="lo:hi:points, symmetric around 0, e.g. --t-grid=-2:2:41",
-    )
-    sp.add_argument("--eta-bound", type=float, default=None)
-    sp.add_argument("--bootstrap", type=int, default=200)
-    sp.add_argument("--curve-csv", default=None)
-    common(sp, cmd_concentration, workers=True)
-
+    # read at each build, so GIBBSLAB_SEED set after import takes effect
+    seed = ("--seed", dict(type=int, default=_default_seed()))
+    for name in names or COMMANDS:
+        _, help_text, options, trailing = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kwargs in (*options, _OUT, seed, *trailing):
+            sp.add_argument(flag, **kwargs)
     return ap
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # help, version, no or an unknown command and unrecognised arguments go
+    # to the full parser, whose text lists every command
+    if argv and argv[0] in COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _join_t_grid(argv: list[str]) -> list[str]:
@@ -463,10 +463,9 @@ def _join_t_grid(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     argv = _join_t_grid(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = ap.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse uses 2 for bad flags, 0 for --help
         return int(exc.code or 0)
     try:

@@ -1,13 +1,14 @@
 import json
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
 from gibbslab import concentration_harness as ch
-from gibbslab import floquet
+from gibbslab import cli, floquet
 from gibbslab import flow_lab as fl
-from gibbslab.cli import main
+from gibbslab.cli import COMMANDS, _join_t_grid, build_parser, main
 from gibbslab.floquet import TAYLOR_ORDER
 from gibbslab.fourier_field import field_from_json, field_from_modes, l2_norm_sq, save_field
 from gibbslab.gibbs_sampler import load_ensemble_jsonl
@@ -22,6 +23,9 @@ except ImportError:  # pragma: no cover
     HAVE_JSONSCHEMA = False
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "gibbslab" / "schemas"
+# help and error text of the CLI, captured at COLUMNS=80 under Python 3.11
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "cli_help"
+GOLDEN_PYTHON = (3, 11)
 
 
 def validate(obj, schema_name: str) -> None:
@@ -69,6 +73,39 @@ SUBCOMMAND_ARGS = {
     "concentration": ["--ensemble", "{ens}", "--statistic", "coord:a1", "--bootstrap", "5",
                       "--workers", "3"],
 }
+
+
+MANIFEST_CASES = [pytest.param(c, argv, id=c) for c, argv in sorted(SUBCOMMAND_ARGS.items())] + [
+    pytest.param(
+        "concentration",
+        ["--ensemble", "{ens}", "--statistic", "l2", "--bootstrap", "5", "--t-grid", "-2:2:41"],
+        id="concentration-spaced-t-grid",
+    )
+]
+
+BOGUS = ["sample", "--ball", "1", "--cutoff", "4", "--count", "5", "--out", "x.jsonl", "--bogus"]
+# argvs that end in the parser: help, version, and every kind of parse error
+PARSE_EXITS = [
+    ["--help"], ["-h", "sample"], ["--version"], [], ["smaple", "--ball", "1"],
+    *([command, "--help"] for command in COMMANDS),
+    ["sample", "--cutoff", "4", "--count", "5", "--out", "x.jsonl"],
+    ["sample", "--kind", "dirac", "--ball", "1", "--cutoff", "4", "--count", "5", "--out", "x.jsonl"],
+    BOGUS,
+]
+GOLDEN_CASES = [("gibbslab.help.txt", ["--help"])] + [
+    (f"{command}.help.txt", [command, "--help"]) for command in COMMANDS
+] + [
+    ("bogus.stderr.txt", BOGUS),
+    ("no-command.stderr.txt", []),
+    ("unknown-command.stderr.txt", ["smaple", "--ball", "1"]),
+]
+
+
+def exit_of(capsys, parse, argv) -> tuple:
+    """Exit code, stdout and stderr of one parse that ends the program."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (int(exc.value.code or 0), *capsys.readouterr())
 
 
 @pytest.fixture(scope="module")
@@ -275,16 +312,19 @@ class TestBasics:
                 "--out", str(tmp_path / "pw.json")]
         assert main(argv) == 2
 
-    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
-    def test_every_subcommand_writes_a_manifest(self, command, inputs, tmp_path):
+    @pytest.mark.parametrize("command, args", MANIFEST_CASES)
+    def test_every_subcommand_writes_a_manifest(self, command, args, inputs, tmp_path):
         out = tmp_path / "result.json"
-        argv = [a.format(**inputs) for a in SUBCOMMAND_ARGS[command]]
-        assert main([command, *argv, "--seed", "7", "--out", str(out)]) == 0
+        argv = [command, *(a.format(**inputs) for a in args), "--seed", "7", "--out", str(out)]
+        assert main(argv) == 0
         assert out.exists()
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
         validate(manifest, "manifest")
         assert manifest["command"] == command
-        assert "func" not in manifest["config"] and "command" not in manifest["config"]
+        # the one-command parser resolves the configuration of the full one
+        expected = vars(build_parser().parse_args(_join_t_grid(argv)))
+        del expected["command"]
+        assert manifest["config"] == expected
         assert manifest["config"]["out"] == str(out)
         assert manifest["seed"] == manifest["config"]["seed"] == 7
         assert manifest["workers"] == manifest["config"].get("workers", 1)
@@ -292,6 +332,62 @@ class TestBasics:
         if command == "concentration":
             integrator["statistic_steps"] = {"dirac": ch.DIRAC_STEPS, "hill": ch.HILL_STEPS}
         assert manifest["integrator"] == integrator
+
+    @pytest.mark.parametrize("argv", PARSE_EXITS, ids=lambda argv: " ".join(argv) or "none")
+    def test_one_command_parser_exits_as_the_full_one(self, argv, capsys, monkeypatch):
+        builds = []
+
+        def spy(*names):
+            builds.append(names)
+            return build_parser(*names)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        got = (main(argv), *capsys.readouterr())
+        assert got == exit_of(capsys, build_parser().parse_args, argv)
+        if argv[:1] and argv[0] in COMMANDS:
+            # unrecognised arguments are reported by the full parser
+            assert builds == [(argv[0],)] + ([()] if argv is BOGUS else [])
+        else:
+            assert builds == [()]
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != GOLDEN_PYTHON,
+        reason="the goldens hold argparse's Python 3.11 layout, which other versions change",
+    )
+    @pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+    def test_help_and_errors_match_the_goldens(self, name, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = (main(argv), *capsys.readouterr())
+        golden = (GOLDEN_DIR / name).read_text()
+        if name.endswith(".help.txt"):
+            assert (code, out, err) == (0, golden, "")
+        else:
+            assert (code, out, err) == (2, "", golden)
+
+    def test_default_seed_is_read_from_the_environment(self, tmp_path, monkeypatch):
+        # GIBBSLAB_SEED is read at each parser build, so setting it after
+        # import still changes the default
+        monkeypatch.setenv("GIBBSLAB_SEED", "123")
+        argv = ["sample", "--beta", "0", "--ball", "1000", "--cutoff", "4", "--count", "3"]
+        default, explicit = tmp_path / "default.jsonl", tmp_path / "explicit.jsonl"
+        assert main([*argv, "--out", str(default)]) == 0
+        manifest = json.loads(Path(str(default) + ".manifest.json").read_text())
+        assert manifest["seed"] == manifest["config"]["seed"] == 123
+        assert main([*argv, "--seed", "123", "--out", str(explicit)]) == 0
+        assert default.read_text() == explicit.read_text()
+
+    @pytest.mark.parametrize("gamma", ["0", "0.5"])
+    def test_convexity_gamma_outside_its_range_is_a_config_error(
+        self, tmp_path, capsys, gamma
+    ):
+        out = tmp_path / "cvx.json"
+        argv = ["convexity", "--cutoff", "4", "--samples", "2", "--gamma", gamma,
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "configuration error: holder_gamma must lie in (1/4, 1/2)" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_negative_t_grid_in_both_forms(self, inputs, tmp_path, capsys):
         # a symmetric grid starts with '-', which argparse would read as a flag
