@@ -110,7 +110,7 @@ def cmd_dirac_spectrum(args) -> dict:
     out["potential_hash"] = field.content_hash()
     if args.trace_csv:
         grid = np.linspace(args.window[0], args.window[1], 481)
-        vals = disc(grid.astype(complex))
+        vals = disc(grid)
         _write_csv(args.trace_csv, ["lambda", "re_delta", "im_delta"], grid, vals.real, vals.imag)
     return out
 

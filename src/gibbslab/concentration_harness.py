@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import NUMERICAL_FAILURES
+from .floquet import SEGMENT_LANES, member_result, one_member
 from .fourier_field import PeriodicField, l2_norm_sq, lp_integral
 from .gibbs_sampler import GibbsEnsemble
 from . import dirac_spectrum as ds
@@ -174,29 +174,63 @@ def make_statistic(spec: str):
         # spacing, so scan well past the index range before slicing
         window = (-m - 1.8, m + 1.8)
 
-        def stat(f: PeriodicField) -> float:
-            # circles centered on the member's own critical points (the
-            # free-lattice centers only capture them for small fields),
-            # integrated on the disk models of their |Delta'| checks
-            crit = ds.critical_points(f, window, steps=DIRAC_STEPS)
+        def central(crit: ds.SpectralDataDirac):
             points = np.array(crit.critical_points)
             pts = ds.two_sided_slice(points, m)
             rows = (pts[0] <= points) & (points <= pts[-1])
-            return ds.contour_statistic(crit.critical_models[rows], points[rows], g)
+            return crit.critical_models[rows], points[rows]
 
-        return name, stat
+        def block(fields) -> list:
+            # circles centered on each member's own critical points (the
+            # free-lattice centers only capture them for small fields),
+            # integrated on the disk models of their |Delta'| checks: 2m + 1
+            # circles for every member, so the block's are one contour sum
+            out = [
+                c if isinstance(c, BaseException) else member_result(central, c)
+                for c in ds.critical_points_block(fields, window, steps=DIRAC_STEPS)
+            ]
+            live = [i for i, r in enumerate(out) if isinstance(r, tuple)]
+            if live:
+                models, centers = (np.array(a) for a in zip(*(out[i] for i in live)))
+                for i, v in zip(live, ds.contour_statistic(models, centers, g)):
+                    out[i] = v
+            return out
+
+        # a block's grid call has B * 97 lanes and its two model calls about
+        # B * 117 each (13 half-ring nodes at each of about 9 critical
+        # points), at most half again the grid's: so every call of a block of
+        # SEGMENT_LANES // (3 * 97) = 14 still runs as two segments
+        return name, _blocked(block, SEGMENT_LANES // (3 * ds._scan_grid(window).size))
     if head == "hill":
         J, g = _spectral_spec(parts, "midpoints", "J")
         name = f"hill:midpoints:{g.name}:J={J}"
         lam_max = float((J + 0.6) ** 2)
 
-        def stat(f: PeriodicField) -> float:
-            data = hs.hill_periodic_spectrum(f, lam_max, steps=HILL_STEPS)
+        def midpoint_sum(data: hs.HillSpectralData) -> float:
             ts = data.two_sided_t(J)
             return float(np.real(np.sum(g(ts.astype(complex)))))
 
-        return name, stat
+        def block(fields) -> list:
+            return [
+                d if isinstance(d, BaseException) else member_result(midpoint_sum, d)
+                for d in hs.hill_periodic_spectrum_block(fields, lam_max, steps=HILL_STEPS)
+            ]
+
+        # the block's one engine call, the residual checks, has about 2 J + 2
+        # lanes per member (the eigenvalues up to lam_max), at two segments
+        return name, _blocked(block, SEGMENT_LANES // (2 * (2 * J + 2)))
     raise ValueError(f"unknown statistic {spec!r}")
+
+
+def _blocked(block, members: int):
+    """The statistic of one field as ``block`` on a block of one; ``block`` and
+    its block size ride along for :func:`collect_statistic`."""
+
+    def stat(f: PeriodicField) -> float:
+        return one_member(block([f]))
+
+    stat.block, stat.block_members = block, max(1, members)
+    return stat
 
 
 def collect_statistic(
@@ -208,25 +242,33 @@ def collect_statistic(
     """Evaluate a statistic on every member; failures are capped at 1%.
 
     ``statistic`` is either a descriptor string for :func:`make_statistic`
-    or a callable on fields.  A failure is a non-finite value or an
-    exception from ``floquet.NUMERICAL_FAILURES``; any other exception
-    propagates.  The sample records the ensemble index of every value.
+    or a callable on fields.  The spectral statistics of
+    :func:`make_statistic`, given either way, run a block of members at a
+    time, each engine phase one call for the block; any other callable
+    runs member by member.  The n members are cut into ceil(n / B)
+    consecutive blocks whose sizes differ by at most one, B the
+    statistic's block size, so block membership is a function of the count
+    alone.  A failure is a non-finite value or an exception from
+    ``floquet.NUMERICAL_FAILURES``; it fails that member alone, never its
+    block, and any other exception propagates.  The sample records the
+    ensemble index of every value.
     """
     if isinstance(statistic, str):
         name, fn = make_statistic(statistic)
     else:
         fn = statistic
         name = name or getattr(statistic, "__name__", "statistic")
+    block = getattr(fn, "block", None) or (lambda fields: [member_result(fn, f) for f in fields])
 
     n = len(ensemble)
-    good = []
-    for i, f in enumerate(ensemble.samples):
-        try:
-            v = float(fn(f))
-        except NUMERICAL_FAILURES:
-            continue
-        if math.isfinite(v):
-            good.append((i, v))
+    size = getattr(fn, "block_members", None) or max(n, 1)
+    results = []
+    for idx in np.array_split(np.arange(n), max(1, -(-n // size))):
+        results += block([ensemble.samples[i] for i in idx]) if idx.size else []
+    good = [
+        (i, float(v)) for i, v in enumerate(results) if not isinstance(v, BaseException)
+    ]
+    good = [(i, v) for i, v in good if math.isfinite(v)]
     failures = n - len(good)
     if failures > failure_cap * n:
         raise RuntimeError(

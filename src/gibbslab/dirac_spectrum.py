@@ -29,11 +29,15 @@ from .floquet import (
     TRUST,
     InsufficientPointsError,
     build_models,
+    check_finite,
     check_residuals,
     contour_sum,
-    locate_spectral_points,
+    locate_spectral_points_block,
+    member_result,
     mode_spectrum,
     multiplication_matrix,
+    one_member,
+    pad_members,
     transfer_discriminant,
 )
 from .fourier_field import PeriodicField, taylor_samples
@@ -45,6 +49,7 @@ __all__ = [
     "discriminant_batch",
     "periodic_eigenvalues",
     "critical_points",
+    "critical_points_block",
     "spectral_data",
     "spectral_data_from",
     "two_sided_slice",
@@ -74,7 +79,14 @@ def _dirac_nodes(field: PeriodicField, steps: int):
 
 def discriminant_batch(field: PeriodicField, steps: int = DEFAULT_STEPS):
     """Closure evaluating Delta on arrays of spectral parameters."""
-    return transfer_discriminant(_dirac_nodes(field, steps), _DIRAC_C, 2.0 * np.pi, steps)
+    return _discriminant_block([field], steps)
+
+
+def _discriminant_block(fields, steps: int):
+    """floquet.transfer_discriminant closure of a block of fields: Delta of each."""
+    return transfer_discriminant(
+        [_dirac_nodes(f, steps) for f in fields], _DIRAC_C, 2.0 * np.pi, steps
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +171,7 @@ def _periodic_points(field, disc, window, refine_tol: float) -> tuple[SpectralPo
             i += m
     found.sort()
     points = np.array([f[0] for f in found])
-    delta = np.real(disc(points.astype(complex)))
+    delta = disc(points)
     resid = check_residuals(np.abs(delta * delta - 4.0), points, refine_tol)
     return tuple(
         SpectralPoint(float(v), "complementary" if a else "principal", m, float(r), float(b))
@@ -167,17 +179,34 @@ def _periodic_points(field, disc, window, refine_tol: float) -> tuple[SpectralPo
     )
 
 
-def _critical_data(disc, window, refine_tol: float) -> SpectralDataDirac:
-    """Real zeros of Delta' in the window, located on the closure ``disc``."""
-    vals = locate_spectral_points(disc, _scan_grid(window)).tolist()
-    checks, residuals = np.empty((0, 0), dtype=complex), np.empty(0)
-    if vals:
-        # |Delta'| from fresh disk models centered on the points, in one batch
-        checks = build_models(disc, np.array(vals), TRUST)
-        residuals = check_residuals(np.abs(checks[:, 1]), vals, refine_tol)
+def _critical_data(disc, members: int, window, refine_tol: float) -> list:
+    """Real zeros of Delta' in the window for each member of the block closure ``disc``:
+    its SpectralDataDirac, or the numerical failure that failed it.
+
+    The points come from floquet.locate_spectral_points_block on the one
+    scan grid, and their |Delta'| checks from one set of fresh disk models
+    centered on every member's points (floquet.pad_members), in one batch.
+    """
+    grid = _scan_grid(window)
+    located = locate_spectral_points_block(disc, np.broadcast_to(grid, (members, grid.size)))
+    found = [v if isinstance(v, np.ndarray) and v.size else None for v in located]
+    centers = pad_members(found)
+    checks = None if centers is None else build_models(disc, centers, TRUST)
+    out = []
+    for i, (v, f) in enumerate(zip(located, found)):
+        if f is not None:
+            v = member_result(_checked_critical, window, f, checks[i, : f.size], refine_tol)
+        out.append(SpectralDataDirac(window=window) if isinstance(v, np.ndarray) else v)
+    return out
+
+
+def _checked_critical(window, vals: np.ndarray, checks: np.ndarray, refine_tol: float):
+    """One member's critical data from its check models, or FloatingPointError."""
+    check_finite(checks)
+    residuals = check_residuals(np.abs(checks[:, 1]), vals, refine_tol)
     return SpectralDataDirac(
         window=window,
-        critical_points=tuple(vals),
+        critical_points=tuple(vals.tolist()),
         critical_residuals=tuple(map(float, residuals)),
         critical_models=checks,
     )
@@ -206,7 +235,19 @@ def critical_points(
     steps: int = DEFAULT_STEPS,
 ) -> SpectralDataDirac:
     """Real zeros of Delta' in the window (free case: the integers)."""
-    return _critical_data(discriminant_batch(field, steps), window, refine_tol)
+    return one_member(critical_points_block([field], window, refine_tol, steps))
+
+
+def critical_points_block(
+    fields,
+    window: tuple[float, float],
+    refine_tol: float = 1e-8,
+    steps: int = DEFAULT_STEPS,
+) -> list:
+    """:func:`critical_points` of a block of fields, each engine phase one call for
+    the block: each field's SpectralDataDirac, or the numerical failure
+    (floquet.NUMERICAL_FAILURES) that failed it alone."""
+    return _critical_data(_discriminant_block(fields, steps), len(fields), window, refine_tol)
 
 
 def spectral_data(
@@ -230,7 +271,7 @@ def spectral_data_from(field, disc, window: tuple[float, float], refine_tol: flo
     the closure, and so its step polynomials, with both passes.
     """
     pts = _periodic_points(field, disc, window, refine_tol)
-    crit = _critical_data(disc, window, refine_tol)
+    crit = one_member(_critical_data(disc, 1, window, refine_tol))
     _check_gaps(pts, np.array(crit.critical_points))
     return dataclasses.replace(crit, periodic_points=pts)
 
@@ -382,7 +423,10 @@ def contour_statistic(
     Delta''/Delta' (critical points) or Delta'/(Delta -+ 2) (eigenvalue
     series) over a chain of circles.  Each circle must enclose the intended
     roots only; the g = 1 root count is checked for integrality and a
-    failure raises ContourPlacementError.
+    failure raises ContourPlacementError.  Models of shape (B, C, n) and
+    (B, C) centers are a block of B members' circles: the result is then a
+    list with each member's value or the ContourPlacementError that failed
+    it (floquet.contour_sum).
     """
     if not 0.0 < radius < 0.25:
         raise ValueError(f"contour radius must lie in (0, 1/4), got {radius}")

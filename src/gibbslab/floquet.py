@@ -4,7 +4,10 @@ Four layers, all pure functions over immutable inputs:
 
 * a fixed-step order-8 Taylor propagator (TAYLOR_ORDER) for the
   trace-free system Psi' = (B(x) + lambda C) Psi with real B and C,
-  vectorized over a batch of complex spectral parameters; the Dirac and
+  vectorized over a batch of spectral parameters and over a block of
+  members (fields), whose step polynomials lie side by side along the
+  step axis, each member with its own row of lambda.  A real lambda runs
+  in real arithmetic, since Psi is then real.  The Dirac and
   Hill modules supply only B's Taylor coefficients at the step starts,
   exact from the field's Fourier modes, and the constant C.  On a linear
   system a Taylor step is Psi -> Psi + Q_n(lambda) Psi with Q_n a matrix
@@ -16,9 +19,10 @@ Four layers, all pure functions over immutable inputs:
   same whatever the degree, so the order of the step is almost free: an
   order-8 step reaches below the error of RK4 with a fourth to an eighth
   of the steps.  A small batch also fills the arrays along x: segments of
-  the period run side by side and are multiplied in a pairwise tree, so
-  the step loop's fixed cost per array operation is paid over fewer steps
-  (segments of at least MIN_SEGMENT_STEPS steps);
+  the period run side by side and are multiplied in a pairwise tree that
+  stops at each member's boundary, so the step loop's fixed cost per array
+  operation is paid over fewer steps (segments of at least
+  MIN_SEGMENT_STEPS steps);
 * local analytic "disk models": Taylor expansions of an entire function
   (the discriminant) recovered from samples on a circle, giving cheap and
   spectrally accurate access to values, derivatives and roots near the
@@ -31,7 +35,9 @@ Four layers, all pure functions over immutable inputs:
 * a window scan for the real zeros of the discriminant's derivative (the
   critical points): a model at each discrete extremum of a grid, and one
   batched Newton solve of their derivative rows, each root checked to lie
-  between its extremum's grid neighbours;
+  between its extremum's grid neighbours; a block of members runs the
+  grid, the models and the solve once for the block, and checks each
+  member alone;
 * periodic spectra by Hill's method: eigenvalues of the operator's
   Hermitian Fourier mode matrices, each with a truncation bound.
 
@@ -39,6 +45,11 @@ Contour sums for linear statistics are evaluated on the models, every
 circle at once as one product of the coefficient rows with a table of the
 powers of the circle's nodes, so the integrand stays an analytic object and
 the calculus-of-residues identities hold to model accuracy.
+
+A function ending in ``_block`` takes a block of members and returns, for
+each, its result or the numerical failure (NUMERICAL_FAILURES) that failed
+that member alone; the one-member function is its block of one
+(one_member), so a field alone and a field in a block take one path.
 """
 
 from __future__ import annotations
@@ -52,8 +63,13 @@ __all__ = [
     "step_polynomials",
     "rk4_transfer",
     "transfer_discriminant",
+    "pad_members",
+    "one_member",
+    "member_result",
+    "check_finite",
     "build_models",
     "locate_spectral_points",
+    "locate_spectral_points_block",
     "multiplication_matrix",
     "mode_spectrum",
     "check_residuals",
@@ -76,6 +92,9 @@ class InsufficientPointsError(ValueError):
 # that tolerate a few failed members catch these and let any other
 # exception (a bug) propagate.
 NUMERICAL_FAILURES = (FloatingPointError, RuntimeError, InsufficientPointsError)
+
+# What a non-finite transfer matrix reports
+OVERFLOW = "transfer matrix overflowed; spectral parameter too large for the step budget"
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +130,12 @@ def _segment_count(steps: int, batch: int) -> int:
 # Order of the Taylor step: the step error is O(h^(TAYLOR_ORDER + 1)).
 TAYLOR_ORDER = 8
 
-# Steps of the polynomial build done at once; a block's Taylor
-# coefficients stay about 3 MB whatever the step budget.
+# Steps of a degree-4 (Hill) polynomial build done at once; a build of
+# degree deg takes STEP_BLOCK * 5 // (deg + 1) (568 for Dirac), so that a
+# block's Taylor coefficients stay about 1.4 MiB whatever the step budget,
+# within a core's 2 MiB L2 cache on the reference machine: a block of 14
+# Dirac members (1,792 steps) took 2.9 ms in blocks of 512 or 640 steps
+# against 4.9 ms in blocks of 1,024 (2.7 MiB).
 STEP_BLOCK = 1024
 
 
@@ -137,7 +160,8 @@ def step_polynomials(b_taylor, c, length: float, steps: int) -> np.ndarray:
     K = TAYLOR_ORDER.  phi_k is a matrix polynomial in lam of degree at most
     k, or (k + 1) // 2 when C^2 = 0 (two factors C need a factor of B
     between them); each recursion step is one contraction over j and the
-    inner matrix index, cut to those degrees, for STEP_BLOCK steps at once.
+    inner matrix index, cut to those degrees, for a block of steps at once
+    (STEP_BLOCK, scaled down for degree 8).
 
     Returns a (deg + 1, 4, steps) array: [m, :, n] holds the entries (11,
     12, 21, 22) of the coefficient of lam^m in Q_n, with deg the degree
@@ -160,8 +184,9 @@ def step_polynomials(b_taylor, c, length: float, steps: int) -> np.ndarray:
     deg = [(k + 1) // 2 if nilpotent else k for k in range(order + 1)]
     c_entries = [(r, t, hc[r, t]) for r in range(2) for t in range(2) if hc[r, t] != 0.0]
     out = np.empty((deg[order] + 1, 4, steps))
-    for s in range(0, steps, STEP_BLOCK):
-        e = min(s + STEP_BLOCK, steps)
+    block = max(1, STEP_BLOCK * 5 // (deg[order] + 1))
+    for s in range(0, steps, block):
+        e = min(s + block, steps)
         # phi_k of the block's steps in phi[k] as (degree, row, column,
         # step), zero past deg[k]
         phi = np.zeros((order + 1, deg[order] + 1, 2, 2, e - s))
@@ -181,60 +206,81 @@ def step_polynomials(b_taylor, c, length: float, steps: int) -> np.ndarray:
 
 
 def rk4_transfer(step_poly: np.ndarray, steps: int, lam: np.ndarray):
-    """Transfer matrix Psi(length) of Psi' = (B(x) + lam C) Psi, Psi(0) = I.
+    """Transfer matrices Psi(length) of Psi' = (B(x) + lam C) Psi, Psi(0) = I, of a block.
 
-    ``step_poly`` is :func:`step_polynomials` of the system over ``steps``
-    steps, a real array.  Returns four arrays shaped like the batch ``lam``
-    holding the entries of Psi(length).  Each step forms
-    Q(lam) = sum_m lam^m Q^(m) for every lane as one real matrix product of
-    its coefficients with the interleaved real and imaginary parts of the
-    powers of lam, computed once per call, and applies Psi + Q(lam) Psi in
-    four array operations.  Adding Psi last keeps the rounding of a staged
-    loop; a product with I + Q would lose the low bits of the increment.
+    ``step_poly`` is :func:`step_polynomials` of B members' systems, each
+    over ``steps`` steps, concatenated along the step axis (the build of
+    their concatenated Taylor samples, with length and steps B times a
+    member's), so B = step_poly.shape[2] // steps.  ``lam`` holds one row
+    of spectral parameters per member, shape (B, L); one member's may have
+    any shape.  Returns four arrays shaped like ``lam`` holding the entries
+    of Psi(length).
+
+    Each step forms Q(lam) = sum_m lam^m Q^(m) for every lane as one real
+    matrix product per member, of its coefficients, rows in (entry,
+    segment) order, with the powers of its lam, computed once per call.  A
+    complex lam enters as interleaved real and imaginary parts; a real lam
+    runs in real arithmetic, since B and C are real and so is Psi.
+    Psi + Q(lam) Psi is applied in four array operations over the whole
+    block.  Adding Psi last keeps the rounding of a staged loop; a product
+    with I + Q would lose the low bits of the increment.
 
     The loop applies any one-step method that is a polynomial in lam; the
     steps are Taylor steps (step_polynomials), and tests drive it with RK4
     steps too.  It keeps the name it had when the steps were RK4 steps
     because the benchmark's tracer reads this function, and its ``steps``
-    and ``lam`` arguments, by name.
+    and ``lam`` arguments, by name; lam.size is then the call's lanes.
 
-    A small batch is spread along x: [0, length] is split into k equal
-    segments (k the largest power of two dividing ``steps`` with
-    k * lam.size <= SEGMENT_LANES and at least MIN_SEGMENT_STEPS steps per
-    segment), every segment is propagated from the
-    identity at once on (2, 2, k, lam.size) arrays, and the k segment
-    matrices are multiplied in log2(k) pairwise levels, later segment on
-    the left.  The steps are the same as for k = 1, so results agree with
-    the unsegmented loop to rounding.
+    A small batch is spread along x: each member's [0, length] is split
+    into k equal segments (k the largest power of two dividing ``steps``
+    with k * lam.size <= SEGMENT_LANES and at least MIN_SEGMENT_STEPS steps
+    per segment), every segment is propagated from the identity at once on
+    (2, 2, B, k, L) arrays, and each member's k segment matrices are
+    multiplied in log2(k) pairwise levels, later segment on the left, the
+    tree stopping at the member's boundary.  The steps are the same as for
+    k = 1, so results agree with the unsegmented loop to rounding.
+
+    A member with a non-finite lane keeps its lanes as computed, for the
+    caller to fail that member alone; when every member of the block has
+    one, FloatingPointError.
     """
     if steps < 64:
         raise ValueError("steps must be >= 64")
     step_poly = np.asarray(step_poly)
-    if step_poly.ndim != 3 or step_poly.shape[1:] != (4, steps):
-        raise ValueError("step polynomials must have shape (deg + 1, 4, steps)")
-    lam = np.asarray(lam, dtype=complex)
+    if step_poly.ndim != 3 or step_poly.shape[1] != 4 or step_poly.shape[2] % steps:
+        raise ValueError("step polynomials must have shape (deg + 1, 4, steps * members)")
+    members = step_poly.shape[2] // steps
+    lam = np.asarray(lam)
+    if members > 1 and (lam.ndim != 2 or lam.shape[0] != members):
+        raise ValueError(f"a block of {members} members needs lam of shape ({members}, L)")
+    dtype = complex if np.iscomplexobj(lam) else float
     shape = lam.shape
+    lam = lam.astype(dtype, copy=False).reshape(members, -1)
+    width = lam.shape[1]
     k = _segment_count(steps, lam.size)
     seg = steps // k
     deg = step_poly.shape[0] - 1
-    # the coefficients of step j of every segment as a (4 * k, deg + 1)
-    # matrix, rows in (entry, segment) order, and lam^m in row m of powers
-    cols = np.ascontiguousarray(step_poly.reshape(deg + 1, 4 * k, seg).transpose(2, 1, 0))
-    powers = np.empty((deg + 1, lam.size), dtype=complex)
-    powers[0] = 1.0
+    # the coefficients of step j of every segment as a (B, 4 * k, deg + 1)
+    # array, rows in (entry, segment) order, and lam^m in row m of each
+    # member's powers
+    cols = np.ascontiguousarray(
+        step_poly.reshape(deg + 1, 4, members, k, seg).transpose(4, 2, 1, 3, 0)
+    ).reshape(seg, members, 4 * k, deg + 1)
+    powers = np.empty((members, deg + 1, width), dtype=dtype)
+    powers[:, 0] = 1.0
     rhs = powers.view(float)
-    lanes = (2, 2, k, lam.size)
-    psi = np.zeros(lanes, dtype=complex)
+    lanes = (2, 2, members, k, width)
+    psi = np.zeros(lanes, dtype=dtype)
     psi[0, 0] = psi[1, 1] = 1.0
     # the step loop writes into buffers made once: a fresh temporary of this
     # size per operation costs page faults that outweigh the arithmetic
-    q_out = np.empty((4 * k, rhs.shape[1]))
-    q = q_out.view(complex).reshape(lanes)
-    dpsi, term = np.empty(lanes, dtype=complex), np.empty(lanes, dtype=complex)
-    # an overflow is reported once, as the FloatingPointError below
+    q_out = np.empty((members, 4 * k, rhs.shape[-1]))
+    q = q_out.view(dtype).reshape(members, 2, 2, k, width).transpose(1, 2, 0, 3, 4)
+    dpsi, term = np.empty(lanes, dtype=dtype), np.empty(lanes, dtype=dtype)
+    # an overflow is reported by member, below
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, deg + 1):
-            powers[m] = powers[m - 1] * lam.ravel()
+            powers[:, m] = powers[:, m - 1] * lam
         for col in cols:
             np.matmul(col, rhs, out=q_out)
             # psi + Q psi, with the product summed before psi is added
@@ -242,27 +288,74 @@ def rk4_transfer(step_poly: np.ndarray, steps: int, lam: np.ndarray):
             np.multiply(q[:, 1, None], psi[None, 1], out=term)
             dpsi += term
             psi += dpsi
-        while psi.shape[2] > 1:
-            psi = _mat_prod(psi[:, :, 1::2], psi[:, :, 0::2])
-    if not np.all(np.isfinite(psi)):
-        raise FloatingPointError(
-            "transfer matrix overflowed; spectral parameter too large for the step budget"
-        )
+        while psi.shape[3] > 1:
+            psi = _mat_prod(psi[:, :, :, 1::2], psi[:, :, :, 0::2])
+    if not np.isfinite(psi).all(axis=(0, 1, 3, 4)).any():
+        raise FloatingPointError(OVERFLOW)
     return tuple(p.reshape(shape) for p in psi.reshape(4, -1))
 
 
 def transfer_discriminant(b_taylor, c, length: float, steps: int):
-    """Closure evaluating Delta = trace Psi_lambda(length) on arrays of lambda.
+    """Closure evaluating Delta = trace Psi_lambda(length) of a block of members.
 
-    The step polynomials are built once, here, and shared by every call.
+    ``b_taylor`` holds each member's Taylor samples of B, as
+    :func:`step_polynomials` takes them; ``c``, ``length`` and ``steps``
+    are shared.  The step polynomials of the whole block are built once,
+    here, from the samples concatenated along the step axis (length and
+    steps B times a member's), and shared by every call; the closure takes
+    lambda as :func:`rk4_transfer` does, a row per member of a block.
     """
-    step_poly = step_polynomials(b_taylor, c, length, steps)
+    members = len(b_taylor)
+    joined = [np.concatenate(entry, axis=1) for entry in zip(*b_taylor)]
+    step_poly = step_polynomials(joined, c, length * members, steps * members)
 
     def disc(lams):
-        m = rk4_transfer(step_poly, steps, np.asarray(lams, dtype=complex))
-        return m[0] + m[3]
+        m = rk4_transfer(step_poly, steps, lams)
+        # a failed member's non-finite lanes may sum to nan
+        with np.errstate(invalid="ignore"):
+            return m[0] + m[3]
 
     return disc
+
+
+def pad_members(rows) -> np.ndarray | None:
+    """Ragged member rows as one (B, P) array, P the longest row's length.
+
+    Each row repeats its last value up to P; a member without values
+    (None or an empty row) takes the first row that has some.  None when
+    no member has a value.
+    """
+    fill = next((r for r in rows if r is not None and len(r)), None)
+    if fill is None:
+        return None
+    rows = [fill if r is None or not len(r) else r for r in rows]
+    lengths = np.array([len(r) for r in rows])
+    starts = np.cumsum(lengths) - lengths
+    last = np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
+    return np.concatenate(rows)[starts[:, None] + last]
+
+
+def one_member(results: list):
+    """The result of a block of one member, or the failure it holds raised."""
+    (result,) = results
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
+def member_result(fn, *args):
+    """``fn(*args)``, or the NUMERICAL_FAILURES exception it raised: one member's
+    result in a block, whose failure fails that member alone."""
+    try:
+        return fn(*args)
+    except NUMERICAL_FAILURES as exc:
+        return exc
+
+
+def check_finite(values) -> None:
+    """FloatingPointError(OVERFLOW) unless every one of ``values`` (one member's) is finite."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError(OVERFLOW)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +378,12 @@ def _ring_nodes(radius: float) -> int:
 def build_models(f_batch, centers: np.ndarray, trust: float) -> np.ndarray:
     """Fit disk models at the given centers with one batched evaluation.
 
-    Returns the models as one complex array of shape (len(centers), n):
+    Returns the models as one complex array of shape centers.shape + (n,):
     row i holds the Taylor coefficients of f(centers[i] + w) = sum_k
-    coefs[i, k] w^k, trusted for |w| <= trust.
+    coefs[i, k] w^k, trusted for |w| <= trust.  Centers of shape (B, P)
+    are those of a block of B members: ``f_batch`` (a block's
+    :func:`transfer_discriminant` closure) then gets one row of points per
+    member.
 
     ``f_batch`` maps an array of complex points to function values and must
     be entire of exponential type at most pi, so that its Taylor
@@ -314,11 +410,13 @@ def build_models(f_batch, centers: np.ndarray, trust: float) -> np.ndarray:
     half = nodes // 2
     theta = 2.0 * np.pi * np.arange(half + 1) / nodes
     ring = radius * np.exp(1j * theta)
-    pts = (centers[:, None] + ring[None, :]).ravel()
-    upper = np.asarray(f_batch(pts), dtype=complex).reshape(centers.size, half + 1)
-    vals = np.concatenate([upper, upper[:, half - 1 : 0 : -1].conj()], axis=1)
-    # r^-k underflows quietly to 0 where r^k would overflow on a wide circle
-    return np.fft.fft(vals, axis=1) * (radius ** -np.arange(nodes) / nodes)
+    pts = (centers[..., None] + ring).reshape(*centers.shape[:-1], -1)
+    upper = np.asarray(f_batch(pts), dtype=complex).reshape(*centers.shape, half + 1)
+    vals = np.concatenate([upper, upper[..., half - 1 : 0 : -1].conj()], axis=-1)
+    # r^-k underflows quietly to 0 where r^k would overflow on a wide
+    # circle; a failed member's non-finite values give non-finite rows
+    with np.errstate(invalid="ignore"):
+        return np.fft.fft(vals, axis=-1) * (radius ** -np.arange(nodes) / nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -344,28 +442,64 @@ def locate_spectral_points(f_batch, grid: np.ndarray) -> np.ndarray:
     NEWTON_STEPS Newton steps from w = 0.  A root that is not finite, whose
     last step exceeds NEWTON_TOL or that lies outside (x_{i-1}, x_{i+1}),
     or two extrema that resolve to one root, raise FloatingPointError.
-    Returns the zeros sorted.
+    Returns the zeros sorted.  This is :func:`locate_spectral_points_block`
+    on a block of one member.
     """
-    grid = np.asarray(grid, dtype=float)
-    d = np.real(np.asarray(f_batch(grid.astype(complex))))
-    slope = np.diff(d)
-    ext = np.flatnonzero(slope[:-1] * slope[1:] < 0) + 1
-    if not ext.size:
-        return np.empty(0)
-    centers = grid[ext]
-    coefs = build_models(f_batch, centers, TRUST).real
-    k = np.arange(1, coefs.shape[1])
-    deriv = coefs[:, 1:] * k  # f'
-    second = deriv[:, 1:] * k[:-1]  # f''
-    w = np.zeros(centers.size)
+    return one_member(locate_spectral_points_block(f_batch, np.asarray(grid)[None]))
+
+
+def locate_spectral_points_block(f_batch, grids: np.ndarray) -> list:
+    """:func:`locate_spectral_points` for each member of a block.
+
+    ``f_batch`` is the :func:`transfer_discriminant` closure of a block of
+    members, or any function of one, and ``grids`` holds each member's
+    grid as a row.  The grids are one call for the block, the scan models
+    one :func:`build_models` call at every member's extrema (padded by
+    :func:`pad_members`) and the Newton solve one over all their rows; each
+    member's roots are then checked alone.  Returns, for each member, its
+    zeros sorted or the FloatingPointError that failed it.
+    """
+    grids = np.asarray(grids, dtype=float)
+    d = np.real(np.asarray(f_batch(grids)))
+    ext = [member_result(_grid_extrema, row) for row in d]
+    live = [i for i, e in enumerate(ext) if isinstance(e, np.ndarray) and e.size]
+    results = [e if isinstance(e, BaseException) else np.empty(0) for e in ext]
+    if not live:
+        return results
+    centers = pad_members([grids[i, e] if i in live else None for i, e in enumerate(ext)])
+    models = build_models(f_batch, centers, TRUST)
+    coefs = models.real
+    k = np.arange(1, coefs.shape[-1])
+    deriv = coefs[..., 1:] * k  # f'
+    second = deriv[..., 1:] * k[:-1]  # f''
+    w = np.zeros(centers.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(NEWTON_STEPS):
-            powers = np.vander(w, k.size, increasing=True)
-            step = np.einsum("ij,ij->i", deriv, powers) / np.einsum(
-                "ij,ij->i", second, powers[:, :-1]
+            powers = np.vander(w.ravel(), k.size, increasing=True).reshape(*w.shape, k.size)
+            step = np.einsum("...j,...j->...", deriv, powers) / np.einsum(
+                "...j,...j->...", second, powers[..., :-1]
             )
             w = w - step
     points = centers + w
+    for i in live:
+        n = ext[i].size
+        results[i] = member_result(
+            _checked_zeros, grids[i], ext[i], points[i, :n], step[i, :n], models[i, :n]
+        )
+    return results
+
+
+def _grid_extrema(row: np.ndarray) -> np.ndarray:
+    """Indices of the discrete extrema of one member's grid samples, or FloatingPointError."""
+    check_finite(row)
+    slope = np.diff(row)
+    return np.flatnonzero(slope[:-1] * slope[1:] < 0) + 1
+
+
+def _checked_zeros(grid, ext, points, step, models) -> np.ndarray:
+    """The Newton roots of one member's extrema, sorted, or FloatingPointError."""
+    check_finite(models)
+    centers = grid[ext]
     # a nan fails every comparison
     ok = (np.abs(step) <= NEWTON_TOL) & (grid[ext - 1] < points) & (points < grid[ext + 1])
     if not ok.all():
@@ -468,11 +602,15 @@ def mode_spectrum(matrix, spacing: float, bandwidth: int, edge: float, window, t
 
 
 def check_residuals(resid: np.ndarray, points, tol: float) -> np.ndarray:
-    """``resid`` at ``points``, or FloatingPointError if one exceeds max(100 tol, 1e-6)."""
-    bad = np.flatnonzero(resid > max(100.0 * tol, 1e-6))
+    """``resid`` at ``points``, or FloatingPointError naming the first one above
+    max(100 tol, 1e-6) and that bound."""
+    bound = max(100.0 * tol, 1e-6)
+    bad = np.flatnonzero(resid > bound)
     if bad.size:
         i = bad[0]
-        raise FloatingPointError(f"residual {resid[i]:.2e} at {points[i]:.8f}; more steps needed")
+        raise FloatingPointError(
+            f"residual {resid[i]:.2e} at {points[i]:.8f} above max(100 tol, 1e-6) = {bound:.1e}"
+        )
     return resid
 
 
@@ -488,7 +626,7 @@ CONTOUR_NODES = 64
 
 def contour_sum(
     models: np.ndarray, centers, trust: float, g, kernel: str, radius: float
-) -> tuple[float, list[float]]:
+) -> tuple:
     """Sum of (1/2 pi i) * contour integrals of g times a logarithmic kernel.
 
     ``models`` are the :func:`build_models` rows at ``centers``, trusted
@@ -510,20 +648,28 @@ def contour_sum(
     must be within 0.1 of an integer; the first circle in center order
     that fails raises ContourPlacementError.  Returns the real part of the
     sum and the circles' root counts.
+
+    ``models`` of shape (B, C, n), with (B, C) centers, are the circles of
+    a block of B members: then each member's circles are summed and tested
+    alone, and the result is a list with each member's sum or the
+    ContourPlacementError that failed it, and the (B, C) root counts.
     """
     if kernel not in ("critical", "plus", "minus"):
         raise ValueError("kernel must be 'critical', 'plus' or 'minus'")
     if not 0.0 < radius <= trust:
         raise ValueError(f"contour radius {radius} is not in (0, trust = {trust}]")
-    centers = np.asarray(centers, dtype=complex)
+    block = np.ndim(models) == 3
+    models = np.asarray(models) if block else np.asarray(models)[None]
+    centers = np.asarray(centers, dtype=complex).reshape(models.shape[:2])
     if kernel == "critical":
-        base, level = models[:, 1:] * np.arange(1, models.shape[1]), 0.0
+        base, level = models[..., 1:] * np.arange(1, models.shape[-1]), 0.0
     else:
         base, level = models, (2.0 if kernel == "plus" else -2.0)
     # columns past the last nonzero coefficient, which underflowed to 0 in
     # build_models on a wide ring, are dropped: radius^k may overflow there
-    base = base[:, : np.max(np.flatnonzero(base.any(axis=0)), initial=-1) + 1]
-    k = np.arange(base.shape[1])
+    used = base.reshape(-1, base.shape[-1]).any(axis=0)
+    base = base[..., : np.max(np.flatnonzero(used), initial=-1) + 1]
+    k = np.arange(base.shape[-1])
     j = np.arange(CONTOUR_NODES)
     phase = np.exp(2j * np.pi * j / CONTOUR_NODES)
     # w_j^k / radius^k = e^(i k theta_j), the angle reduced exactly mod 2 pi
@@ -531,7 +677,20 @@ def contour_sum(
     scaled = base * radius**k
     # the kernel times w_j, one row per circle
     ratio = (scaled * k) @ table / (scaled @ table - level)
-    counts = ratio.mean(axis=1)
+    counts = ratio.mean(axis=-1)
+    z = centers[..., None] + radius * phase
+    totals = np.real(np.sum(np.mean(np.asarray(g(z), dtype=complex) * ratio, axis=-1), axis=-1))
+    sums = [
+        member_result(_counted_sum, total, c, x) for total, c, x in zip(totals, counts, centers)
+    ]
+    if block:
+        return sums, counts.real
+    return one_member(sums), counts[0].real.tolist()
+
+
+def _counted_sum(total: float, counts: np.ndarray, centers: np.ndarray) -> float:
+    """One member's contour sum, or ContourPlacementError at its first circle whose
+    root count is not within 0.1 of an integer."""
     # a nan count fails too
     bad = np.flatnonzero(~(np.abs(counts - np.round(counts.real)) <= 0.1))
     if bad.size:
@@ -540,6 +699,4 @@ def contour_sum(
             f"root count {counts[i]:.4f} at center {complex(centers[i]):.6g} "
             "is not close to an integer; adjust the circles"
         )
-    z = centers[:, None] + radius * phase
-    total = np.sum(np.mean(np.asarray(g(z), dtype=complex) * ratio, axis=1))
-    return float(np.real(total)), counts.real.tolist()
+    return float(total)

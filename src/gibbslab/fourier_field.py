@@ -27,7 +27,6 @@ __all__ = [
     "default_grid_size",
     "evaluate",
     "taylor_samples",
-    "coefficients_from_grid",
     "l2_norm_sq",
     "sobolev_norm_sq",
     "sup_norm",
@@ -184,15 +183,6 @@ def taylor_samples(field: PeriodicField, orders: int, points: int) -> np.ndarray
     spec = np.zeros((orders, grid), dtype=complex)
     spec[:, field.modes % grid] = scaled
     return (np.fft.ifft(spec, axis=1) * grid)[:, ::r]
-
-
-def coefficients_from_grid(signal: GridSignal, cutoff: int) -> PeriodicField:
-    """Inverse of :func:`evaluate` for grid_size > 2*cutoff+1."""
-    if signal.grid_size <= 2 * cutoff + 1:
-        raise GridTooSmallError("grid too small to recover the requested cutoff")
-    spec = np.fft.fft(signal.values) / signal.grid_size
-    ns = np.arange(-cutoff, cutoff + 1)
-    return PeriodicField(cutoff, spec[ns % signal.grid_size])
 
 
 def l2_norm_sq(field: PeriodicField) -> float:

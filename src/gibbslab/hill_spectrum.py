@@ -32,10 +32,14 @@ from .floquet import (
     TAYLOR_ORDER,
     InsufficientPointsError,
     build_models,
+    check_finite,
     check_residuals,
     contour_sum,
+    member_result,
     mode_spectrum,
     multiplication_matrix,
+    one_member,
+    pad_members,
     transfer_discriminant,
 )
 from .fourier_field import (
@@ -53,6 +57,7 @@ __all__ = [
     "BorgReport",
     "hill_discriminant_batch",
     "hill_periodic_spectrum",
+    "hill_periodic_spectrum_block",
     "borg_check",
     "BandLimitedFunction",
     "default_test_family",
@@ -93,8 +98,14 @@ def _hill_nodes(q: PeriodicField, steps: int):
 
 
 def hill_discriminant_batch(q: PeriodicField, steps: int = DEFAULT_STEPS):
-    _check_potential(q)
-    return transfer_discriminant(_hill_nodes(q, steps), _HILL_C, np.pi, steps)
+    return _discriminant_block([q], steps)
+
+
+def _discriminant_block(qs, steps: int):
+    """floquet.transfer_discriminant closure of a block of potentials: Delta of each."""
+    for q in qs:
+        _check_potential(q)
+    return transfer_discriminant([_hill_nodes(q, steps) for q in qs], _HILL_C, np.pi, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +176,40 @@ def hill_periodic_spectrum(
     operator's; both edges of a gap are listed, however narrow.  Residuals
     |Delta^2 - 4| come from the direct solver (floquet.check_residuals).
     """
+    return one_member(hill_periodic_spectrum_block([q], lambda_max, tol, steps))
+
+
+def hill_periodic_spectrum_block(
+    qs,
+    lambda_max: float,
+    tol: float = SPECTRUM_TOL,
+    steps: int = DEFAULT_STEPS,
+) -> list:
+    """:func:`hill_periodic_spectrum` of a block of potentials: each one's
+    HillSpectralData, or the numerical failure (floquet.NUMERICAL_FAILURES)
+    that failed it alone.
+
+    Each potential has its own mode matrices; the residual checks of the
+    whole block are one real-lambda call of the transfer-matrix engine, on
+    every member's eigenvalues (floquet.pad_members).
+    """
     if not lambda_max >= 0.0:
         raise ValueError(f"lambda_max must be non-negative, got {lambda_max}")
-    disc = hill_discriminant_batch(q, steps)
-    eigenvalues, anti, bounds = _mode_eigenvalues(q, lambda_max, tol)
+    disc = _discriminant_block(qs, steps)
+    spectra = [member_result(_mode_eigenvalues, q, lambda_max, tol) for q in qs]
+    values = [None if isinstance(s, BaseException) else s[0] for s in spectra]
+    padded = pad_members(values)
+    delta = np.empty((len(qs), 0)) if padded is None else disc(padded)
+    return [
+        s if v is None else member_result(_hill_data, *s, delta[i, : v.size], lambda_max, tol)
+        for i, (s, v) in enumerate(zip(spectra, values))
+    ]
+
+
+def _hill_data(eigenvalues, anti, bounds, delta, lambda_max: float, tol: float) -> HillSpectralData:
+    """One potential's spectral data from its mode-matrix eigenvalues and Delta at them."""
+    check_finite(delta)
     series = ["antiperiodic" if a else "periodic" for a in anti]
-    delta = np.real(disc(eigenvalues.astype(complex)))
     resid = check_residuals(np.abs(delta * delta - 4.0), eigenvalues, tol)
 
     # ordering sanity: after lambda_0 the series labels come in equal pairs

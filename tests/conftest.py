@@ -6,7 +6,14 @@ import pytest
 from gibbslab import dirac_spectrum as ds
 from gibbslab import hill_spectrum as hs
 from gibbslab.floquet import _mat_prod, _segment_count, rk4_transfer, step_polynomials
-from gibbslab.fourier_field import PeriodicField, evaluate, default_grid_size, lp_integral
+from gibbslab.fourier_field import (
+    GridSignal,
+    GridTooSmallError,
+    PeriodicField,
+    default_grid_size,
+    evaluate,
+    lp_integral,
+)
 from gibbslab.gibbs_sampler import RejectionBudgetError, _batch_in_omega, gibbs_weight
 
 
@@ -16,6 +23,15 @@ def random_field(cutoff: int, seed: int, scale: float = 1.0, decay: float = 1.0)
     c = rng.standard_normal(2 * cutoff + 1) + 1j * rng.standard_normal(2 * cutoff + 1)
     c = scale * c / (1.0 + np.abs(ns)) ** decay
     return PeriodicField(cutoff, c)
+
+
+def coefficients_from_grid(signal: GridSignal, cutoff: int) -> PeriodicField:
+    """Inverse of ``evaluate`` for grid_size > 2*cutoff+1."""
+    if signal.grid_size <= 2 * cutoff + 1:
+        raise GridTooSmallError("grid too small to recover the requested cutoff")
+    spec = np.fft.fft(signal.values) / signal.grid_size
+    ns = np.arange(-cutoff, cutoff + 1)
+    return PeriodicField(cutoff, spec[ns % signal.grid_size])
 
 
 def bounded_below_field(cutoff: int, seed: int, floor: float = 0.3) -> PeriodicField:

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from gibbslab import concentration_harness as ch
+from gibbslab.floquet import NUMERICAL_FAILURES
 from gibbslab.fourier_field import l2_norm_sq
-from gibbslab.gibbs_sampler import GibbsEnsemble, GibbsParams, importance_ensemble
+from gibbslab.gibbs_sampler import (
+    GibbsEnsemble,
+    GibbsParams,
+    importance_ensemble,
+    sample_kdv_loop,
+    sample_wiener_loop,
+)
 
 
 def gaussian_ensemble(count=4000, cutoff=6, seed=1):
@@ -102,6 +109,69 @@ class TestCollect:
             unweighted, coordinate_failing_on(unweighted, 11), name="one_bad", failure_cap=0.1
         )
         assert ch.concentration_report(sample, bootstrap=20).weight_ess == pytest.approx(11.0)
+
+
+def rescaled(field, mass: float):
+    return field * math.sqrt(mass / l2_norm_sq(field))
+
+
+def uniform_ensemble(fields, kind: str = "nls") -> GibbsEnsemble:
+    params = GibbsParams(p=4.0, beta=-1.0, ball_radius=1e3, cutoff=8, kind=kind,
+                         pi_periodic=kind == "kdv")
+    return GibbsEnsemble(params, tuple(fields), np.ones(len(fields)), 0, "importance")
+
+
+DIRAC = "dirac:critical:lorentzian:c=3:M=3"
+HILL = "hill:midpoints:lorentzian:c=3:J=3"
+# 40 unit-mass members of each kind
+MEMBERS = {
+    DIRAC: [rescaled(sample_wiener_loop(8, 7000 + i), 1.0) for i in range(40)],
+    HILL: [rescaled(sample_kdv_loop(8, 7000 + i, pi_periodic=True), 1.0) for i in range(40)],
+}
+
+
+class TestBlockedStatistics:
+    """The spectral statistics run a block of members at a time; every member's
+    value is its value as a block of one, and a failing member fails alone."""
+
+    @pytest.mark.parametrize("spec", [DIRAC, HILL])
+    def test_blocks_equal_one_member_blocks(self, spec):
+        name, fn = ch.make_statistic(spec)
+        kind = "kdv" if spec == HILL else "nls"
+        sample = ch.collect_statistic(uniform_ensemble(MEMBERS[spec], kind), fn, name=name)
+        assert sample.failed == 0 and sample.values.size == 40
+        alone = np.array([fn(f) for f in MEMBERS[spec]])
+        assert np.max(np.abs(sample.values - alone) / np.abs(alone)) < 1e-13
+        # the descriptor runs the same blocks as the callable
+        by_name = ch.collect_statistic(uniform_ensemble(MEMBERS[spec], kind), spec)
+        assert np.array_equal(by_name.values, sample.values)
+
+    def test_block_membership_follows_the_count(self):
+        _, fn = ch.make_statistic(DIRAC)
+        assert fn.block_members == 14
+        sizes = []
+        ens = uniform_ensemble(MEMBERS[DIRAC])
+        fn.block = lambda fields, block=fn.block: sizes.append(len(fields)) or block(fields)
+        ch.collect_statistic(ens, fn)
+        assert sizes == [14, 13, 13]
+
+    @pytest.mark.parametrize(
+        "mass, message",
+        [(30.0, "residual .* above"), (1e5, "transfer matrix overflowed")],
+        ids=["residual", "non-finite-lanes"],
+    )
+    def test_a_failing_member_fails_alone(self, mass, message):
+        name, fn = ch.make_statistic(DIRAC)
+        fields = list(MEMBERS[DIRAC][:12])
+        fields[5] = rescaled(fields[5], mass)
+        with pytest.raises(NUMERICAL_FAILURES, match=message):
+            fn(fields[5])
+        assert fn.block_members >= len(fields)  # one block
+        sample = ch.collect_statistic(uniform_ensemble(fields), fn, name=name, failure_cap=0.1)
+        assert sample.failed == 1
+        assert list(sample.members) == [i for i in range(12) if i != 5]
+        alone = np.array([fn(f) for i, f in enumerate(fields) if i != 5])
+        assert np.max(np.abs(sample.values - alone) / np.abs(alone)) < 1e-13
 
 
 class TestLogMgf:

@@ -403,6 +403,97 @@ class TestHalfRing:
         assert lanes == [97, 13 * centers[0], 13 * centers[1]]
 
 
+class TestMemberBlocks:
+    """rk4_transfer on the step polynomials of several members, concatenated
+    along the step axis; a real lam runs in real arithmetic."""
+
+    FIELDS = [random_field(6, seed, scale=0.4) for seed in (51, 52, 53)]
+
+    @staticmethod
+    def block_polynomials(fields, steps: int) -> np.ndarray:
+        nodes = [system_args("dirac", f, steps)[0] for f in fields]
+        joined = [np.concatenate(entry, axis=1) for entry in zip(*nodes)]
+        b = len(fields)
+        return step_polynomials(joined, ds._DIRAC_C, 2 * np.pi * b, steps * b)
+
+    @pytest.mark.parametrize("steps", [128, 512])
+    def test_real_lambda_matches_complex(self, steps):
+        lam = np.random.default_rng(steps).uniform(-8.0, 8.0, 300)
+        for system, field in TestSegmentation.FIELDS.items():
+            step_poly = step_polynomials(*system_args(system, field, steps), steps)
+            real = np.array(rk4_transfer(step_poly, steps, lam))
+            ref = np.array(rk4_transfer(step_poly, steps, lam.astype(complex)))
+            assert real.dtype == np.float64 and not ref.imag.any()
+            assert np.max(np.abs(real - ref.real) / np.max(np.abs(ref), axis=0)) < 1e-13
+
+    @pytest.mark.parametrize("steps", [128, 512])
+    def test_block_matches_each_member(self, steps):
+        block = self.block_polynomials(self.FIELDS, steps)
+        rng = np.random.default_rng(steps)
+        real = np.broadcast_to(rng.uniform(-5.0, 5.0, 97), (3, 97))
+        lam = rng.uniform(-5.0, 5.0, (3, 40)) + 1j * rng.uniform(-0.5, 0.5, (3, 40))
+        for rows in (real, lam):
+            got = np.array(rk4_transfer(block, steps, rows))
+            assert got.shape == (4, *rows.shape)
+            for i, f in enumerate(self.FIELDS):
+                ref = np.array(transfer("dirac", f, steps, rows[i]))
+                err = np.abs(got[:, i] - ref) / np.max(np.abs(ref), axis=0)
+                assert np.max(err) < 1e-13, (i, np.max(err))
+        with pytest.raises(ValueError, match=r"\(3, L\)"):
+            rk4_transfer(block, steps, real[0])
+
+    def test_a_non_finite_member_keeps_its_lanes(self):
+        # the middle member overflows; the others are as computed alone, and
+        # a block of overflowing members raises
+        fields = [self.FIELDS[0], self.FIELDS[1] * 400.0, self.FIELDS[2]]
+        lam = np.linspace(-3.0, 3.0, 31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = np.array(rk4_transfer(self.block_polynomials(fields, 128), 128, [lam] * 3))
+            with pytest.raises(FloatingPointError, match="overflowed"):
+                rk4_transfer(self.block_polynomials(fields[1:2] * 2, 128), 128, [lam] * 2)
+        assert not np.isfinite(got[:, 1]).all()
+        for i in (0, 2):
+            assert np.max(np.abs(got[:, i] - transfer("dirac", fields[i], 128, lam))) < 1e-12
+
+    def test_statistic_block_lanes(self, monkeypatch):
+        # a block of the Dirac statistic makes three engine calls: the 97
+        # grid points of every member, then each member's scan models and
+        # check models, 13 upper half-ring nodes per center
+        calls, centers = [], []
+        original_transfer, original_models = floquet.rk4_transfer, floquet.build_models
+
+        def counting_transfer(step_poly, steps, lam):
+            members = step_poly.shape[2] // steps
+            calls.append((members, np.shape(lam)))
+            return original_transfer(step_poly, steps, lam)
+
+        def counting_models(f_batch, centers_, trust):
+            centers.append(np.shape(centers_))
+            return original_models(f_batch, centers_, trust)
+
+        monkeypatch.setattr(floquet, "rk4_transfer", counting_transfer)
+        monkeypatch.setattr(floquet, "build_models", counting_models)
+        monkeypatch.setattr(ds, "build_models", counting_models)
+        _, stat = ch.make_statistic("dirac:critical:lorentzian:c=3:M=3")
+        fields = [unit_mass(random_field(8, seed)) for seed in range(61, 73)]
+        values = stat.block(fields)
+        assert all(np.isfinite(v) for v in values)
+        assert [c[0] for c in centers] == [12, 12]
+        models = [(12, (12, 13 * n)) for _, n in centers]
+        assert calls == [(12, (12, 97)), *models]
+
+    def test_residual_message_names_the_bound(self):
+        resid = np.array([1e-7, 3.7e-5])
+        with pytest.raises(
+            FloatingPointError,
+            match=r"^residual 3\.70e-05 at 1\.23456789 above max\(100 tol, 1e-6\) = 1\.0e-06$",
+        ):
+            floquet.check_residuals(resid, np.array([0.5, 1.23456789]), 1e-9)
+        with pytest.raises(FloatingPointError, match=r"= 1\.0e-05$"):
+            floquet.check_residuals(resid, np.array([0.5, 1.23456789]), 1e-7)
+
+
 def companion_roots(coef: np.ndarray, trust: float) -> np.ndarray:
     """In-disk roots of np.roots on the row, trimmed past its last coefficient
     whose size |c_k| trust^k exceeds 1e-14 of the largest."""

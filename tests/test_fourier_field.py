@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gibbslab.fourier_field import (
     GridTooSmallError,
     PeriodicField,
-    coefficients_from_grid,
     default_grid_size,
     evaluate,
     field_from_json,
@@ -23,7 +22,7 @@ from gibbslab.fourier_field import (
     sobolev_norm_sq,
     zero_field,
 )
-from conftest import random_field
+from conftest import coefficients_from_grid, random_field
 
 
 class TestEvaluate:

@@ -193,6 +193,17 @@ class TestMidpointRange:
         with pytest.raises(InsufficientPointsError):
             data.two_sided_t(3)
 
+    def test_no_eigenvalue_below_lambda_max(self):
+        # constant mode 10 puts lambda_0 at 10, past lambda_max = 5: no residual
+        # lanes, alone or beside a member that has some
+        high, free = field_from_modes(2, {0: 10.0}), zero_field(2)
+        alone = hs.hill_periodic_spectrum(high, 5.0)
+        assert alone.eigenvalues.size == 0 and not alone.ordering_ok
+        block = hs.hill_periodic_spectrum_block([high, free], 5.0)
+        assert block[0].eigenvalues.size == 0
+        free_alone = hs.hill_periodic_spectrum(free, 5.0)
+        assert np.array_equal(block[1].eigenvalues, free_alone.eigenvalues)
+
     def test_collect_statistic_counts_the_member_as_failed(self):
         params = GibbsParams(p=4.0, beta=0.0, ball_radius=1e3, cutoff=2, kind="kdv")
         fields = (mathieu(0.1), self.DEEP, zero_field(2))
