@@ -1,42 +1,36 @@
 #!/usr/bin/env python3
-"""Re-derive the heuristic embedding constants used by the convexity module.
+"""Tabulate the exact embedding constants used by the convexity module.
 
-Maximizes ||phi||_{L^{p-2}} / ||phi||_{H^gamma} and ||phi||_inf / ||phi||_{H^delta}
-over random truncated fields.  The maxima are lower-bound estimates of the
-true embedding constants; the shipped ConvexityParams defaults round these
-up.  Writes a JSON table over a small (gamma, delta, p) grid.
+c_delta(M) = sqrt(1 + 2 sum_{n=1}^{M} n^{-2 delta}) bounds ||phi||_inf by the
+H^delta norm on fields of mode cutoff M; c_gamma = 1 and kappa = 24 for
+p = 4 (see ``embedding_constants``).  Writes a JSON table over a small delta
+grid at the given cutoff.
 """
 
 import argparse
 import json
 
-from gibbslab.hessian_convexity import estimate_embedding_constants
+from gibbslab.hessian_convexity import embedding_constants
+
+DELTAS = (0.6, 0.75, 0.9)
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--trials", type=int, default=5000)
     ap.add_argument("--cutoff", type=int, default=24)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="embedding_constants.json")
     args = ap.parse_args()
 
     rows = []
-    for gamma in (0.27, 0.3, 0.35, 0.4):
-        for delta in (0.6, 0.75, 0.9):
-            for p in (3.0, 4.0, 5.0):
-                est = estimate_embedding_constants(
-                    gamma=gamma, delta=delta, p=p,
-                    cutoff=args.cutoff, trials=args.trials, seed=args.seed,
-                )
-                rows.append({"gamma": gamma, "delta": delta, "p": p, **est})
-                print(
-                    f"gamma={gamma:<5} delta={delta:<5} p={p}: "
-                    f"c_gamma={est['c_gamma']:.4f} c_delta={est['c_delta']:.4f} "
-                    f"kappa_p={est['kappa_p']:.1f}"
-                )
+    for delta in DELTAS:
+        exact = embedding_constants(delta, args.cutoff)
+        rows.append({"delta": delta, **exact})
+        print(
+            f"delta={delta:<5} c_gamma={exact['c_gamma']:.4f} c_delta={exact['c_delta']:.4f} "
+            f"kappa_p={exact['kappa_p']:.1f}"
+        )
     with open(args.out, "w") as fh:
-        json.dump({"trials": args.trials, "cutoff": args.cutoff, "rows": rows}, fh, indent=2)
+        json.dump({"cutoff": args.cutoff, "rows": rows}, fh, indent=2)
     print(f"wrote {args.out}")
 
 

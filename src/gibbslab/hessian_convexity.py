@@ -31,75 +31,48 @@ from .fourier_field import (
     kinetic_energy,
     l2_norm_sq,
     lp_integral,
-    sobolev_norm_sq,
-    sup_norm,
 )
 
 __all__ = [
-    "Direction",
     "ConvexityParams",
     "ConvexityReport",
-    "hessian_form_V",
     "hessian_matrix_V",
     "w_k_perturbation",
     "y_n_perturbation",
     "perturbed_hamiltonians",
     "certify_convexity",
     "lsi_lower_bound",
-    "estimate_embedding_constants",
+    "embedding_constants",
 ]
 
 SINGULAR_GUARD = 1e-12  # |phi| floor inside the guarded integrand
 CERT_TOL = 1e-9  # slack of both eigenvalue tests in certify_convexity
 
 
-@dataclass(frozen=True, eq=False)
-class Direction:
-    """Real perturbation (xi_n, eta_n) of the coordinates (a_n, b_n)."""
-
-    xi: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
-        if xi.shape != eta.shape or xi.ndim != 1 or xi.size % 2 == 0:
-            raise ValueError("xi and eta must be equal odd-length 1-d arrays")
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "eta", eta)
-
-    @property
-    def cutoff(self) -> int:
-        return (self.xi.size - 1) // 2
-
-    def l2_norm_sq(self) -> float:
-        return float(np.dot(self.xi, self.xi) + np.dot(self.eta, self.eta))
-
-    def scaled(self, c: float) -> "Direction":
-        return Direction(c * self.xi, c * self.eta)
-
-
 @dataclass(frozen=True)
 class ConvexityParams:
     """Configured exponents and embedding constants for the convexity bounds.
 
-    The embedding constants are not pinned analytically; the defaults are
-    heuristic estimates produced by :func:`estimate_embedding_constants`
-    (maximizing the relevant norm ratios over random truncated fields) and
-    should be treated as lower bounds on the true constants:
-
-      c_gamma : ||phi||_{L^{p-2}} <= c_gamma * ||phi||_{H^gamma}  (p = 4)
+      c_gamma : ||phi||_{L^{p-2}} <= c_gamma * ||phi||_{H^gamma}  (p = 4),
+                exactly 1, attained at the constants
       c_delta : ||phi||_infty     <= c_delta * ||phi||_{H^delta}
-      kappa   : HessV bound by kappa ||phi||_{L^{p-2}}^{p-2} (sup norms), 2p(p-1)
+      kappa   : HessV bound by kappa ||phi||_{L^{p-2}}^{p-2}, exactly 2p(p-1) = 24
       kappa_p : kappa combined with the embeddings, kappa * c_delta^2
-                (a property; 150 at the defaults)
+                (150 at the defaults)
+
+    c_gamma and kappa are fixed class attributes, not constructor fields.
+    The default c_delta = 2.5 is not computed: it lies above the exact
+    c_delta(M) of :func:`embedding_constants` at delta = 0.75 for every M,
+    since the full-space value is sqrt(1 + 2 zeta(3/2)) ~ 2.495, but not
+    at every delta (c_delta(16) = 2.545 at delta = 0.6).
     """
+
+    c_gamma = 1.0
+    kappa = 24.0
 
     delta: float = 0.75
     gamma: float = 0.3
-    c_gamma: float = 1.0
     c_delta: float = 2.5
-    kappa: float = 24.0
     holder_bound: float | None = None
 
     def __post_init__(self):
@@ -107,9 +80,8 @@ class ConvexityParams:
             raise ValueError("delta must lie in (1/2, 1)")
         if not (0.25 < self.gamma < 0.5):
             raise ValueError("gamma must lie in (1/4, 1/2)")
-        for name in ("c_gamma", "c_delta", "kappa"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.c_delta <= 0:
+            raise ValueError("c_delta must be positive")
 
     @property
     def kappa_p(self) -> float:
@@ -129,6 +101,23 @@ class ConvexityParams:
         """
         base = self.growth_factor(beta) ** (1.0 / (2.0 * (1.0 - self.delta)))
         return max(1, int(math.ceil(base - 1e-12)))
+
+
+def embedding_constants(delta: float, cutoff: int) -> dict[str, float]:
+    """Exact embedding constants on the fields of mode cutoff M (p = 4).
+
+    c_delta(M) = sqrt(1 + 2 sum_{n=1}^{M} n^{-2 delta}) by Cauchy-Schwarz
+    against the H^delta weights (1 at n = 0, |n|^{2 delta} otherwise); the
+    field c_n = weight_n^{-1} attains it at x = 0.  c_gamma = 1 because
+    every weight is at least 1, with equality at the constants, and
+    kappa = 2p(p-1) = 24.
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    ns = np.arange(1, cutoff + 1, dtype=float)
+    c_delta = math.sqrt(1.0 + 2.0 * float(np.sum(ns ** (-2.0 * delta))))
+    c_gamma, kappa = ConvexityParams.c_gamma, ConvexityParams.kappa
+    return {"c_gamma": c_gamma, "c_delta": c_delta, "kappa": kappa, "kappa_p": kappa * c_delta**2}
 
 
 @dataclass(frozen=True)
@@ -161,32 +150,6 @@ class ConvexityReport:
 # The quadratic form
 # ---------------------------------------------------------------------------
 
-def hessian_form_V(field: PeriodicField, direction: Direction, p: float) -> float:
-    """Second derivative of the L^p energy along a coordinate direction.
-
-    Always nonnegative; a value below -1e-9 signals an implementation bug
-    and raises.
-    """
-    if direction.cutoff != field.cutoff:
-        direction = _embed_direction(direction, field.cutoff)
-    v = np.concatenate([direction.xi, direction.eta])
-    val = float(v @ hessian_matrix_V(field, p) @ v)
-    if val < -1e-9:
-        raise FloatingPointError(f"Hessian form returned {val} < 0")
-    return val
-
-
-def _embed_direction(direction: Direction, cutoff: int) -> Direction:
-    old = direction.cutoff
-    if old > cutoff:
-        raise ValueError("direction cutoff exceeds field cutoff")
-    xi = np.zeros(2 * cutoff + 1)
-    eta = np.zeros(2 * cutoff + 1)
-    xi[cutoff - old : cutoff + old + 1] = direction.xi
-    eta[cutoff - old : cutoff + old + 1] = direction.eta
-    return Direction(xi, eta)
-
-
 def hessian_matrix_V(field: PeriodicField, p: float) -> np.ndarray:
     """Dense Hessian of V in the coordinates (a_{-M..M}, b_{-M..M}).
 
@@ -216,27 +179,28 @@ def hessian_matrix_V(field: PeriodicField, p: float) -> np.ndarray:
 # Perturbations
 # ---------------------------------------------------------------------------
 
+def _w_k_rate(beta: float, params: ConvexityParams) -> tuple[int, float]:
+    """Truncation level M and the coefficient growth factor * M^{2 delta} of W_K."""
+    level = params.truncation_level(beta)
+    return level, params.growth_factor(beta) * level ** (2.0 * params.delta)
+
+
 def w_k_perturbation(
     field: PeriodicField, beta: float, p: float, params: ConvexityParams
 ) -> float:
     """Growth factor times M^{2 delta} times the low-mode mass sum_{|j|<=M}."""
-    if params.holder_bound is None:
-        raise ValueError("w_k_perturbation requires params.holder_bound")
-    level = params.truncation_level(beta)
+    level, rate = _w_k_rate(beta, params)
     M = field.cutoff
-    lo = max(0, M - level)
-    hi = min(2 * M, M + level)
-    mass = float(np.sum(np.abs(field.coeffs[lo : hi + 1]) ** 2))
-    return params.growth_factor(beta) * level ** (2.0 * params.delta) * mass
+    return rate * float(np.sum(np.abs(field.coeffs[max(0, M - level) : M + level + 1]) ** 2))
 
 
 def w_k_sup_bound(beta: float, ball_radius: float, params: ConvexityParams) -> float:
     """Upper bound of the low-mode perturbation on the ball of mass N."""
-    level = params.truncation_level(beta)
-    return params.growth_factor(beta) * level ** (2.0 * params.delta) * ball_radius
+    return _w_k_rate(beta, params)[1] * ball_radius
 
 
 def _y_n_rate(beta: float, ball_radius: float, params: ConvexityParams) -> float:
+    """(1-delta) (|beta| c_delta N)^{1/(1-delta)}, the coefficient of Y_N."""
     if beta == 0.0:
         return 0.0
     d = params.delta
@@ -251,14 +215,8 @@ def y_n_perturbation(
 
 
 def y_n_sup_bound(beta: float, ball_radius: float, params: ConvexityParams) -> float:
-    if beta == 0.0:
-        return 0.0
-    d = params.delta
-    return (
-        (1.0 - d)
-        * (abs(beta) * params.c_delta) ** (1.0 / (1.0 - d))
-        * ball_radius ** ((2.0 - d) / (1.0 - d))
-    )
+    """Upper bound of Y_N on the ball of mass N: its coefficient times N."""
+    return _y_n_rate(beta, ball_radius, params) * ball_radius
 
 
 def perturbed_hamiltonians(
@@ -319,12 +277,8 @@ def _functional_hessian(
         H = kin + (beta / p) * hessian_matrix_V(field, p)
         if beta == 0.0:
             return H
-        level = params.truncation_level(beta)
-        diag = np.where(
-            np.abs(modes) <= level,
-            2.0 * params.growth_factor(beta) * level ** (2.0 * params.delta),
-            0.0,
-        )
+        level, rate = _w_k_rate(beta, params)
+        diag = np.where(np.abs(modes) <= level, 2.0 * rate, 0.0)
         return H + np.diag(np.concatenate([diag, diag]))
     if functional == "G_N":
         rate = _y_n_rate(beta, ball_radius, params)
@@ -434,49 +388,3 @@ def lsi_lower_bound(
     else:
         raise ValueError("route must be 'ball' or 'holder'")
     return eta * math.exp(-2.0 * sup) if sup < 350 else 0.0
-
-
-# ---------------------------------------------------------------------------
-# Heuristic embedding constants
-# ---------------------------------------------------------------------------
-
-def estimate_embedding_constants(
-    gamma: float = 0.3,
-    delta: float = 0.75,
-    p: float = 4.0,
-    cutoff: int = 16,
-    trials: int = 2000,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Estimate c_gamma and c_delta by maximizing norm ratios over random fields.
-
-    Returns lower-bound estimates (a finite search cannot exceed the true
-    suprema); reports flag them as heuristic.  kappa = 2p(p-1) is the
-    analytic bound for the Hessian-form comparison and kappa_p combines it
-    with the estimated embeddings.
-    """
-    rng = np.random.default_rng(seed)
-    c_gamma = 0.0
-    c_delta = 0.0
-    for _ in range(trials):
-        decay = rng.uniform(0.3, 2.0)
-        ns = np.arange(-cutoff, cutoff + 1).astype(float)
-        mag = (1.0 + np.abs(ns)) ** (-decay)
-        phase = rng.standard_normal(2 * cutoff + 1) + 1j * rng.standard_normal(
-            2 * cutoff + 1
-        )
-        f = PeriodicField(cutoff, mag * phase)
-        hg = math.sqrt(sobolev_norm_sq(f, gamma))
-        hd = math.sqrt(sobolev_norm_sq(f, delta))
-        if hg > 0:
-            lpn = lp_integral(f, max(p - 2.0, 2.0)) ** (1.0 / max(p - 2.0, 2.0))
-            c_gamma = max(c_gamma, lpn / hg)
-        if hd > 0:
-            c_delta = max(c_delta, sup_norm(f) / hd)
-    kappa = 2.0 * p * (p - 1.0)
-    return {
-        "c_gamma": c_gamma,
-        "c_delta": c_delta,
-        "kappa": kappa,
-        "kappa_p": kappa * c_delta**2,
-    }

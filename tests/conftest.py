@@ -292,12 +292,15 @@ def dirac_oracle(field: PeriodicField, window, K: int = 64) -> list:
     return sorted(points)
 
 
-def hessian_fd_oracle(field: PeriodicField, direction, p: float, h: float = 1e-4) -> float:
-    """Second central difference of the L^p energy along a Direction of the field's cutoff.
+def hessian_fd_oracle(field: PeriodicField, v, p: float, h: float = 1e-4) -> float:
+    """Second central difference of the L^p energy along a coordinate vector.
 
-    Shares only ``lp_integral`` with the Hessian code in hessian_convexity.
+    ``v`` = (xi, eta) perturbs the coordinates (a_{-M..M}, b_{-M..M}) of
+    the field's cutoff M.  Shares only ``lp_integral`` with the Hessian code
+    in hessian_convexity.
     """
-    step = PeriodicField(field.cutoff, direction.xi + 1j * direction.eta)
+    xi, eta = np.split(np.asarray(v, dtype=float), 2)
+    step = PeriodicField(field.cutoff, xi + 1j * eta)
     vp = lp_integral(field + h * step, p)
     v0 = lp_integral(field, p)
     vm = lp_integral(field + (-h) * step, p)

@@ -88,19 +88,15 @@ def test_criterion_03_hessian_formula():
         for k in range(25):
             cutoff = 2 + (k % 3)  # M <= 4
             f = bounded_below_field(cutoff, 1000 * int(p) + k)
-            rng = np.random.default_rng(2000 * int(p) + k)
-            d = hc.Direction(
-                rng.standard_normal(2 * cutoff + 1), rng.standard_normal(2 * cutoff + 1)
-            )
-            form = hc.hessian_form_V(f, d, p)
-            fd = hessian_fd_oracle(f, d, p)
+            v = np.random.default_rng(2000 * int(p) + k).standard_normal(2 * (2 * cutoff + 1))
+            form = v @ hc.hessian_matrix_V(f, p) @ v
+            fd = hessian_fd_oracle(f, v, p)
             worst = max(worst, abs(form - fd) / (1.0 + abs(fd)))
             cases += 1
     # p = 2 closed form
     f = random_field(4, 9)
-    rng = np.random.default_rng(99)
-    d = hc.Direction(rng.standard_normal(9), rng.standard_normal(9))
-    closed = abs(hc.hessian_form_V(f, d, 2.0) - 2.0 * d.l2_norm_sq())
+    v = np.random.default_rng(99).standard_normal(18)
+    closed = abs(v @ hc.hessian_matrix_V(f, 2.0) @ v - 2.0 * v @ v)
     ok = worst < 1e-4 and closed < 1e-10 and cases == 100
     _report(3, ok, f"Hessian vs FD worst rel err {worst:.2e} over {cases} cases, p=2 err {closed:.2e}")
 

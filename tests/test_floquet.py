@@ -1,7 +1,9 @@
+import ast
 import importlib
 import inspect
 import pkgutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -690,6 +692,34 @@ def test_every_export_resolves(name):
     # so a stale export would go unseen there
     module = importlib.import_module(f"gibbslab.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in Path(gibbslab.__file__).parent.glob("*.py"))
+)
+def test_no_unused_import(name):
+    # a name bound by an import must be read somewhere in the module or be
+    # re-exported through __all__; statements marked "noqa: F401" are
+    # re-exports by convention, and __future__ imports bind nothing read
+    source = (Path(gibbslab.__file__).parent / name).read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if "noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    assert sorted(n for n in imported if n not in used) == []
 
 
 def test_bench_metric_functions_exist():

@@ -6,18 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbslab.fourier_field import (
+    PeriodicField,
     field_from_modes,
     kinetic_energy,
     l2_norm_sq,
+    lp_integral,
+    sobolev_norm_sq,
+    sup_norm,
     zero_field,
 )
 from gibbslab.gibbs_sampler import GibbsParams, importance_ensemble
 from gibbslab.hessian_convexity import (
     ConvexityParams,
-    Direction,
+    _functional_hessian,
     certify_convexity,
-    estimate_embedding_constants,
-    hessian_form_V,
+    embedding_constants,
     hessian_matrix_V,
     lsi_lower_bound,
     perturbed_hamiltonians,
@@ -28,11 +31,13 @@ from gibbslab.hessian_convexity import (
 from conftest import bounded_below_field, hessian_fd_oracle, random_field
 
 
-def random_direction(cutoff: int, seed: int) -> Direction:
-    rng = np.random.default_rng(seed)
-    return Direction(
-        rng.standard_normal(2 * cutoff + 1), rng.standard_normal(2 * cutoff + 1)
-    )
+def random_direction(cutoff: int, seed: int) -> np.ndarray:
+    """Random coordinate vector (xi, eta) of the fields of the given cutoff."""
+    return np.random.default_rng(seed).standard_normal(2 * (2 * cutoff + 1))
+
+
+def form(f, v, p):
+    return v @ hessian_matrix_V(f, p) @ v
 
 
 PARAMS = ConvexityParams(holder_bound=5.0)
@@ -42,35 +47,32 @@ class TestHessianForm:
     def test_p2_closed_form(self):
         f = random_field(3, 0)
         d = random_direction(3, 1)
-        expect = 2.0 * d.l2_norm_sq()
-        assert hessian_form_V(f, d, 2.0) == pytest.approx(expect, abs=1e-10)
+        assert form(f, d, 2.0) == pytest.approx(2.0 * d @ d, abs=1e-10)
 
     def test_zero_field_p4(self):
         d = random_direction(3, 2)
-        assert hessian_form_V(zero_field(3), d, 4.0) == 0.0
+        assert form(zero_field(3), d, 4.0) == 0.0
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 5.0])
     def test_fd_oracle_agreement(self, p):
         for seed in range(8):
             f = bounded_below_field(4, 100 + seed)
             d = random_direction(4, 200 + seed)
-            form = hessian_form_V(f, d, p)
             fd = hessian_fd_oracle(f, d, p)
-            assert abs(form - fd) / (1.0 + abs(fd)) < 1e-4
+            assert abs(form(f, d, p) - fd) / (1.0 + abs(fd)) < 1e-4
 
     @pytest.mark.parametrize("p", [4.0, 5.0])
     def test_fd_agreement_at_field_zeros(self, p):
         # phi = 1 + e^{ix} vanishes at x = pi
         f = field_from_modes(2, {0: 1.0, 1: 1.0})
         d = random_direction(2, 3)
-        form = hessian_form_V(f, d, p)
         fd = hessian_fd_oracle(f, d, p)
-        assert abs(form - fd) / (1.0 + abs(fd)) < 1e-4
+        assert abs(form(f, d, p) - fd) / (1.0 + abs(fd)) < 1e-4
 
     def test_fd_second_order_convergence(self):
         f = bounded_below_field(3, 4)
         d = random_direction(3, 5)
-        exact = hessian_form_V(f, d, 4.0)
+        exact = form(f, d, 4.0)
         e1 = abs(hessian_fd_oracle(f, d, 4.0, h=2e-3) - exact)
         e2 = abs(hessian_fd_oracle(f, d, 4.0, h=1e-3) - exact)
         assert e1 / max(e2, 1e-16) > 2.0
@@ -80,16 +82,7 @@ class TestHessianForm:
     def test_nonnegative(self, seed, p):
         f = bounded_below_field(3, seed)
         d = random_direction(3, seed + 1)
-        assert hessian_form_V(f, d, p) >= -1e-9
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.floats(-4.0, 4.0).filter(lambda c: abs(c) > 1e-3))
-    def test_bilinearity(self, c):
-        f = bounded_below_field(3, 6)
-        d = random_direction(3, 7)
-        base = hessian_form_V(f, d, 4.0)
-        scaled = hessian_form_V(f, d.scaled(c), 4.0)
-        assert scaled == pytest.approx(c * c * base, rel=1e-10, abs=1e-10)
+        assert form(f, d, p) >= -1e-9
 
     def test_matrix_matches_form(self):
         # every entry against the polarised finite-difference oracle
@@ -97,16 +90,15 @@ class TestHessianForm:
         d = 2 * (2 * f.cutoff + 1)
         basis = np.eye(d)
 
-        def fd(v, p):
-            return hessian_fd_oracle(f, Direction(v[: d // 2], v[d // 2 :]), p)
-
         for p in (3.0, 4.0):
             H = hessian_matrix_V(f, p)
             assert np.abs(H - H.T).max() < 1e-12
             for i in range(d):
                 for j in range(i, d):
                     e_i, e_j = basis[i], basis[j]
-                    polar = (fd(e_i + e_j, p) - fd(e_i - e_j, p)) / 4.0
+                    polar = (
+                        hessian_fd_oracle(f, e_i + e_j, p) - hessian_fd_oracle(f, e_i - e_j, p)
+                    ) / 4.0
                     assert H[i, j] == pytest.approx(polar, abs=1e-5 * np.abs(H).max())
 
 
@@ -159,6 +151,33 @@ class TestPerturbations:
     def test_perturbed_hamiltonians_zero_field(self):
         vals = perturbed_hamiltonians(zero_field(3), -1.0, 4.0, 1.0, PARAMS)
         assert vals == {"H": 0.0, "H_K": 0.0, "G_N": 0.0}
+
+    def test_functional_hessians_are_fd_hessians_of_the_values(self):
+        # the certificate's matrices against the polarised second differences
+        # of the functionals themselves, in the coordinates (a_n, b_n)
+        f, beta, N, h = random_field(3, 18), -1.0, 1.0, 1e-3
+        d = 2 * (2 * f.cutoff + 1)
+        basis = np.eye(d)
+
+        def values(v):
+            xi, eta = np.split(v, 2)
+            shifted = PeriodicField(f.cutoff, f.coeffs + xi + 1j * eta)
+            return perturbed_hamiltonians(shifted, beta, 4.0, N, PARAMS)
+
+        def even_part(u):  # F(hu) + F(-hu), whose F(0) terms cancel below
+            vp, vm = values(h * u), values(-h * u)
+            return {k: vp[k] + vm[k] for k in vp}
+
+        fd = {k: np.zeros((d, d)) for k in ("H", "H_K", "G_N")}
+        for i in range(d):
+            for j in range(i, d):
+                plus = even_part(basis[i] + basis[j])
+                minus = even_part(basis[i] - basis[j])
+                for k in fd:
+                    fd[k][i, j] = fd[k][j, i] = (plus[k] - minus[k]) / (4.0 * h * h)
+        for k, approx in fd.items():
+            exact = _functional_hessian(k, f, beta, 4.0, N, PARAMS)
+            assert np.abs(exact - approx).max() <= 1e-5 * np.abs(exact).max()
 
     def test_hk_minus_h_is_wk(self):
         f = random_field(4, 14)
@@ -238,11 +257,30 @@ class TestLsiBound:
         assert got == pytest.approx(expect, rel=1e-12)
 
 
-class TestEmbeddingEstimates:
-    def test_estimates_reasonable(self):
-        est = estimate_embedding_constants(trials=200, seed=1)
-        # lower-bound estimates of the true constants, which are 1 and
-        # sqrt(1 + 2 zeta(1.5)) ~ 2.495 for these exponents
-        assert 0.5 < est["c_gamma"] <= 1.000001
-        assert 1.0 < est["c_delta"] < 2.5
-        assert est["kappa"] == pytest.approx(24.0)
+class TestEmbeddingConstants:
+    def test_c_delta_is_attained_and_never_exceeded(self):
+        rng = np.random.default_rng(1)
+        for delta in (0.6, 0.75, 0.9):
+            for cutoff in (4, 12):
+                est = embedding_constants(delta, cutoff)
+                assert (est["c_gamma"], est["kappa"]) == (1.0, 24.0)
+                assert est["kappa_p"] == pytest.approx(24.0 * est["c_delta"] ** 2, rel=1e-15)
+                ns = np.abs(np.arange(-cutoff, cutoff + 1))
+                weights = np.where(ns > 0, ns ** (2.0 * delta), 1.0)
+                best = PeriodicField(cutoff, 1.0 / weights)  # peaks at x = 0
+                ratio = sup_norm(best) / math.sqrt(sobolev_norm_sq(best, delta))
+                assert ratio == pytest.approx(est["c_delta"], rel=1e-12)
+                for _ in range(100):
+                    mag = (1.0 + ns) ** (-rng.uniform(0.3, 2.0))
+                    f = PeriodicField(
+                        cutoff, mag * (rng.standard_normal(ns.size) + 1j * rng.standard_normal(ns.size))
+                    )
+                    hd = math.sqrt(sobolev_norm_sq(f, delta))
+                    assert sup_norm(f) <= est["c_delta"] * hd * (1.0 + 1e-12)
+                    # c_gamma = 1: the L^2 norm never exceeds the H^gamma norm
+                    assert math.sqrt(lp_integral(f, 2.0)) <= math.sqrt(sobolev_norm_sq(f, 0.3)) * (1.0 + 1e-12)
+
+    def test_default_c_delta_bounds_every_cutoff_at_delta_075(self):
+        # the full-space constant is sqrt(1 + 2 zeta(3/2)), zeta(3/2) = 2.6123753486854883
+        full = math.sqrt(1.0 + 2.0 * 2.6123753486854883)
+        assert embedding_constants(0.75, 10**6)["c_delta"] < full < PARAMS.c_delta

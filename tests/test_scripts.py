@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from gibbslab.hessian_convexity import embedding_constants
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -61,13 +63,14 @@ def test_calibrate_embedding_constants(tmp_path):
     out = tmp_path / "constants.json"
     run_script(
         "calibrate_embedding_constants.py",
-        ["--trials", "20", "--cutoff", "4", "--out", str(out)],
+        ["--cutoff", "4", "--out", str(out)],
         tmp_path,
     )
     table = json.loads(out.read_text())
-    assert table["trials"] == 20
-    assert len(table["rows"]) == 36
-    assert all(r["c_gamma"] > 0 and r["c_delta"] > 0 for r in table["rows"])
+    assert table["cutoff"] == 4
+    assert table["rows"] == [
+        {"delta": d, **embedding_constants(d, 4)} for d in (0.6, 0.75, 0.9)
+    ]
 
 
 def test_isospectrality_refinement(tmp_path):
