@@ -14,6 +14,7 @@ import sys
 
 from gibbslab import concentration_harness as ch
 from gibbslab import hessian_convexity as hc
+from gibbslab.fourier_field import result_to_json
 from gibbslab.gibbs_sampler import GibbsParams, importance_ensemble
 
 
@@ -45,11 +46,12 @@ def main() -> None:
         sys.exit(f"error: {exc}")
 
     with open(args.out + ".json", "w") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
+        json.dump(result_to_json(report), fh, indent=2, sort_keys=True)
     with open(args.out + ".curve.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "log_mgf", "stderr"])
-        for t, v, s in zip(report.curve.t, report.curve.value, report.curve.stderr):
+        curve = report.log_mgf_curve
+        for t, v, s in zip(curve.t, curve.value, curve.stderr):
             w.writerow([repr(float(t)), repr(float(v)), repr(float(s))])
     print(f"{name}: mean {report.weighted_mean:.5f} var {report.weighted_variance:.5f}")
     print(f"fitted eta {report.fit.fitted_eta:.4f}, envelope {report.fit.envelope_eta:.4f}, "

@@ -10,7 +10,6 @@ of spectral linear statistics.
 __version__ = "0.1.0"
 
 from .fourier_field import (  # noqa: F401
-    GridSignal,
     PeriodicField,
     evaluate,
     field_from_json,

@@ -1,6 +1,8 @@
 """Command-line interface: one binary exposing all pipelines.
 
-Each ``cmd_*`` handler computes its result and returns it as a dict
+Each ``cmd_*`` handler computes its result and returns it as a dict of
+JSON values: a result dataclass goes through
+``fourier_field.result_to_json``, to which the handler may add keys
 (``sample`` writes its own JSON-lines file and returns None).  One runner
 then writes the result to ``--out`` and a manifest ``<out>.manifest.json``
 echoing the fully resolved configuration, the seed, the worker count and
@@ -35,7 +37,7 @@ from . import gibbs_sampler as gs
 from . import hessian_convexity as hc
 from . import hill_spectrum as hs
 from .floquet import NUMERICAL_FAILURES, TAYLOR_ORDER
-from .fourier_field import field_to_json, l2_norm_sq, load_field
+from .fourier_field import field_to_json, l2_norm_sq, load_field, result_to_json
 
 
 def _default_seed() -> int:
@@ -106,7 +108,7 @@ def cmd_dirac_spectrum(args) -> dict:
     # one closure serves both passes and the trace
     disc = ds.discriminant_batch(field, args.steps)
     data = ds.spectral_data_from(field, disc, tuple(args.window), refine_tol=args.tol)
-    out = data.to_json()
+    out = result_to_json(data)
     out["potential_hash"] = field.content_hash()
     if args.trace_csv:
         grid = np.linspace(args.window[0], args.window[1], 481)
@@ -120,7 +122,7 @@ def cmd_hill_spectrum(args) -> dict:
     data = hs.hill_periodic_spectrum(
         field, args.lambda_max, tol=args.tol, steps=args.steps
     )
-    out = data.to_json()
+    out = result_to_json(data)
     out["potential_hash"] = field.content_hash()
     out["gap_summability"] = hs.gap_summability_report(data)
     return out
@@ -165,7 +167,7 @@ def cmd_borg_check(args) -> dict:
     lam_max = (args.n_max + 0.6) ** 2
     data = hs.hill_periodic_spectrum(field, lam_max, steps=args.steps)
     report = hs.borg_check(field, data, args.n_max)
-    out = report.to_json()
+    out = result_to_json(report)
     out["period_convention"] = data.period_convention
     out["potential_hash"] = field.content_hash()
     return out
@@ -176,7 +178,7 @@ def cmd_frame_bounds(args) -> dict:
     lam_max = (args.range + 0.6) ** 2
     data = hs.hill_periodic_spectrum(field, lam_max, steps=args.steps)
     est = hs.frame_bounds_estimate(data.two_sided_t(args.range), args.range, args.family)
-    out = est.to_json()
+    out = result_to_json(est)
     out["period_convention"] = data.period_convention
     out["potential_hash"] = field.content_hash()
     return out
@@ -211,13 +213,13 @@ def cmd_convexity(args) -> dict:
     )
     ens = gs.importance_ensemble(args.samples, params, args.seed)
     cparams = hc.ConvexityParams(delta=args.delta, gamma=args.gamma, holder_bound=args.holder_k)
-    items = [
+    reports = [
         hc.certify_convexity(
             args.functional, f, args.beta, args.p, args.ball, cparams, weight=args.weight
-        ).to_json()
+        )
         for f in ens.samples
     ]
-    return {
+    return result_to_json({
         "functional": args.functional,
         "weight": args.weight,
         "params": {
@@ -230,11 +232,11 @@ def cmd_convexity(args) -> dict:
             "holder_bound": args.holder_k,
             "constants_heuristic": True,
         },
-        "reports": items,
-        "all_certified": all(r["certified"] for r in items),
-        "min_eigenvalue": min(r["min_eigenvalue"] for r in items),
-        "lsi_lower_bound": min(r["lsi_lower_bound"] for r in items),
-    }
+        "reports": reports,
+        "all_certified": all(r.certified for r in reports),
+        "min_eigenvalue": min(r.min_eigenvalue for r in reports),
+        "lsi_lower_bound": min(r.lsi_lower_bound for r in reports),
+    })
 
 
 def _flow_steps(time: float, dt: float) -> int:
@@ -290,7 +292,7 @@ def cmd_invariance(args) -> dict:
     report = fl.invariance_check(
         ens, params, observables, seed=args.seed, permutations=args.permutations
     )
-    return report.to_json()
+    return result_to_json(report)
 
 
 def _parse_t_grid(spec: str) -> np.ndarray:
@@ -309,9 +311,9 @@ def cmd_concentration(args) -> dict:
         sample, t_grid, eta_bound=args.eta_bound, bootstrap=args.bootstrap, seed=args.seed
     )
     if args.curve_csv:
-        curve = report.curve
+        curve = report.log_mgf_curve
         _write_csv(args.curve_csv, ["t", "log_mgf", "stderr"], curve.t, curve.value, curve.stderr)
-    return report.to_json()
+    return result_to_json(report)
 
 
 # ---------------------------------------------------------------------------

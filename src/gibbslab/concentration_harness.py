@@ -297,14 +297,6 @@ class LogMgfCurve:
     stderr: np.ndarray
     trimmed: int  # grid points dropped because exp overflowed
 
-    def to_json(self) -> dict:
-        return {
-            "t": [float(x) for x in self.t],
-            "value": [float(x) for x in self.value],
-            "stderr": [float(x) for x in self.stderr],
-            "trimmed": self.trimmed,
-        }
-
 
 def trusted_t_range(sample: StatisticSample) -> float:
     """|t| <= 2 / std keeps the weighted log-mean-exp Monte Carlo stable."""
@@ -375,14 +367,6 @@ class SubgaussianFit:
     envelope_eta: float      # smallest eta with L(t) <= eta t^2 + band
     eta_bound: float | None
     passed: bool | None
-
-    def to_json(self) -> dict:
-        return {
-            "fitted_eta": self.fitted_eta,
-            "envelope_eta": self.envelope_eta,
-            "eta_bound": self.eta_bound,
-            "passed": self.passed,
-        }
 
 
 def subgaussian_fit(curve: LogMgfCurve, eta_bound: float | None = None) -> SubgaussianFit:
@@ -471,32 +455,14 @@ class ConcentrationReport:
     statistic_name: str
     weighted_mean: float
     weighted_variance: float
-    curve: LogMgfCurve
+    log_mgf_curve: LogMgfCurve
     fit: SubgaussianFit
+    subgaussian_pass: bool | None  # fit.passed
     lsi_predicted_eta: float | None
     trusted_range: float
     members_evaluated: int
     members_failed: int
     weight_ess: float  # (sum w)^2 / sum w^2 over the members with a value
-
-    @property
-    def subgaussian_pass(self) -> bool | None:
-        return self.fit.passed
-
-    def to_json(self) -> dict:
-        return {
-            "statistic_name": self.statistic_name,
-            "weighted_mean": self.weighted_mean,
-            "weighted_variance": self.weighted_variance,
-            "log_mgf_curve": self.curve.to_json(),
-            "fit": self.fit.to_json(),
-            "lsi_predicted_eta": self.lsi_predicted_eta,
-            "trusted_range": self.trusted_range,
-            "subgaussian_pass": self.subgaussian_pass,
-            "members_evaluated": self.members_evaluated,
-            "members_failed": self.members_failed,
-            "weight_ess": self.weight_ess,
-        }
 
 
 def concentration_report(
@@ -512,8 +478,9 @@ def concentration_report(
         statistic_name=sample.statistic_name,
         weighted_mean=sample.weighted_mean(),
         weighted_variance=sample.weighted_variance(),
-        curve=curve,
+        log_mgf_curve=curve,
         fit=fit,
+        subgaussian_pass=fit.passed,
         lsi_predicted_eta=eta_bound,
         trusted_range=trusted_t_range(sample),
         members_evaluated=sample.values.size + sample.failed,

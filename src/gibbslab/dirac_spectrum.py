@@ -101,15 +101,6 @@ class SpectralPoint:
     residual: float      # |Delta(value)^2 - 4| from the direct solver
     truncation_bound: float  # distance to the operator's eigenvalues, each of them
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "series": self.series,
-            "multiplicity": self.multiplicity,
-            "residual": self.residual,
-            "truncation_bound": self.truncation_bound,
-        }
-
 
 @dataclass(frozen=True)
 class SpectralDataDirac:
@@ -118,9 +109,12 @@ class SpectralDataDirac:
     critical_points: tuple[float, ...] = ()
     critical_residuals: tuple[float, ...] = ()
     # the |Delta'| checks' disk models (trust floquet.TRUST), one row per
-    # critical point, for contour sums; not serialized
+    # critical point, for contour sums; not written to result files
     critical_models: np.ndarray = dataclasses.field(
-        default_factory=lambda: np.empty((0, 0), dtype=complex), compare=False, repr=False
+        default_factory=lambda: np.empty((0, 0), dtype=complex),
+        compare=False,
+        repr=False,
+        metadata={"wire": False},
     )
 
     def periodic_values(self, with_multiplicity: bool = False) -> np.ndarray:
@@ -129,14 +123,6 @@ class SpectralDataDirac:
                 [p.value for p in self.periodic_points for _ in range(p.multiplicity)]
             )
         return np.array([p.value for p in self.periodic_points])
-
-    def to_json(self) -> dict:
-        return {
-            "window": list(self.window),
-            "periodic_points": [p.to_json() for p in self.periodic_points],
-            "critical_points": list(self.critical_points),
-            "critical_residuals": list(self.critical_residuals),
-        }
 
 
 def _scan_grid(window: tuple[float, float], spacing: float = 0.1) -> np.ndarray:

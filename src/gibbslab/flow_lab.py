@@ -298,21 +298,7 @@ class InvarianceReport:
     null_bands: dict
     within_band: dict
     excluded_blowups: int
-
-    @property
-    def all_within_band(self) -> bool:
-        return all(self.within_band.values())
-
-    def to_json(self) -> dict:
-        return {
-            "time": self.time,
-            "cutoff": self.cutoff,
-            "distances": self.distances,
-            "null_bands": self.null_bands,
-            "within_band": self.within_band,
-            "excluded_blowups": self.excluded_blowups,
-            "all_within_band": self.all_within_band,
-        }
+    all_within_band: bool
 
 
 def invariance_check(
@@ -395,4 +381,5 @@ def invariance_check(
         null_bands=bands,
         within_band=within,
         excluded_blowups=blowups,
+        all_within_band=all(within.values()),
     )

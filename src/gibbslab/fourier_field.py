@@ -11,6 +11,7 @@ safe to call concurrently.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "PeriodicField",
-    "GridSignal",
     "GridTooSmallError",
     "zero_field",
     "field_from_modes",
@@ -36,6 +36,7 @@ __all__ = [
     "kdv_hamiltonian",
     "field_to_json",
     "field_from_json",
+    "result_to_json",
     "save_field",
     "load_field",
 ]
@@ -108,22 +109,6 @@ class PeriodicField:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True, eq=False)
-class GridSignal:
-    """Samples of a field at x_k = 2 pi k / grid_size."""
-
-    grid_size: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid_size,):
-            raise ValueError("values length must equal grid_size")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-
 def zero_field(cutoff: int) -> PeriodicField:
     return PeriodicField(cutoff, np.zeros(2 * cutoff + 1, dtype=complex))
 
@@ -151,8 +136,8 @@ def default_grid_size(cutoff: int) -> int:
     return g
 
 
-def evaluate(field: PeriodicField, grid_size: int) -> GridSignal:
-    """Sample the field on the uniform grid x_k = 2 pi k / grid_size.
+def evaluate(field: PeriodicField, grid_size: int) -> np.ndarray:
+    """The field's complex samples on the uniform grid x_k = 2 pi k / grid_size.
 
     Requires grid_size > 2*cutoff + 1 so the modes are unaliased and the
     coefficient -> grid -> coefficient round trip is exact.
@@ -163,7 +148,7 @@ def evaluate(field: PeriodicField, grid_size: int) -> GridSignal:
         )
     spec = np.zeros(grid_size, dtype=complex)
     spec[field.modes % grid_size] = field.coeffs
-    return GridSignal(grid_size, np.fft.ifft(spec) * grid_size)
+    return np.fft.ifft(spec) * grid_size
 
 
 def taylor_samples(field: PeriodicField, orders: int, points: int) -> np.ndarray:
@@ -206,7 +191,7 @@ def sobolev_norm_sq(field: PeriodicField, gamma: float) -> float:
 
 
 def sup_norm(field: PeriodicField) -> float:
-    return float(np.max(np.abs(evaluate(field, default_grid_size(field.cutoff)).values)))
+    return float(np.max(np.abs(evaluate(field, default_grid_size(field.cutoff)))))
 
 
 def lp_integral(field: PeriodicField, p: float, grid_size: int | None = None) -> float:
@@ -219,7 +204,7 @@ def lp_integral(field: PeriodicField, p: float, grid_size: int | None = None) ->
     if p < 2:
         raise ValueError("p must be >= 2")
     g = grid_size or default_grid_size(field.cutoff)
-    vals = evaluate(field, g).values
+    vals = evaluate(field, g)
     return float(np.mean(np.abs(vals) ** p))
 
 
@@ -228,7 +213,7 @@ def cubic_integral(field: PeriodicField, grid_size: int | None = None) -> float:
     if not is_real_valued(field, tol=1e-10):
         raise ValueError("cubic_integral requires a real-valued field")
     g = grid_size or default_grid_size(field.cutoff)
-    vals = np.real(evaluate(field, g).values)
+    vals = np.real(evaluate(field, g))
     return float(np.mean(vals**3))
 
 
@@ -260,6 +245,37 @@ def field_to_json(field: PeriodicField) -> dict:
         for n, c in zip(field.modes, field.coeffs)
     ]
     return {"cutoff": int(field.cutoff), "coeffs": coeffs}
+
+
+def result_to_json(result) -> dict:
+    """A result in JSON values: a dataclass is the dict of its fields.
+
+    Applied recursively: tuples and arrays become lists, numpy scalars plain
+    values, and fields declared with ``metadata={"wire": False}`` are left
+    out.  Every result dataclass reaches its file through here.
+    """
+    return _wire(result)
+
+
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
+def _wire(obj):
+    # private, so bench/tracer.py, which wraps the public functions, sees one call per result
+    if type(obj) in _PLAIN:
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [_wire(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _wire(v) for k, v in obj.items()}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    # anything else must be a dataclass: fields() raises TypeError otherwise
+    return {
+        f.name: _wire(getattr(obj, f.name))
+        for f in dataclasses.fields(obj)
+        if f.metadata.get("wire", True)
+    }
 
 
 def field_from_json(obj: dict) -> PeriodicField:

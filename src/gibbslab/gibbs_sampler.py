@@ -41,6 +41,7 @@ from .fourier_field import (
     l2_norm_sq,
     lp_integral,
     cubic_integral,
+    result_to_json,
     sobolev_norm_sq,
 )
 
@@ -126,18 +127,6 @@ class GibbsParams:
             raise ValueError("holder_bound must be positive and finite")
         if self.pi_periodic and self.kind != "kdv":
             raise ValueError("pi_periodic applies to kdv sampling only")
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "beta": self.beta,
-            "ball_radius": self.ball_radius,
-            "cutoff": self.cutoff,
-            "kind": self.kind,
-            "holder_gamma": self.holder_gamma,
-            "holder_bound": self.holder_bound,
-            "pi_periodic": self.pi_periodic,
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "GibbsParams":
@@ -610,7 +599,7 @@ def save_ensemble_jsonl(ensemble: GibbsEnsemble, path) -> None:
     with open(path, "w") as fh:
         header = {
             "kind": "header",
-            "params": ensemble.params.to_json(),
+            "params": result_to_json(ensemble.params),
             "seed": ensemble.seed,
             "method": ensemble.method,
             "count": len(ensemble),

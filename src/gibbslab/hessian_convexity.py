@@ -132,19 +132,6 @@ class ConvexityReport:
     kernel_min_eigenvalue: float | None = None
     tolerance: float = CERT_TOL
 
-    def to_json(self) -> dict:
-        return {
-            "functional": self.functional,
-            "weight": self.weight,
-            "min_eigenvalue": self.min_eigenvalue,
-            "paper_bound": self.paper_bound,
-            "certified": self.certified,
-            "lsi_lower_bound": self.lsi_lower_bound,
-            "convexity_modulus": self.convexity_modulus,
-            "kernel_min_eigenvalue": self.kernel_min_eigenvalue,
-            "tolerance": self.tolerance,
-        }
-
 
 # ---------------------------------------------------------------------------
 # The quadratic form
@@ -160,7 +147,7 @@ def hessian_matrix_V(field: PeriodicField, p: float) -> np.ndarray:
     if p < 2:
         raise ValueError("p must be >= 2")
     g = default_grid_size(field.cutoff)
-    phi = evaluate(field, g).values
+    phi = evaluate(field, g)
     ns = np.arange(-field.cutoff, field.cutoff + 1)
     basis = np.exp(1j * np.outer(ns, 2 * np.pi * np.arange(g) / g))
     D = np.vstack([basis, 1j * basis])  # delta of each coordinate direction, (d, g)
@@ -320,7 +307,13 @@ def certify_convexity(
     positive semidefiniteness of Hess - bound*W on the full space (reported
     through ``kernel_min_eigenvalue`` when W is singular), so weight kernels
     and cross terms are not silently ignored.  Both tests allow CERT_TOL.
+    Any p other than 4 raises ValueError.
     """
+    if p != 4:
+        raise ValueError(
+            f"convexity certificates hold for p = 4 only, got p = {p:g}: they use the "
+            "p = 4 constants kappa = 24, the K^2 growth factor and c_gamma = 1"
+        )
     if field.cutoff > 16:
         raise ValueError("dense certification is limited to cutoff <= 16")
     if paper_bound is None:

@@ -139,19 +139,6 @@ class HillSpectralData:
     def n_max(self) -> int:
         return self.midpoints.size - 1
 
-    def to_json(self) -> dict:
-        return {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "series": list(self.series),
-            "gaps": [[float(a), float(b), float(c)] for a, b, c in self.gaps],
-            "midpoints": [float(t) for t in self.midpoints],
-            "residuals": [float(r) for r in self.residuals],
-            "truncation_bounds": [float(b) for b in self.truncation_bounds],
-            "lambda_max": self.lambda_max,
-            "period_convention": self.period_convention,
-            "ordering_ok": self.ordering_ok,
-        }
-
 
 def _mode_eigenvalues(q: PeriodicField, lambda_max: float, tol: float):
     """floquet.mode_spectrum of -d^2/dx^2 + q: (values, antiperiodic, bounds) up to lambda_max."""
@@ -258,19 +245,6 @@ class BorgReport:
     max_square_offset: float       # max |t_n^2 - n^2|
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "mean": self.mean,
-            "mean_abs": self.mean_abs,
-            "hypotheses_ok": self.hypotheses_ok,
-            "n_max": self.n_max,
-            "max_center_offset": self.max_center_offset,
-            "max_consecutive_spacing": self.max_consecutive_spacing,
-            "min_pair_spacing": self.min_pair_spacing,
-            "max_square_offset": self.max_square_offset,
-            "passed": self.passed,
-        }
-
 
 def borg_check(q: PeriodicField, data: HillSpectralData, n_max: int) -> BorgReport:
     """Verify the smallness hypotheses and the midpoint margins.
@@ -285,7 +259,7 @@ def borg_check(q: PeriodicField, data: HillSpectralData, n_max: int) -> BorgRepo
     if n_max > data.n_max:
         raise ValueError(f"data holds midpoints up to n = {data.n_max} < {n_max}")
     g = default_grid_size(q.cutoff)
-    vals = np.real(evaluate(q, g).values)
+    vals = np.real(evaluate(q, g))
     mean = float(np.mean(vals))
     mean_abs = float(np.mean(np.abs(vals)))
     hypotheses_ok = abs(mean) < 1e-9 and mean_abs < 0.5
@@ -377,14 +351,6 @@ class FrameEstimate:
     def __post_init__(self):
         if not (0.0 < self.lower <= self.upper):
             raise ValueError("frame estimates must satisfy 0 < A <= B")
-
-    def to_json(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "test_family_size": self.test_family_size,
-            "index_range": self.index_range,
-        }
 
 
 def sampling_ratio(g: BandLimitedFunction, t_values: np.ndarray) -> float:

@@ -7,7 +7,6 @@ from gibbslab import dirac_spectrum as ds
 from gibbslab import hill_spectrum as hs
 from gibbslab.floquet import _mat_prod, _segment_count, rk4_transfer, step_polynomials
 from gibbslab.fourier_field import (
-    GridSignal,
     GridTooSmallError,
     PeriodicField,
     default_grid_size,
@@ -25,19 +24,19 @@ def random_field(cutoff: int, seed: int, scale: float = 1.0, decay: float = 1.0)
     return PeriodicField(cutoff, c)
 
 
-def coefficients_from_grid(signal: GridSignal, cutoff: int) -> PeriodicField:
+def coefficients_from_grid(values: np.ndarray, cutoff: int) -> PeriodicField:
     """Inverse of ``evaluate`` for grid_size > 2*cutoff+1."""
-    if signal.grid_size <= 2 * cutoff + 1:
+    if values.size <= 2 * cutoff + 1:
         raise GridTooSmallError("grid too small to recover the requested cutoff")
-    spec = np.fft.fft(signal.values) / signal.grid_size
+    spec = np.fft.fft(values) / values.size
     ns = np.arange(-cutoff, cutoff + 1)
-    return PeriodicField(cutoff, spec[ns % signal.grid_size])
+    return PeriodicField(cutoff, spec[ns % values.size])
 
 
 def bounded_below_field(cutoff: int, seed: int, floor: float = 0.3) -> PeriodicField:
     """Random field with |phi| bounded away from zero on the circle."""
     f = random_field(cutoff, seed, scale=0.5)
-    vals = evaluate(f, default_grid_size(cutoff)).values
+    vals = evaluate(f, default_grid_size(cutoff))
     lift = max(0.0, floor - np.abs(vals).min()) + floor
     c = np.array(f.coeffs)
     c[cutoff] += lift + 1.0
@@ -125,7 +124,7 @@ def picard_monodromy(
 
 def dirac_rk4_nodes(field: PeriodicField, steps: int):
     """The Dirac B's entries at the RK4 nodes x_j = j * pi / steps, j = 0..2*steps."""
-    vals = evaluate(field, 2 * steps).values
+    vals = evaluate(field, 2 * steps)
     vals = np.append(vals, vals[0])  # the node x = 2 pi closes the period
     Q, P = np.real(vals), np.imag(vals)
     return (Q, P, P, -Q)
@@ -133,7 +132,7 @@ def dirac_rk4_nodes(field: PeriodicField, steps: int):
 
 def hill_rk4_nodes(q: PeriodicField, steps: int):
     """The Hill B's entries at the RK4 nodes x_j = j * pi / (2 * steps), j = 0..2*steps."""
-    qg = np.real(evaluate(q, 4 * steps).values[: 2 * steps + 1])
+    qg = np.real(evaluate(q, 4 * steps)[: 2 * steps + 1])
     zero, one = np.zeros_like(qg), np.ones_like(qg)
     return (zero, one, qg, zero)
 

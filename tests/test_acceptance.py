@@ -33,7 +33,7 @@ def _report(num: int, passed: bool, detail: str) -> None:
 
 
 def rescale_l1(q: PeriodicField, target: float) -> PeriodicField:
-    vals = np.real(evaluate(q, default_grid_size(q.cutoff)).values)
+    vals = np.real(evaluate(q, default_grid_size(q.cutoff)))
     return q * (target / np.mean(np.abs(vals)))
 
 

@@ -101,6 +101,18 @@ GOLDEN_CASES = [("gibbslab.help.txt", ["--help"])] + [
 ]
 
 
+def object_schemas(node):
+    """Every schema inside ``node`` that declares ``properties``."""
+    if isinstance(node, dict):
+        if "properties" in node:
+            yield node
+        for value in node.values():
+            yield from object_schemas(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from object_schemas(value)
+
+
 def exit_of(capsys, parse, argv) -> tuple:
     """Exit code, stdout and stderr of one parse that ends the program."""
     with pytest.raises(SystemExit) as exc:
@@ -162,6 +174,7 @@ class TestBasics:
                 "--count", "20", "--seed", "3", "--out", ens]
         assert main(argv) == 0
         assert load_ensemble_jsonl(ens).diagnostics["divergent_weights"] == 20
+        validate(json.loads(Path(ens).read_text().splitlines()[0]), "ensemble_record")
         capsys.readouterr()
         assert main(["concentration", "--ensemble", ens, "--statistic", "l2", "--out", out]) == 2
         assert "configuration error: the weights of all 20 members sum to zero" in (
@@ -389,6 +402,19 @@ class TestBasics:
         )
         assert not out.exists()
 
+    def test_convexity_at_p_other_than_4_is_a_config_error(self, tmp_path, capsys):
+        # the certificates use the p = 4 constants; this run used to certify
+        # every member with kappa = 24
+        out = tmp_path / "cvx.json"
+        argv = ["convexity", "--p", "5", "--beta", "-0.05", "--ball", "0.5", "--cutoff", "3",
+                "--holder-k", "2", "--samples", "3", "--functional", "H_K", "--seed", "5",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "configuration error: convexity certificates hold for p = 4 only" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_negative_t_grid_in_both_forms(self, inputs, tmp_path, capsys):
         # a symmetric grid starts with '-', which argparse would read as a flag
         outs = [tmp_path / "joined.json", tmp_path / "spaced.json"]
@@ -454,6 +480,7 @@ class TestSampleCommand:
             ]
         )
         assert code == 0
+        validate(json.loads(out.read_text().splitlines()[0]), "ensemble_record")
         ens = load_ensemble_jsonl(out)
         assert ens.method == "mcmc"
         assert len(ens) == 15
@@ -473,6 +500,12 @@ class TestSpectrumCommands:
         assert code == 0
         obj = json.loads(out.read_text())
         validate(obj, "dirac_spectrum")
+        # the schema pins the key set: the disk models stay in memory, and
+        # every written key is required
+        with pytest.raises(jsonschema.ValidationError, match="critical_models"):
+            validate({**obj, "critical_models": []}, "dirac_spectrum")
+        with pytest.raises(jsonschema.ValidationError, match="potential_hash"):
+            validate({k: v for k, v in obj.items() if k != "potential_hash"}, "dirac_spectrum")
         total = sum(p["multiplicity"] for p in obj["periodic_points"])
         assert total == 14  # 7 clusters, counted with multiplicity
         header = trace.read_text().splitlines()[0]
@@ -665,3 +698,17 @@ class TestPipelines:
         validate(obj, "concentration")
         curve = obj["log_mgf_curve"]
         assert curve["value"][len(curve["t"]) // 2] == 0.0
+
+
+class TestSchemas:
+    @pytest.mark.parametrize(
+        "path", sorted(SCHEMA_DIR.glob("*.schema.json")), ids=lambda path: path.name
+    )
+    def test_object_schemas_state_additional_properties(self, path):
+        # an object schema silent on additionalProperties lets any other key through
+        loose = [
+            sorted(s["properties"])
+            for s in object_schemas(json.loads(path.read_text()))
+            if "additionalProperties" not in s
+        ]
+        assert loose == []

@@ -6,7 +6,7 @@ import pytest
 
 from gibbslab import concentration_harness as ch
 from gibbslab.floquet import NUMERICAL_FAILURES
-from gibbslab.fourier_field import l2_norm_sq
+from gibbslab.fourier_field import l2_norm_sq, result_to_json
 from gibbslab.gibbs_sampler import (
     GibbsEnsemble,
     GibbsParams,
@@ -84,7 +84,7 @@ class TestCollect:
         sample = ch.collect_statistic(ens, coordinate_failing_on(ens, 17), name="one_bad")
         assert sample.values.size == 199 and sample.failed == 1
         assert list(sample.members) == [i for i in range(200) if i != 17]
-        report = ch.concentration_report(sample, bootstrap=20).to_json()
+        report = result_to_json(ch.concentration_report(sample, bootstrap=20))
         assert report["members_evaluated"] == 200
         assert report["members_failed"] == 1
         scaled = sample.scaled(2.0)
@@ -100,7 +100,7 @@ class TestCollect:
             ens, coordinate_failing_on(ens, 11), name="one_bad", failure_cap=0.1
         )
         assert sample.failed == 1
-        report = ch.concentration_report(sample, bootstrap=20).to_json()
+        report = result_to_json(ch.concentration_report(sample, bootstrap=20))
         kept = w[:11]  # member 11, the heaviest, failed
         assert report["weight_ess"] == pytest.approx(kept.sum() ** 2 / (kept**2).sum(), rel=1e-14)
         assert report["weight_ess"] == pytest.approx(66.0**2 / 506.0, rel=1e-14)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -19,7 +20,9 @@ from gibbslab.fourier_field import (
     kinetic_energy,
     l2_norm_sq,
     lp_integral,
+    result_to_json,
     sobolev_norm_sq,
+    taylor_samples,
     zero_field,
 )
 from conftest import coefficients_from_grid, random_field
@@ -27,14 +30,18 @@ from conftest import coefficients_from_grid, random_field
 
 class TestEvaluate:
     def test_zero_field_grid(self):
-        sig = evaluate(zero_field(2), 8)
-        assert np.all(sig.values == 0)
+        assert np.all(evaluate(zero_field(2), 8) == 0)
 
     def test_single_mode(self):
         f = field_from_modes(1, {1: 1.0})
-        sig = evaluate(f, 8)
         expect = np.exp(1j * 2 * np.pi * np.arange(8) / 8)
-        assert np.abs(sig.values - expect).max() < 1e-14
+        assert np.abs(evaluate(f, 8) - expect).max() < 1e-14
+
+    @pytest.mark.parametrize("grid", [64, 256, 512])
+    def test_samples_are_the_zeroth_taylor_order(self, grid):
+        for seed in range(10):
+            f = random_field(8, seed)
+            assert np.array_equal(evaluate(f, grid), taylor_samples(f, 1, grid)[0])
 
     def test_round_trip(self):
         f = random_field(4, 1)
@@ -58,7 +65,7 @@ class TestNorms:
     def test_l2_quadrature_oracle(self):
         f = random_field(6, 3)
         g = default_grid_size(6)
-        quad = np.mean(np.abs(evaluate(f, g).values) ** 2)
+        quad = np.mean(np.abs(evaluate(f, g)) ** 2)
         assert abs(l2_norm_sq(f) - quad) < 1e-10
 
     def test_sobolev_constant_mode(self):
@@ -89,7 +96,7 @@ class TestNorms:
     def test_parseval_invariant(self, seed, cutoff):
         f = random_field(cutoff, seed)
         g = max(default_grid_size(cutoff), 4 * (cutoff + 1))
-        quad = np.mean(np.abs(evaluate(f, g).values) ** 2)
+        quad = np.mean(np.abs(evaluate(f, g)) ** 2)
         assert abs(l2_norm_sq(f) - quad) < 1e-9
 
 
@@ -131,7 +138,7 @@ class TestHamiltonians:
         ns = f.modes
         kin = 0.5 * np.sum(ns.astype(float) ** 2 * np.abs(f.coeffs) ** 2)
         pot = (beta / p) * np.mean(
-            np.abs(evaluate(f, default_grid_size(5)).values) ** p
+            np.abs(evaluate(f, default_grid_size(5))) ** p
         )
         assert hamiltonian(f, p, beta) == pytest.approx(kin + pot, abs=1e-10)
 
@@ -179,6 +186,35 @@ class TestSerialization:
     def test_rejects_unsorted_modes(self):
         with pytest.raises(ValueError):
             field_from_json({"cutoff": 1, "coeffs": [[1, 0, 0], [-1, 0, 0]]})
+
+    def test_result_is_its_fields_in_json_values(self):
+        @dataclasses.dataclass(frozen=True)
+        class Inner:
+            x: float
+            flags: tuple
+
+        @dataclasses.dataclass(frozen=True)
+        class Outer:
+            inner: Inner
+            values: np.ndarray
+            table: dict
+            hidden: np.ndarray = dataclasses.field(default=None, metadata={"wire": False})
+
+        obj = Outer(
+            Inner(np.float64(0.5), (np.int64(3), True)),
+            np.arange(3.0),
+            {"a": (1, np.bool_(False))},
+            hidden=np.ones(2, dtype=complex),
+        )
+        out = result_to_json(obj)
+        assert out == {
+            "inner": {"x": 0.5, "flags": [3, True]},
+            "values": [0.0, 1.0, 2.0],
+            "table": {"a": [1, False]},
+        }
+        assert type(out["inner"]["flags"][0]) is int
+        assert type(out["table"]["a"][1]) is bool
+        assert json.dumps(out)  # serializable
 
     def test_real_valued_predicate(self):
         q = field_from_modes(2, {2: 1 + 1j, -2: 1 - 1j})

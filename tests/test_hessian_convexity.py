@@ -206,14 +206,15 @@ class TestCertification:
 
     def test_p2_quadratic_energy(self):
         # V is quadratic for p = 2, so HessV is PSD and H is uniformly
-        # convex in the defocusing direction
+        # convex in the defocusing direction; certificates hold at p = 4 only
         f = random_field(4, 16)
         H = hessian_matrix_V(f, 2.0)
         assert np.linalg.eigvalsh(H)[0] >= -1e-10
-        rep = certify_convexity(
-            "H", f, 1.0, 2.0, 1.0, PARAMS, weight="l2", paper_bound=0.0
-        )
-        assert rep.min_eigenvalue > 0
+        modes = np.arange(-4, 5) ** 2.0
+        kinetic = np.diag(np.concatenate([modes, modes]))
+        assert np.linalg.eigvalsh(kinetic + H / 2.0)[0] > 0
+        with pytest.raises(ValueError, match="p = 4 only, got p = 2"):
+            certify_convexity("H", f, 1.0, 2.0, 1.0, PARAMS, weight="l2", paper_bound=0.0)
 
     def test_hk_certification(self):
         params = GibbsParams(

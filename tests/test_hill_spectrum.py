@@ -32,7 +32,7 @@ def hill_discriminant(q: PeriodicField, lam: float) -> float:
 
 
 def rescale_l1(q: PeriodicField, target: float) -> PeriodicField:
-    vals = np.real(evaluate(q, default_grid_size(q.cutoff)).values)
+    vals = np.real(evaluate(q, default_grid_size(q.cutoff)))
     return q * (target / np.mean(np.abs(vals)))
 
 
