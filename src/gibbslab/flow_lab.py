@@ -4,16 +4,18 @@
 
 Strang splitting alternates the exact linear phase exp(i n^2 dt) per mode
 with the exact pointwise nonlinear rotation exp(i beta |u|^{p-2} dt).  The
-state lives on a grid zero-padded to twice the retained mode count and is
-not projected back to the retained modes between steps.  Both sub-flows
-are isometries of the discrete L^2 norm, but every step zeroes the Nyquist
-mode to keep the state on a symmetric mode range and so removes the mass
-the rotation moved there.  Mass therefore leaks linearly in time rather
-than being conserved to rounding (about 1e-9 relative per unit time for a
-unit-mass field at cutoff 8 and dt = 1e-3), and time reversal holds only
-up to the same loss.  Truncated dynamics on finitely many modes is not
-the PDE flow; every report carries the cutoff so results are read as
-truncated-flow statements.
+state lives on a grid zero-padded to twice the retained mode count, and
+stays on that grid between steps: a half phase opens the run, each step
+is one rotation followed by one merged full phase, and the last ends on a
+half phase.  It is not projected back to the retained modes.  Both
+sub-flows are isometries of the discrete L^2 norm, but the merged phase
+zeroes the Nyquist mode to keep the state on a symmetric mode range and so
+removes the mass the rotation moved there.  Mass therefore leaks linearly
+in time rather than being conserved to rounding (about 1e-9 relative per
+unit time for a unit-mass field at cutoff 8 and dt = 1e-3), and time
+reversal holds only up to the same loss.  Truncated dynamics on finitely
+many modes is not the PDE flow; every report carries the cutoff so
+results are read as truncated-flow statements.
 
 One Strang loop serves a single field (a 1-d spectrum) and the invariance
 ensemble, evolved in blocks of rows with the same bits per member.
@@ -113,7 +115,15 @@ def _flow_grid(field_cutoff: int, params: FlowParams) -> int:
 def _strang(
     spec: np.ndarray, params: FlowParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Strang steps on each row (last axis) of ``spec``.
+    """Strang steps on each row (last axis) of ``spec``, which is overwritten.
+
+    The state stays on the grid between steps: a half phase takes the
+    spectrum to the grid once, each step is one rotation, one transform to
+    the spectrum, the merged phase ``full`` (two half phases, with the
+    Nyquist mode zeroed to keep the state on the symmetric mode range) and
+    one transform back, and the last step ends on the closing half phase.
+    Both transforms use ``norm="forward"``, so grid values are the field's
+    values, and write into preallocated buffers.
 
     Returns the evolved spectra, a per-row trust flag (finite state, mass
     drift within ``DRIFT_TOL``) and the per-row relative mass drift.  Every
@@ -123,17 +133,29 @@ def _strang(
     G = spec.shape[-1]
     kk = np.fft.fftfreq(G, d=1.0 / G)
     half = np.exp(1j * kk**2 * (params.dt / 2.0))
+    full = half * half
+    full[G // 2] = 0.0
     ex = params.p - 2.0
+    angle = params.beta * params.dt
     mass0 = np.sum(np.abs(spec) ** 2, axis=-1)
+    u = np.fft.ifft(spec * half, axis=-1, norm="forward")
+    theta = np.empty(u.shape)
+    rot = np.empty_like(u)
     # no np.errstate here: a non-default error state slows every ufunc call
     # of the loop by about 2 %
-    for _ in range(params.steps):
-        spec *= half
-        u = np.fft.ifft(spec, axis=-1) * G
-        u *= np.exp(1j * params.beta * params.dt * np.abs(u) ** ex)
-        spec = np.fft.fft(u, axis=-1) / G
-        spec[..., G // 2] = 0.0  # keep the state on the symmetric mode range
-        spec *= half
+    for step in range(params.steps, 0, -1):
+        np.abs(u, out=theta)
+        theta **= ex
+        theta *= angle
+        np.cos(theta, out=rot.real)
+        np.sin(theta, out=rot.imag)
+        u *= rot
+        np.fft.fft(u, axis=-1, norm="forward", out=spec)
+        if step > 1:
+            spec *= full
+            np.fft.ifft(spec, axis=-1, norm="forward", out=u)
+    spec[..., G // 2] = 0.0
+    spec *= half
     change = np.abs(np.sum(np.abs(spec) ** 2, axis=-1) - mass0)
     scale = np.maximum(mass0, 1e-30)
     ok = np.all(np.isfinite(spec), axis=-1) & ((mass0 == 0.0) | (change <= DRIFT_TOL * scale))

@@ -88,6 +88,23 @@ class RejectionBudgetError(RuntimeError):
     """Rejection sampling exhausted its attempt budget without acceptances."""
 
 
+def _json_value(obj: dict, key: str, kind, optional: bool = False):
+    """``kind(obj[key])``, or None for an optional key that is absent or null.
+
+    A missing required key, or a value ``kind`` rejects, is a ValueError
+    naming the key, so a malformed file is a configuration error.
+    """
+    value = obj.get(key)
+    if value is None:
+        if optional:
+            return None
+        raise ValueError(f"missing key {key!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"key {key!r}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class GibbsParams:
     """Parameters of a truncated Gibbs measure.
@@ -131,13 +148,13 @@ class GibbsParams:
     @staticmethod
     def from_json(obj: dict) -> "GibbsParams":
         return GibbsParams(
-            p=float(obj["p"]),
-            beta=float(obj["beta"]),
-            ball_radius=float(obj["ball_radius"]),
-            cutoff=int(obj["cutoff"]),
+            p=_json_value(obj, "p", float),
+            beta=_json_value(obj, "beta", float),
+            ball_radius=_json_value(obj, "ball_radius", float),
+            cutoff=_json_value(obj, "cutoff", int),
             kind=obj.get("kind", "nls"),
-            holder_gamma=obj.get("holder_gamma"),
-            holder_bound=obj.get("holder_bound"),
+            holder_gamma=_json_value(obj, "holder_gamma", float, optional=True),
+            holder_bound=_json_value(obj, "holder_bound", float, optional=True),
             pi_periodic=bool(obj.get("pi_periodic", False)),
         )
 
@@ -616,7 +633,13 @@ def load_ensemble_jsonl(path) -> GibbsEnsemble:
         header = json.loads(fh.readline())
         if header.get("kind") != "header":
             raise ValueError("first record must be the ensemble header")
-        params = GibbsParams.from_json(header["params"])
+        try:
+            params = GibbsParams.from_json(_json_value(header, "params", dict))
+            count = _json_value(header, "count", int)
+            seed = _json_value(header, "seed", int)
+            method = _json_value(header, "method", str)
+        except ValueError as exc:
+            raise ValueError(f"{path}: ensemble header: {exc}") from None
         samples = []
         weights = []
         for line in fh:
@@ -625,13 +648,13 @@ def load_ensemble_jsonl(path) -> GibbsEnsemble:
             rec = json.loads(line)
             samples.append(field_from_json(rec["field"]))
             weights.append(float(rec["weight"]))
-    if len(samples) != header["count"]:
-        raise ValueError(f"{path}: header count {header['count']}, {len(samples)} records")
+    if len(samples) != count:
+        raise ValueError(f"{path}: header count {count}, {len(samples)} records")
     return GibbsEnsemble(
         params,
         tuple(samples),
         np.array(weights),
-        int(header["seed"]),
-        header["method"],
+        seed,
+        method,
         dict(header.get("diagnostics", {})),
     )

@@ -6,6 +6,7 @@ import pytest
 from gibbslab import dirac_spectrum as ds
 from gibbslab import hill_spectrum as hs
 from gibbslab.floquet import _mat_prod, _segment_count, rk4_transfer, step_polynomials
+from gibbslab.flow_lab import _padded_size
 from gibbslab.fourier_field import (
     GridTooSmallError,
     PeriodicField,
@@ -304,6 +305,28 @@ def hessian_fd_oracle(field: PeriodicField, v, p: float, h: float = 1e-4) -> flo
     v0 = lp_integral(field, p)
     vm = lp_integral(field + (-h) * step, p)
     return (vp - 2.0 * v0 + vm) / (h * h)
+
+
+def strang_oracle(field: PeriodicField, params) -> np.ndarray:
+    """Strang steps kept in spectral space, with both half phases and a
+    Nyquist zero in every step, on the flow's padded grid.
+
+    Returns the evolved spectrum of length G in FFT order; ``flow_lab``'s
+    grid-space loop must match it to rounding.
+    """
+    G = _padded_size(params.cutoff)
+    spec = np.zeros(G, dtype=complex)
+    spec[field.modes % G] = field.coeffs
+    kk = np.fft.fftfreq(G, d=1.0 / G)
+    half = np.exp(1j * kk**2 * (params.dt / 2.0))
+    for _ in range(params.steps):
+        spec *= half
+        u = np.fft.ifft(spec) * G
+        u *= np.exp(1j * params.beta * params.dt * np.abs(u) ** (params.p - 2.0))
+        spec = np.fft.fft(u) / G
+        spec[G // 2] = 0.0
+        spec *= half
+    return spec
 
 
 def rejection_oracle(count: int, params, seed: int, max_attempts: int = 10_000_000):

@@ -247,6 +247,37 @@ class TestBasics:
         assert "header count 40, 2 records" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda h: h.pop("seed"), "'seed'"),
+        (lambda h: h["params"].update(holder_gamma="0.3x", holder_bound=2.0), "'holder_gamma'"),
+        (lambda h: h["params"].update(holder_gamma=0.3, holder_bound="2.0x"), "'holder_bound'"),
+    ], ids=["no-seed", "holder-gamma", "holder-bound"])
+    def test_malformed_ensemble_header_is_a_config_error(
+        self, inputs, tmp_path, capsys, edit, key
+    ):
+        # a header without seed used to raise KeyError, and a string Hölder
+        # parameter a TypeError, each as a traceback
+        header, *records = Path(inputs["ens"]).read_text().splitlines(keepends=True)
+        header = json.loads(header)
+        edit(header)
+        ens = tmp_path / "bad.jsonl"
+        ens.write_text(json.dumps(header) + "\n" + "".join(records))
+        out = tmp_path / "conc.json"
+        argv = ["concentration", "--ensemble", str(ens), "--statistic", "l2", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and key in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_string_holder_parameters_are_coerced(self, inputs, tmp_path):
+        header, *records = Path(inputs["ens"]).read_text().splitlines(keepends=True)
+        header = json.loads(header)
+        header["params"].update(holder_gamma="0.3", holder_bound="2.0")
+        ens = tmp_path / "holder.jsonl"
+        ens.write_text(json.dumps(header) + "\n" + "".join(records))
+        params = load_ensemble_jsonl(ens).params
+        assert (params.holder_gamma, params.holder_bound) == (0.3, 2.0)
+
     def test_negative_lambda_max_is_a_config_error(self, mathieu_field, tmp_path, capsys):
         out = tmp_path / "hill.json"
         argv = ["hill-spectrum", "--field", mathieu_field, "--lambda-max=-1", "--out", str(out)]

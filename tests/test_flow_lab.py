@@ -11,7 +11,7 @@ from gibbslab.fourier_field import (
     lp_integral,
 )
 from gibbslab.gibbs_sampler import GibbsEnsemble, GibbsParams, importance_ensemble
-from conftest import random_field
+from conftest import random_field, strang_oracle
 
 
 def unit_mass_field(cutoff: int, seed: int) -> PeriodicField:
@@ -58,6 +58,19 @@ class TestSplitStep:
         fwd = fl.split_step_evolve(f, fl.FlowParams(4.0, -1.0, 1e-3, 250, 6))
         back = fl.split_step_evolve(fwd, fl.FlowParams(4.0, -1.0, -1e-3, 250, 6))
         assert np.abs(back.with_cutoff(6).coeffs - f.coeffs).max() < 1e-7
+
+    @pytest.mark.parametrize("cutoff", [4, 8, 16, 32])  # G = 32, 64, 128, 256
+    @pytest.mark.parametrize("p", [4.0, 6.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_spectral_space_oracle(self, cutoff, p, sign):
+        f = unit_mass_field(cutoff, 40 + cutoff)
+        params = fl.FlowParams(p, -1.0, sign * 0.02 / cutoff**2, 60, cutoff)
+        out = fl.split_step_evolve(f, params)
+        ref = strang_oracle(f, params)
+        G = ref.size
+        assert out.cutoff == G // 2 - 1
+        assert np.abs(out.coeffs - ref[out.modes % G]).max() <= 1e-12
+        assert ref[G // 2] == 0.0  # the Nyquist mode is the one the output omits
 
     def test_dt_guard(self):
         with pytest.raises(ValueError):
@@ -169,7 +182,7 @@ class TestInvariance:
 class TestBlockedInvariance:
     """The ensemble flow runs in blocks of rows; each member keeps its own bits."""
 
-    COUNT, BAD = 150, 75  # three blocks of 64 rows at cutoff 8; BAD sits in the second
+    COUNT, BAD = 150, 75  # BAD sits in a middle block at either flow cutoff below
 
     def _ensemble(self):
         rng = np.random.default_rng(17)
@@ -180,16 +193,19 @@ class TestBlockedInvariance:
             samples, rng.uniform(0.5, 1.5, self.COUNT), seed=0, method="importance",
         )
 
-    def test_rows_match_single_member_runs(self):
+    # flow cutoff 8: G = 64, three blocks of 64 rows; 16: G = 128, five blocks of 32 rows
+    @pytest.mark.parametrize("flow_cutoff, dt", [(8, 1e-3), (16, 2.5e-4)], ids=["G64", "G128"])
+    def test_rows_match_single_member_runs(self, flow_cutoff, dt):
         ens = self._ensemble()
-        params = fl.FlowParams(4.0, -1.0, 1e-3, 40, 8)
-        assert self.COUNT > 2 * fl.BLOCK_LANES // fl._padded_size(8)
+        params = fl.FlowParams(4.0, -1.0, dt, 40, flow_cutoff)
+        G = fl._padded_size(flow_cutoff)
+        assert self.COUNT > 2 * fl.BLOCK_LANES // G
         seen = []  # the observable sees every kept member before and after the flow
         rep = fl.invariance_check(
             ens, params, {"seen": lambda f: seen.append(f) or 0.0}, seed=5, permutations=20
         )
         assert rep.excluded_blowups == 1
-        evolved = [f for f in seen if f.cutoff == 31]  # the full 64-point grid
+        evolved = [f for f in seen if f.cutoff == G // 2 - 1]  # the full grid
         assert len(seen) == 2 * len(evolved) == 2 * (self.COUNT - 1)
         with pytest.raises(fl.BlowUpError):
             fl.split_step_evolve(ens.samples[self.BAD], params)
