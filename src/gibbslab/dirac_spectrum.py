@@ -34,8 +34,8 @@ from .floquet import (
     contour_sum,
     locate_spectral_points_block,
     member_result,
+    mode_coefficients,
     mode_spectrum,
-    multiplication_matrix,
     one_member,
     pad_members,
     transfer_discriminant,
@@ -133,19 +133,36 @@ def _scan_grid(window: tuple[float, float], spacing: float = 0.1) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _mode_matrices(field):
+    """floquet.mode_spectrum's ``matrix`` for 2L on a block of one field: in the
+    components psi1 +- i psi2, 2L is [[D, 2i C], [(2i C)^H, -D]] with D = diag(2w)
+    and C_ab = c(w_a - w_b), and its real form is
+
+        [[D + 2 Re c(w_a + w_b),  -2 Im c(w_a - w_b)],
+         [-2 Im c(w_b - w_a),     -D - 2 Re c(-(w_a + w_b))]]."""
+    re, im = 2.0 * np.real(field.coeffs)[None], 2.0 * np.imag(field.coeffs)[None]
+
+    def matrix(freqs, members):
+        diff = np.rint(freqs[:, None] - freqs).astype(int)
+        total = np.rint(freqs[:, None] + freqs).astype(int)
+        d = np.diag(2.0 * freqs)
+        off = -mode_coefficients(im[members], diff)
+        top = d + mode_coefficients(re[members], total)
+        bottom = -d - mode_coefficients(re[members], -total)
+        return np.block([[top, off], [off.swapaxes(1, 2), bottom]]), np.concatenate([freqs, freqs])
+
+    return matrix
+
+
 def _periodic_points(field, disc, window, refine_tol: float) -> tuple[SpectralPoint, ...]:
     """The mode matrices' eigenvalues in the window, checked on ``disc``; two of one
     series whose truncation-bound intervals overlap are one double point at their mean."""
     if window[1] <= window[0]:
         raise ValueError("empty window")
-
-    def matrix(freqs):  # 2L in the components psi1 +- i psi2, on the modes e^(iwx)
-        m = 2j * multiplication_matrix(field.coeffs, freqs)
-        d = np.diag(2.0 * freqs)
-        return np.block([[d, m], [m.conj().T, -d]]), np.concatenate([freqs, freqs])
-
     edge = max(abs(window[0]), abs(window[1])) / 2.0
-    values, anti, bounds = mode_spectrum(matrix, 1.0, field.cutoff, edge, window, refine_tol)
+    values, anti, bounds = one_member(
+        mode_spectrum(_mode_matrices(field), 1.0, [field.cutoff], [edge], window, refine_tol)
+    )
     found = []  # (value, antiperiodic, multiplicity, truncation bound)
     for series in (False, True):
         v, b = values[anti == series], bounds[anti == series]

@@ -39,7 +39,12 @@ Four layers, all pure functions over immutable inputs:
   grid, the models and the solve once for the block, and checks each
   member alone;
 * periodic spectra by Hill's method: eigenvalues of the operator's
-  Hermitian Fourier mode matrices, each with a truncation bound.
+  Fourier mode matrices, each with a truncation bound.  The matrices are
+  real symmetric: both operators commute with an antiunitary R conj, R the
+  mode reversal, which makes V^H H V real for a unitary V that keeps the
+  truncation's inner modes apart from the outer ones.  A block of members
+  is grouped by truncation width, and each series of a group is one
+  stacked ``eigh`` call.
 
 Contour sums for linear statistics are evaluated on the models, every
 circle at once as one product of the coefficient rows with a table of the
@@ -70,7 +75,7 @@ __all__ = [
     "build_models",
     "locate_spectral_points",
     "locate_spectral_points_block",
-    "multiplication_matrix",
+    "mode_coefficients",
     "mode_spectrum",
     "check_residuals",
     "contour_sum",
@@ -528,14 +533,16 @@ MAX_PASSES = 8
 EIGH_ROUNDING = 4.0 * np.finfo(float).eps
 
 
-def multiplication_matrix(coeffs, freqs: np.ndarray) -> np.ndarray:
-    """Multiplication by sum_n c_n e^(inx), ``coeffs`` as ``PeriodicField.coeffs``, on the
-    modes e^(iwx), w in ``freqs``: entry (a, b) is c_(freqs[a] - freqs[b]), zero past the cutoff."""
-    c = np.asarray(coeffs, dtype=complex)
-    m = (c.size - 1) // 2
-    diff = np.rint(freqs[:, None] - freqs[None, :]).astype(int)
-    near = np.abs(diff) <= m
-    return np.where(near, c[np.where(near, diff + m, 0)], 0.0)
+def mode_coefficients(coeffs: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The Fourier coefficients c_k of a stack of fields, zero past the cutoff.
+
+    ``coeffs`` holds one field per row, each as ``PeriodicField.coeffs``
+    (modes -m .. m); ``k`` is an integer array.  Returns an array of shape
+    coeffs.shape[:-1] + k.shape, with the dtype of ``coeffs``.
+    """
+    m = (coeffs.shape[-1] - 1) // 2
+    zero = np.zeros((*coeffs.shape[:-1], 1), dtype=coeffs.dtype)
+    return np.concatenate([coeffs, zero], axis=-1)[..., np.where(np.abs(k) <= m, k + m, -1)]
 
 
 def _kato_temple(r2: np.ndarray, gap: np.ndarray) -> np.ndarray:
@@ -553,52 +560,89 @@ def _truncation_bounds(theta: np.ndarray, v: np.ndarray, coupling: np.ndarray) -
     gap the distance to the rest of theta (Kato-Temple).  As the edges of a
     narrow gap are close, the same holds for each eigenvalue and its nearer
     neighbour as a pair, r^2 the sum of theirs; the least bound is taken.
+    Works on stacks: theta (g, k), v (g, k, k) and coupling (g, o, k).
     """
     y = coupling @ v
-    r2 = np.einsum("ij,ij->j", y.conj(), y).real
-    i = np.arange(theta.size)
-    pad = np.concatenate([[-np.inf], theta, [np.inf]])
-    below, above = theta - pad[:-2], pad[2:] - theta
-    j = np.where(below <= above, i - 1, i + 1).clip(0, theta.size - 1)
+    r2 = np.einsum("...ij,...ij->...j", y, y)
+    n = theta.shape[-1]
+    inf = np.full((*theta.shape[:-1], 1), np.inf)
+    pad = np.concatenate([-inf, theta, inf], axis=-1)
+    below, above = theta - pad[..., :-2], pad[..., 2:] - theta
+    i = np.arange(n)
+    j = np.where(below <= above, i - 1, i + 1).clip(0, n - 1)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
-    pair = _kato_temple(r2 + r2[j], np.minimum(theta[lo] - pad[lo], pad[hi + 2] - theta[hi]))
+
+    def at(a, idx):
+        return np.take_along_axis(a, idx, axis=-1)
+
+    gap = np.minimum(at(theta, lo) - at(pad, lo), at(pad, hi + 2) - at(theta, hi))
+    pair = _kato_temple(r2 + at(r2, j), gap)
     return np.minimum(np.sqrt(r2), np.minimum(_kato_temple(r2, np.minimum(below, above)), pair))
 
 
-def mode_spectrum(matrix, spacing: float, bandwidth: int, edge: float, window, tol: float):
-    """Periodic and antiperiodic eigenvalues in ``window`` by Hill's method.
+def mode_spectrum(matrix, spacing: float, bandwidths, edges, window, tol: float) -> list:
+    """Periodic and antiperiodic eigenvalues in ``window`` by Hill's method, for a block.
 
-    ``matrix(freqs)`` gives a Hermitian operator's matrix on the modes e^(iwx),
-    w in freqs, and each row's w; it couples modes at most ``bandwidth``
-    apart, and its diagonal reaches the window's edge at |w| = ``edge``
-    (Deconinck & Kutz, J. Comput. Phys. 219 (2006) 296-321; Curtis &
-    Deconinck, Math. Comp. 79 (2010) 169-187).  The periodic (antiperiodic)
-    series is solved on w = spacing * j (j + 1/2), |w| <= W, with W growing
-    by a bandwidth until every truncation bound in the window, from the
-    modes W < |w| <= W + bandwidth, is at most ``tol``.  Returns (values,
-    antiperiodic, bounds) sorted by value.
+    Member i couples modes e^(iwx) at most ``bandwidths[i]`` apart, and its
+    diagonal reaches the window's edge at |w| = ``edges[i]`` (Deconinck &
+    Kutz, J. Comput. Phys. 219 (2006) 296-321; Curtis & Deconinck, Math.
+    Comp. 79 (2010) 169-187).  Its periodic (antiperiodic) series is solved
+    on w = spacing * j (j + 1/2), |w| <= W, with W growing by a bandwidth
+    until every truncation bound in the window, from the modes
+    W < |w| <= W + bandwidth, is at most ``tol``.
+
+    The matrices are real: both operators served (Dirac, Hill) commute with
+    an antiunitary T = R conj, R the mode reversal w -> -w (for Dirac with
+    the two components swapped), so with the unitary V = ((1 + i) I +
+    (1 - i) R) / 2, V^H H V = Re H + Im H R is real symmetric with H's
+    spectrum; as R maps |w| <= W onto itself, V keeps the inner modes apart
+    from the outer ones and the truncation bounds are H's.
+    ``matrix(freqs, members)`` returns that form for the listed members
+    (indices into the block) on the modes w in ``freqs``, a real (g, n, n)
+    stack (a complex one raises ValueError), and each row's w.
+
+    Members are grouped by their own (W, bandwidth), so each gets exactly
+    the matrices it would get alone, and each series of a group is one
+    ``eigh`` call per pass.  Returns, for each member, (values,
+    antiperiodic, bounds) sorted by value, or FloatingPointError when a
+    bound is still above ``tol`` after MAX_PASSES passes.
     """
-    step = max(bandwidth, 1)
-    width = math.ceil(edge) + START_BANDS * step
+    steps = [max(b, 1) for b in bandwidths]
+    widths = [math.ceil(e) + START_BANDS * s for e, s in zip(edges, steps)]
+    results: list = [None] * len(widths)
+    live = range(len(widths))
     for _ in range(MAX_PASSES):
-        values, series, bounds = [], [], []
+        groups: dict = {}
+        for i in live:
+            groups.setdefault((widths[i], bandwidths[i]), []).append(i)
+        found: dict = {i: [] for i in live}
         for anti in (False, True):
-            n = math.ceil((width + bandwidth) / spacing)
-            freqs = spacing * (np.arange(-n - 1, n + 1) + 0.5 * anti)
-            h, rows = matrix(freqs[np.abs(freqs) <= width + bandwidth])
-            inner = np.abs(rows) <= width
-            theta, v = np.linalg.eigh(h[np.ix_(inner, inner)])
-            keep = (window[0] <= theta) & (theta <= window[1])
-            bound = _truncation_bounds(theta, v, h[np.ix_(~inner, inner)])[keep]
-            values.append(theta[keep])
-            series.append(np.full(bound.size, anti))
-            bounds.append(np.maximum(bound, EIGH_ROUNDING * np.max(np.abs(theta))))
-        values, series, bounds = map(np.concatenate, (values, series, bounds))
-        if not np.any(bounds > tol):
-            order = np.argsort(values, kind="stable")
-            return values[order], series[order], bounds[order]
-        width += step
-    raise FloatingPointError(f"truncation bound {bounds.max():.2e} above {tol:.1e}")
+            for (width, band), members in groups.items():
+                n = math.ceil((width + band) / spacing)
+                freqs = spacing * (np.arange(-n - 1, n + 1) + 0.5 * anti)
+                h, rows = matrix(freqs[np.abs(freqs) <= width + band], members)
+                if np.iscomplexobj(h):
+                    raise ValueError("mode matrices must be real")
+                inner = np.abs(rows) <= width
+                theta, v = np.linalg.eigh(h[:, inner][:, :, inner])
+                bounds = _truncation_bounds(theta, v, h[:, ~inner][:, :, inner])
+                floors = EIGH_ROUNDING * np.max(np.abs(theta), axis=-1)
+                for i, t, b, floor in zip(members, theta, bounds, floors):
+                    keep = (window[0] <= t) & (t <= window[1])
+                    bound = np.maximum(b[keep], floor)
+                    found[i].append((t[keep], np.full(bound.size, anti), bound))
+        for i, parts in found.items():
+            values, series, bounds = map(np.concatenate, zip(*parts))
+            if np.any(bounds > tol):
+                message = f"truncation bound {bounds.max():.2e} above {tol:.1e}"
+                results[i] = FloatingPointError(message)
+            else:
+                order = np.argsort(values, kind="stable")
+                results[i] = (values[order], series[order], bounds[order])
+        live = [i for i in live if isinstance(results[i], FloatingPointError)]
+        for i in live:
+            widths[i] += steps[i]
+    return results
 
 
 def check_residuals(resid: np.ndarray, points, tol: float) -> np.ndarray:

@@ -279,6 +279,8 @@ def _wire(obj):
 
 
 def field_from_json(obj: dict) -> PeriodicField:
+    if not isinstance(obj, dict) or not {"cutoff", "coeffs"} <= obj.keys():
+        raise ValueError("a field must be an object with keys 'cutoff' and 'coeffs'")
     cutoff = int(obj["cutoff"])
     c = np.zeros(2 * cutoff + 1, dtype=complex)
     prev = None

@@ -628,9 +628,20 @@ def save_ensemble_jsonl(ensemble: GibbsEnsemble, path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _json_record(path, lineno: int, line: str) -> dict:
+    """Line ``lineno`` of a JSON-lines file as a dict, or ValueError naming the file and line."""
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: line {lineno}: not a JSON object")
+    return obj
+
+
 def load_ensemble_jsonl(path) -> GibbsEnsemble:
     with open(path) as fh:
-        header = json.loads(fh.readline())
+        header = _json_record(path, 1, fh.readline())
         if header.get("kind") != "header":
             raise ValueError("first record must be the ensemble header")
         try:
@@ -642,12 +653,15 @@ def load_ensemble_jsonl(path) -> GibbsEnsemble:
             raise ValueError(f"{path}: ensemble header: {exc}") from None
         samples = []
         weights = []
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            samples.append(field_from_json(rec["field"]))
-            weights.append(float(rec["weight"]))
+            rec = _json_record(path, lineno, line)
+            try:
+                samples.append(_json_value(rec, "field", field_from_json))
+                weights.append(_json_value(rec, "weight", float))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     if len(samples) != count:
         raise ValueError(f"{path}: header count {count}, {len(samples)} records")
     return GibbsEnsemble(

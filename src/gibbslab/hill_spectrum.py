@@ -36,8 +36,8 @@ from .floquet import (
     check_residuals,
     contour_sum,
     member_result,
+    mode_coefficients,
     mode_spectrum,
-    multiplication_matrix,
     one_member,
     pad_members,
     transfer_discriminant,
@@ -140,15 +140,32 @@ class HillSpectralData:
         return self.midpoints.size - 1
 
 
-def _mode_eigenvalues(q: PeriodicField, lambda_max: float, tol: float):
-    """floquet.mode_spectrum of -d^2/dx^2 + q: (values, antiperiodic, bounds) up to lambda_max."""
+def _mode_matrices(qs):
+    """floquet.mode_spectrum's ``matrix`` for -d^2/dx^2 + q, q in the block ``qs``:
+    the real form w_a^2 delta_ab + Re q(w_a - w_b) + Im q(w_a + w_b)."""
+    cutoff = max(q.cutoff for q in qs)
+    coeffs = np.array([q.with_cutoff(cutoff).coeffs for q in qs])
+    re, im = coeffs.real, coeffs.imag
 
-    def matrix(freqs):  # -d^2/dx^2 + q on the modes e^(iwx)
-        return np.diag(freqs * freqs) + multiplication_matrix(q.coeffs, freqs), freqs
+    def matrix(freqs, members):
+        w = np.rint(freqs).astype(int)
+        return (
+            np.diag(freqs * freqs)
+            + mode_coefficients(re[members], w[:, None] - w)
+            + mode_coefficients(im[members], w[:, None] + w)
+        ), freqs
 
+    return matrix
+
+
+def _mode_eigenvalues(qs, lambda_max: float, tol: float) -> list:
+    """floquet.mode_spectrum of -d^2/dx^2 + q for a block of potentials: each one's
+    (values, antiperiodic, bounds) up to lambda_max, or the FloatingPointError that
+    failed it."""
     # q's mean shifts the diagonal w^2, which reaches lambda_max at edge
-    edge = math.sqrt(max(lambda_max - q.mode(0).real, 0.0))
-    return mode_spectrum(matrix, 2.0, q.cutoff, edge, (-np.inf, lambda_max), tol)
+    edges = [math.sqrt(max(lambda_max - q.mode(0).real, 0.0)) for q in qs]
+    bandwidths = [q.cutoff for q in qs]
+    return mode_spectrum(_mode_matrices(qs), 2.0, bandwidths, edges, (-np.inf, lambda_max), tol)
 
 
 def hill_periodic_spectrum(
@@ -176,14 +193,16 @@ def hill_periodic_spectrum_block(
     HillSpectralData, or the numerical failure (floquet.NUMERICAL_FAILURES)
     that failed it alone.
 
-    Each potential has its own mode matrices; the residual checks of the
-    whole block are one real-lambda call of the transfer-matrix engine, on
-    every member's eigenvalues (floquet.pad_members).
+    The mode matrices of the whole block are one floquet.mode_spectrum
+    call, real symmetric and stacked, so each series is one ``eigh`` call
+    per pass for every member of one truncation width; the residual checks
+    of the whole block are one real-lambda call of the transfer-matrix
+    engine, on every member's eigenvalues (floquet.pad_members).
     """
     if not lambda_max >= 0.0:
         raise ValueError(f"lambda_max must be non-negative, got {lambda_max}")
     disc = _discriminant_block(qs, steps)
-    spectra = [member_result(_mode_eigenvalues, q, lambda_max, tol) for q in qs]
+    spectra = _mode_eigenvalues(qs, lambda_max, tol)
     values = [None if isinstance(s, BaseException) else s[0] for s in spectra]
     padded = pad_members(values)
     delta = np.empty((len(qs), 0)) if padded is None else disc(padded)
@@ -401,7 +420,7 @@ def pw_statistic_contour(q: PeriodicField, indices, steps: int = DEFAULT_STEPS) 
     disc = hill_discriminant_batch(q, steps)
     # by min-max lambda_{2m+1} <= (m+1)^2 + max q, and max q <= sum |q_n|
     lam_max = (ms.max() + 1.0) ** 2 + np.sum(np.abs(q.coeffs)) + 1.0
-    lam, anti, _ = _mode_eigenvalues(q, lam_max, SPECTRUM_TOL)
+    lam, anti, _ = one_member(_mode_eigenvalues([q], lam_max, SPECTRUM_TOL))
     odd = ms % 2 == 1
     if np.any(anti[2 * ms - 1] != odd) or np.any(anti[2 * ms] != odd):
         raise FloatingPointError("gap edges are not of the kernel's series")

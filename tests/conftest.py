@@ -292,6 +292,52 @@ def dirac_oracle(field: PeriodicField, window, K: int = 64) -> list:
     return sorted(points)
 
 
+def multiplication_matrix(coeffs, freqs: np.ndarray) -> np.ndarray:
+    """Multiplication by sum_n c_n e^(inx), ``coeffs`` as ``PeriodicField.coeffs``, on the
+    modes e^(iwx), w in ``freqs``: entry (a, b) is c_(freqs[a] - freqs[b]), zero past the cutoff."""
+    c = np.asarray(coeffs, dtype=complex)
+    m = (c.size - 1) // 2
+    diff = np.rint(freqs[:, None] - freqs[None, :]).astype(int)
+    near = np.abs(diff) <= m
+    return np.where(near, c[np.where(near, diff + m, 0)], 0.0)
+
+
+def hill_mode_matrix(q: PeriodicField, freqs: np.ndarray):
+    """The complex Hermitian matrix of -d^2/dx^2 + q on the modes e^(iwx), w in ``freqs``,
+    and each row's w: the oracle of the real form the program solves."""
+    return np.diag(freqs * freqs) + multiplication_matrix(q.coeffs, freqs), freqs
+
+
+def dirac_mode_matrix(field: PeriodicField, freqs: np.ndarray):
+    """The complex Hermitian matrix of 2L in the components psi1 +- i psi2 on the modes
+    e^(iwx), w in ``freqs``, and each row's w: the oracle of the real form the program
+    solves."""
+    m = 2j * multiplication_matrix(field.coeffs, freqs)
+    d = np.diag(2.0 * freqs)
+    return np.block([[d, m], [m.conj().T, -d]]), np.concatenate([freqs, freqs])
+
+
+def truncation_bounds_oracle(theta, v, coupling) -> np.ndarray:
+    """``floquet._truncation_bounds`` of one Hermitian matrix, complex allowed: for each
+    eigenpair (theta, v) of H[in, in] the least of r, r^2 / (gap - r) (Kato-Temple) and
+    the Kato-Temple bound of it and its nearer neighbour as a pair, r = ||H[out, in] v||."""
+
+    def kato_temple(r2, gap):
+        r = np.sqrt(r2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(gap > r, r2 / (gap - r), np.inf)
+
+    y = coupling @ v
+    r2 = np.einsum("ij,ij->j", y.conj(), y).real
+    i = np.arange(theta.size)
+    pad = np.concatenate([[-np.inf], theta, [np.inf]])
+    below, above = theta - pad[:-2], pad[2:] - theta
+    j = np.where(below <= above, i - 1, i + 1).clip(0, theta.size - 1)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    pair = kato_temple(r2 + r2[j], np.minimum(theta[lo] - pad[lo], pad[hi + 2] - theta[hi]))
+    return np.minimum(np.sqrt(r2), np.minimum(kato_temple(r2, np.minimum(below, above)), pair))
+
+
 def hessian_fd_oracle(field: PeriodicField, v, p: float, h: float = 1e-4) -> float:
     """Second central difference of the L^p energy along a coordinate vector.
 

@@ -269,6 +269,30 @@ class TestBasics:
         assert err.startswith("configuration error:") and key in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: ["[1]\n", *lines[1:]], "line 1: not a JSON object"),
+        (lambda lines: [lines[0], '{"kind": "sample", "field": {"cutoff": 0, "coeffs": []}}\n',
+                        *lines[2:]], "line 2: missing key 'weight'"),
+        (lambda lines: [*lines[:2], '{"kind": "sample", "weight": 1.0}\n', *lines[3:]],
+         "line 3: missing key 'field'"),
+        (lambda lines: [*lines[:2], '{"kind": "sample", "field": {"coeffs": []}, "weight": 1.0}\n',
+                        *lines[3:]], "line 3: key 'field': a field must be an object"),
+    ], ids=["list-header", "no-weight", "no-field", "field-without-cutoff"])
+    def test_malformed_ensemble_record_is_a_config_error(
+        self, inputs, tmp_path, capsys, edit, message
+    ):
+        # a first line that is not an object used to raise AttributeError, and
+        # a record without weight or field a KeyError, each as a traceback
+        lines = Path(inputs["ens"]).read_text().splitlines(keepends=True)
+        ens = tmp_path / "bad.jsonl"
+        ens.write_text("".join(edit(lines)))
+        out = tmp_path / "conc.json"
+        argv = ["concentration", "--ensemble", str(ens), "--statistic", "l2", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_string_holder_parameters_are_coerced(self, inputs, tmp_path):
         header, *records = Path(inputs["ens"]).read_text().splitlines(keepends=True)
         header = json.loads(header)
@@ -277,6 +301,17 @@ class TestBasics:
         ens.write_text(json.dumps(header) + "\n" + "".join(records))
         params = load_ensemble_jsonl(ens).params
         assert (params.holder_gamma, params.holder_bound) == (0.3, 2.0)
+
+    def test_field_without_cutoff_is_a_config_error(self, tmp_path, capsys):
+        # a field file without "cutoff" used to raise KeyError as a traceback
+        field = tmp_path / "field.json"
+        field.write_text('{"coeffs": [[0, 1.0, 0.0]]}')
+        out = tmp_path / "hill.json"
+        argv = ["hill-spectrum", "--field", str(field), "--lambda-max", "5", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "'cutoff'" in err
+        assert not out.exists()
 
     def test_negative_lambda_max_is_a_config_error(self, mathieu_field, tmp_path, capsys):
         out = tmp_path / "hill.json"

@@ -23,10 +23,12 @@ from gibbslab.floquet import (
     rk4_transfer,
     step_polynomials,
 )
-from gibbslab.fourier_field import PeriodicField
+from gibbslab.fourier_field import PeriodicField, field_from_modes
 from conftest import (
     determinant,
+    dirac_mode_matrix,
     dirac_rk4_nodes,
+    hill_mode_matrix,
     hill_rk4_nodes,
     picard_monodromy,
     random_field,
@@ -35,6 +37,7 @@ from conftest import (
     rk4_step_polynomials,
     system_args,
     transfer,
+    truncation_bounds_oracle,
 )
 
 STEPS = 1024
@@ -519,6 +522,62 @@ def polynomial_with_critical_points(roots):
     """f with f' = prod (z - r), held exactly by a disk model."""
     coef = P.polyint(P.polyfromroots(roots))
     return lambda z: P.polyval(np.asarray(z), coef)
+
+
+class TestModeSpectrum:
+    """The real mode matrices against the complex Hermitian ones, and blocks against members."""
+
+    @pytest.mark.parametrize("anti", [False, True])
+    @pytest.mark.parametrize("system", ["dirac", "hill"])
+    def test_real_form_matches_hermitian_oracle(self, system, anti):
+        if system == "dirac":
+            f = random_field(6, 5, scale=0.5)
+            matrix, oracle, spacing = ds._mode_matrices(f), dirac_mode_matrix, 1.0
+        else:
+            f = real_even_field(8, 5, scale=0.3)
+            matrix, oracle, spacing = hs._mode_matrices([f]), hill_mode_matrix, 2.0
+        width = 12
+        w = spacing * (np.arange(-30, 30) + 0.5 * anti)
+        freqs = w[np.abs(w) <= width + f.cutoff]
+        (s,), rows = matrix(freqs, np.array([0]))
+        h, ref_rows = oracle(f, freqs)
+        assert s.dtype == float and np.array_equal(s, s.T) and np.array_equal(rows, ref_rows)
+        inner = np.abs(rows) <= width
+        theta, v = np.linalg.eigh(s[np.ix_(inner, inner)])
+        ref, ref_v = np.linalg.eigh(h[np.ix_(inner, inner)])
+        assert np.max(np.abs(theta - ref)) <= 1e-12 * np.linalg.norm(h, 2)
+        coupling = s[np.ix_(~inner, inner)]
+        bounds = floquet._truncation_bounds(theta[None], v[None], coupling[None])[0]
+        ref_bounds = truncation_bounds_oracle(ref, ref_v, h[np.ix_(~inner, inner)])
+        np.testing.assert_allclose(bounds, ref_bounds, rtol=1e-9, atol=0.0)
+
+    def test_block_matches_each_member_alone(self, monkeypatch):
+        # two passes at most: the cutoff-4 member at scale 10 needs both, the
+        # one at scale 30 fails after them; the widths W differ by mean (the
+        # constant mode 30) and by bandwidth (cutoff), and two members share one
+        monkeypatch.setattr(floquet, "MAX_PASSES", 2)
+        qs = [
+            real_even_field(8, 1, 0.1),
+            real_even_field(8, 2, 0.1) + field_from_modes(8, {0: 30.0}),
+            real_even_field(8, 5, 1.0),
+            real_even_field(4, 7, 10.0),
+            real_even_field(4, 7, 30.0),
+        ]
+        block = hs._mode_eigenvalues(qs, 60.0, 1e-10)
+        assert [isinstance(r, FloatingPointError) for r in block] == [False] * 4 + [True]
+        for q, got in zip(qs, block):
+            (alone,) = hs._mode_eigenvalues([q], 60.0, 1e-10)
+            if isinstance(alone, FloatingPointError):
+                assert type(got) is FloatingPointError and str(got) == str(alone)
+            else:
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, alone))
+
+    def test_complex_stack_rejected(self):
+        def matrix(freqs, members):
+            return np.diag(freqs * freqs).astype(complex)[None], freqs
+
+        with pytest.raises(ValueError, match="real"):
+            floquet.mode_spectrum(matrix, 2.0, [2], [3.0], (-np.inf, 10.0), 1e-8)
 
 
 class TestCriticalSolve:

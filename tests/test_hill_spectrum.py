@@ -358,9 +358,8 @@ class TestPwStatistic:
                 hs.pw_statistic_contour(q, [1, 2])
         monkeypatch.setattr(hs, "contour_sum", contour_sum)
 
-        def relabelled(*args):  # gap edges of the other series
-            values, anti, bounds = mode_eigenvalues(*args)
-            return values, ~anti, bounds
+        def relabelled(*args):  # gap edges of the other series, for each member
+            return [(values, ~anti, bounds) for values, anti, bounds in mode_eigenvalues(*args)]
 
         monkeypatch.setattr(hs, "_mode_eigenvalues", relabelled)
         with pytest.raises(FloatingPointError, match="series"):
