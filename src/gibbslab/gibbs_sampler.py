@@ -11,25 +11,23 @@ restricted to the closed ball ||phi||_{L^2}^2 <= N, optionally intersected
 with a Holder ball ||phi||_{H^gamma} <= K.
 
 Determinism: all sampling is driven by numpy SeedSequence streams derived
-from the master seed.  Rejection sampling proceeds in global rounds; in
-round r the pending sample indices (in ascending order) consume the rows of
-one batch drawn from SeedSequence((seed, r)).  Rows are screened by their
-mass on the raw normals, and only rows inside the ball are built into loops
-and tested exactly; the screen only skips work, so the stream and every
-accepted row are those of building every row.  The rounds' seeds are
-hashed many rounds at a time by numpy's SeedSequence algorithm, and once
-fewer than ``_SCREEN_ROWS`` samples are pending, several rounds are drawn
-and screened together, then replayed one by one; neither changes a stream,
-an acceptance or an attempt count.  The result is a pure function of
-(params, count, seed), independent of any worker fan-out.
+from the master seed.  A rejection draw reads one stream,
+SeedSequence((seed, 1)): rows of standard normals come off it in order, and
+the first ``count`` rows inside Omega are the ensemble, in row order.
+``attempts`` counts the rows read up to and including the one that completes
+the draw, so a draw of n members is the prefix of a draw of n + k.  Rows are
+drawn and screened by their mass on the raw normals in chunks, and only rows
+inside the ball are built into loops and tested exactly; neither the chunk
+size nor the screen changes a member or an attempt count.  The result is a
+pure function of (params, count, seed), independent of any worker fan-out.
+A tilted proposal would change how rows are drawn, and so move this stream
+again.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -63,21 +61,13 @@ __all__ = [
 ]
 
 MAX_LOG_WEIGHT = 700.0  # exp overflow threshold for float64
-_MCMC_TAG = 2  # stream tag separating the chain from rejection rounds
-_SCREEN_ROWS = 1024  # rows of normals drawn and mass-screened at a time
-_HASH_ROUNDS = 1024  # rounds whose stream seeds are hashed at a time
+_REJECTION_TAG = 1  # stream tag of the rejection draw
+_MCMC_TAG = 2  # stream tag of the Markov chain
+_SCREEN_ROWS = 1024  # most rows of normals drawn and mass-screened at a time
 # The screen's mass (z*z) @ w and the exact sum |c_n|^2 differ by rounding
 # (about 1e-14 relative), far inside this margin, so the screen passes
 # every row the exact closed-ball test accepts.
 _SCREEN_SLACK = 1e-9
-
-
-# numpy.random.SeedSequence's hash constants (pool size 4), for _round_states
-_MASK32 = 0xFFFF_FFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
-_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 
 
 class DivergentWeightError(FloatingPointError):
@@ -314,134 +304,6 @@ def _screen(rows: np.ndarray, mass_w: np.ndarray, ball_radius: float) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Round streams
-# ---------------------------------------------------------------------------
-
-def _entropy_words(n: int) -> list[int]:
-    """The little-endian uint32 words SeedSequence makes of a non-negative integer."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _hashmix(init: int, mult: int):
-    """SeedSequence's hashmix on uint32 arrays, with its running constant.
-
-    The constant advances by the same product on every call whatever the
-    data, so one sequence of constants serves all rounds at once.
-    """
-    const = init
-
-    def step(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> 16
-
-    return step
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ result >> 16
-
-
-def _round_states(seed: int, first: int, count: int) -> np.ndarray:
-    """Row j is SeedSequence((seed, first + j)).generate_state(4, np.uint64).
-
-    numpy's pool hash (entropy words, pool of four, mixed all to all) and
-    its output hash, as uint32 arithmetic over ``count`` rounds at once.
-    """
-    if first < 1 << 32 < first + count:  # the round's entropy gains a word at 2**32
-        head = (1 << 32) - first
-        return np.concatenate([_round_states(seed, first, head),
-                               _round_states(seed, 1 << 32, count - head)])
-    rounds = np.arange(first, first + count, dtype=np.uint64)
-    entropy = [np.full(count, w, np.uint32) for w in _entropy_words(seed)]
-    entropy.append((rounds & _MASK32).astype(np.uint32))
-    if first >> 32:
-        entropy.append((rounds >> 32).astype(np.uint32))
-
-    hashmix = _hashmix(_INIT_A, _MULT_A)
-    zero = np.zeros(count, np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-
-    out_hash = _hashmix(_INIT_B, _MULT_B)
-    state = np.empty((count, 2 * _POOL_SIZE), np.uint32)
-    for i in range(2 * _POOL_SIZE):
-        state[:, i] = out_hash(pool[i % _POOL_SIZE])
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
-@functools.cache
-def _round_seed_type() -> type:
-    """The ISeedSequence that hands PCG64 a round's words, hashed beforehand.
-
-    Built on first use, so that importing gibbslab does not import
-    numpy.random.
-    """
-
-    class RoundSeed(np.random.bit_generator.ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("a round seed holds the four uint64 words of PCG64")
-            return self.state
-
-    return RoundSeed
-
-
-def _round_generator(state: np.ndarray) -> np.random.Generator:
-    """The generator of SeedSequence((seed, r)), from its words ``_round_states`` gave."""
-    return np.random.Generator(np.random.PCG64(_round_seed_type()(state)))
-
-
-def _screened_rounds(
-    states: np.ndarray, rows: int, params: GibbsParams, mass_w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``rows`` rows of normals of each round whose mass may lie in the ball.
-
-    Round j of the block owns block rows j*rows ... (j+1)*rows - 1.  Returns
-    the passing block rows in ascending order and their normals.  Rounds of
-    at most ``_SCREEN_ROWS`` rows share one buffer and one screen; a single
-    round of more rows is drawn and screened in chunks of that size.
-    """
-    shape = _normals_shape(params)
-    if rows > _SCREEN_ROWS:
-        (state,) = states  # a round this large is a block of its own
-        rng = _round_generator(state)
-        buf = np.empty((_SCREEN_ROWS, *shape))
-        hits, normals = [], []
-        for start in range(0, rows, _SCREEN_ROWS):
-            k = min(_SCREEN_ROWS, rows - start)
-            rng.standard_normal(out=buf[:k])
-            passed = _screen(buf[:k].reshape(k, -1), mass_w, params.ball_radius)
-            hits.append(start + passed)
-            normals.append(buf[passed])
-        return np.concatenate(hits), np.concatenate(normals)
-    buf = np.empty((len(states) * rows, *shape))
-    for j, state in enumerate(states):
-        _round_generator(state).standard_normal(out=buf[j * rows:(j + 1) * rows])
-    hits = _screen(buf.reshape(len(buf), -1), mass_w, params.ball_radius)
-    return hits, buf[hits]
-
-
-# ---------------------------------------------------------------------------
 # Ensembles
 # ---------------------------------------------------------------------------
 
@@ -457,53 +319,39 @@ def importance_ensemble(
     indicator; the nonlinear factor enters through importance weights, not
     through rejection.
 
-    Round r draws from SeedSequence((seed, r)).  The rounds' seeds are
-    hashed ``_HASH_ROUNDS`` at a time.  A round of more than ``_SCREEN_ROWS``
-    pending samples draws its normals in chunks of ``_SCREEN_ROWS`` rows;
-    otherwise blocks of consecutive rounds (one round, then doubling, up
-    to ``_SCREEN_ROWS`` rows) each draw as many rows as were pending at the
-    block's start, screen them in one call, and are replayed in order, each
-    round using only the rows below its own pending count.  Only rows that
+    Rows of normals come off the one stream SeedSequence((seed, 1)) in
+    order, into one buffer: ``count`` rows first, then chunks doubling up
+    to ``_SCREEN_ROWS`` rows, each cut to the budget left.  Only rows that
     pass the mass screen become coefficients and meet the exact ball (and
-    Holder) test.  ``max_attempts`` is checked before each round, so a
-    failing draw may report up to ``count - 1`` attempts beyond the budget.
+    Holder) test, and the passing rows are accepted in row order.
+    ``attempts`` is the number of rows read up to and including the one
+    that completes the draw, so it does not depend on the chunks; a failing
+    draw raises after exactly ``max_attempts`` rows.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _REJECTION_TAG)))
     mass_w = _mass_on_normals(params)
+    buf = np.empty((max(count, _SCREEN_ROWS), *_normals_shape(params)))
     accepted = np.zeros((count, 2 * params.cutoff + 1), dtype=complex)
-    pending = np.arange(count)
+    filled = 0
     attempts = 0
-    round_idx = 0
-    block = 1
-    while pending.size:
-        offset = round_idx % _HASH_ROUNDS
-        if offset == 0:
-            states = _round_states(seed, round_idx, _HASH_ROUNDS)
-        rows = pending.size
-        rounds = min(block, max(1, _SCREEN_ROWS // rows), _HASH_ROUNDS - offset)
-        hits, normals = _screened_rounds(states[offset:offset + rounds], rows, params, mass_w)
-        edges = np.searchsorted(hits, np.arange(rounds + 1) * rows).tolist()
-        for j in range(rounds):
-            if attempts >= max_attempts:
-                raise RejectionBudgetError(
-                    f"no full acceptance after {attempts} attempts "
-                    f"({pending.size} of {count} still pending)"
-                )
-            attempts += pending.size
-            lo, hi = edges[j], edges[j + 1]
-            if lo < hi:
-                found = hits[lo:hi] - j * rows
-                live = found < pending.size
-                draws = _coeffs_from_normals(normals[lo:hi][live], params)
-                ok = _batch_in_omega(draws, params)
-                found = found[live][ok]
-                accepted[pending[found]] = draws[ok]
-                pending = np.delete(pending, found)
-                if not pending.size:
-                    break
-        round_idx += rounds
-        block = min(2 * block, _SCREEN_ROWS)  # at most _SCREEN_ROWS rounds of one row
+    rows = count
+    while filled < count:
+        if attempts >= max_attempts:
+            raise RejectionBudgetError(
+                f"no full acceptance after {attempts} attempts "
+                f"({count - filled} of {count} still pending)"
+            )
+        rows = min(rows, max_attempts - attempts)
+        chunk = rng.standard_normal(out=buf[:rows])
+        passed = _screen(chunk.reshape(rows, -1), mass_w, params.ball_radius)
+        draws = _coeffs_from_normals(chunk[passed], params)
+        hits = _batch_in_omega(draws, params).nonzero()[0][:count - filled]
+        accepted[filled:filled + hits.size] = draws[hits]
+        filled += hits.size
+        attempts += int(passed[hits[-1]]) + 1 if filled == count else rows
+        rows = min(2 * rows, _SCREEN_ROWS)
 
     fields = tuple(PeriodicField(params.cutoff, accepted[i]) for i in range(count))
     divergent = 0

@@ -375,47 +375,51 @@ def strang_oracle(field: PeriodicField, params) -> np.ndarray:
     return spec
 
 
-def rejection_oracle(count: int, params, seed: int, max_attempts: int = 10_000_000):
-    """Round-by-round rejection sampling that builds every drawn row into a loop.
+_ORACLE_ROWS = 1 << 17  # rows drawn per call; bounds the oracle's memory only
 
-    Round r draws one (pending, modes, 2) block of normals from
-    SeedSequence((seed, r)), turns each row into coefficients, and keeps the
-    rows that pass the exact membership test.  Returns (coeffs, weights,
-    attempts); raises RejectionBudgetError with the sampler's message.
+
+def rejection_oracle(count: int, params, seed: int, max_attempts: int = 10_000_000):
+    """Rejection sampling that builds every drawn row into a loop.
+
+    Rows of normals come off SeedSequence((seed, 1)) in order, each turned
+    into coefficients and tested exactly; the first ``count`` accepted rows
+    are the ensemble, and attempts is the completing row's index plus 1.
+    The stream is read in calls of ``_ORACLE_ROWS`` rows, which covers every
+    draw but the largest in one call (a Generator's normals do not depend on
+    how its stream is cut).  Returns (coeffs, weights, attempts); raises
+    RejectionBudgetError with the sampler's message after ``max_attempts`` rows.
     """
     M = params.cutoff
-    accepted = np.zeros((count, 2 * M + 1), dtype=complex)
-    pending = np.arange(count)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    accepted = []
     attempts = 0
-    round_idx = 0
-    while pending.size:
+    while len(accepted) < count:
         if attempts >= max_attempts:
             raise RejectionBudgetError(
                 f"no full acceptance after {attempts} attempts "
-                f"({pending.size} of {count} still pending)"
+                f"({count - len(accepted)} of {count} still pending)"
             )
-        rng = np.random.default_rng(np.random.SeedSequence((seed, round_idx)))
+        rows = min(_ORACLE_ROWS, max_attempts - attempts)
         if params.kind == "kdv":
             ns = np.arange(1, M + 1)
-            z = rng.standard_normal((pending.size, M, 2))
+            z = rng.standard_normal((rows, M, 2))
             pos = (z[:, :, 0] + 1j * z[:, :, 1]) / (math.sqrt(2.0) * ns[None, :])
             if params.pi_periodic:
                 pos[:, 0::2] = 0.0
-            draws = np.zeros((pending.size, 2 * M + 1), dtype=complex)
+            draws = np.zeros((rows, 2 * M + 1), dtype=complex)
             draws[:, M + 1 :] = pos
             draws[:, :M] = np.conj(pos[:, ::-1])
         else:
             ns = np.arange(-M, M + 1)
-            z = rng.standard_normal((pending.size, 2 * M + 1, 2))
+            z = rng.standard_normal((rows, 2 * M + 1, 2))
             draws = z[:, :, 0] + 1j * z[:, :, 1]
             with np.errstate(divide="ignore", invalid="ignore"):
                 draws = draws / ns[None, :]
             draws[:, M] = 0.0
-        attempts += pending.size
-        ok = _batch_in_omega(draws, params)
-        accepted[pending[ok]] = draws[ok]
-        pending = pending[~ok]
-        round_idx += 1
+        hits = np.flatnonzero(_batch_in_omega(draws, params))[: count - len(accepted)]
+        accepted.extend(draws[hits])
+        attempts += int(hits[-1]) + 1 if len(accepted) == count else rows
+    accepted = np.array(accepted)
     weights = np.array([gibbs_weight(PeriodicField(M, c), params) for c in accepted])
     return accepted, weights, attempts
 

@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from gibbslab import gibbs_sampler
+from gibbslab.concentration_harness import _BOOTSTRAP_TAG, _LIPSCHITZ_TAG
+from gibbslab.flow_lab import _INVARIANCE_TAG
 from gibbslab.fourier_field import field_from_modes, l2_norm_sq, lp_integral, zero_field
 from gibbslab.gibbs_sampler import (
-    _HASH_ROUNDS,
     DivergentWeightError,
     GibbsEnsemble,
     GibbsParams,
     RejectionBudgetError,
+    _MCMC_TAG,
+    _REJECTION_TAG,
     _batch_in_omega,
     _coeffs_from_normals,
     _mass_on_normals,
     _normals_shape,
-    _round_states,
     _screen,
     effective_sample_size,
     gibbs_weight,
@@ -195,7 +198,7 @@ class TestImportanceEnsemble:
 
 
 class TestScreenedRounds:
-    """The mass screen on the raw normals changes no draw of the rejection rounds."""
+    """The mass screen and the chunks change no member of the one-stream rejection draw."""
 
     @pytest.mark.parametrize(
         "kw,count,seed",
@@ -228,18 +231,39 @@ class TestScreenedRounds:
         with pytest.raises(RejectionBudgetError) as got:
             importance_ensemble(10_000, params, 0, max_attempts=200_000)
         assert str(got.value) == str(expected.value)
-        assert "(9979 of 10000 still pending)" in str(got.value)
+        assert str(got.value).startswith("no full acceptance after 200000 attempts (")
 
     def test_budget_runs_out_inside_a_block(self):
-        # the 12-member draw runs out of budget in its block of rounds
-        # 2908-3020, with 9 samples still pending
+        # the 20-member draw needs 77,101 rows; the budget cuts its 29th
+        # chunk of 1,024 rows to 68 and stops after exactly 30,000 rows
         params = nls_params()
         with pytest.raises(RejectionBudgetError) as expected:
-            rejection_oracle(12, params, 3, max_attempts=30_000)
+            rejection_oracle(20, params, 3, max_attempts=30_000)
         with pytest.raises(RejectionBudgetError) as got:
-            importance_ensemble(12, params, 3, max_attempts=30_000)
+            importance_ensemble(20, params, 3, max_attempts=30_000)
         assert str(got.value) == str(expected.value)
-        assert str(got.value) == "no full acceptance after 30003 attempts (9 of 12 still pending)"
+        assert str(got.value) == "no full acceptance after 30000 attempts (8 of 20 still pending)"
+
+    def test_draw_is_a_prefix_of_a_longer_draw(self):
+        params = nls_params()
+        short = importance_ensemble(12, params, 3)
+        long = importance_ensemble(20, params, 3)
+        assert (short.diagnostics["attempts"], long.diagnostics["attempts"]) == (28_868, 77_101)
+        got = np.array([f.coeffs for f in short.samples])
+        want = np.array([f.coeffs for f in long.samples[:12]])
+        assert got.tobytes() == want.tobytes()
+        assert short.weights.tobytes() == long.weights[:12].tobytes()
+
+    @pytest.mark.parametrize("screen_rows", [1, 7, 1024])
+    def test_chunk_size_changes_nothing(self, monkeypatch, screen_rows):
+        params = nls_params(ball_radius=2.0, holder_gamma=0.3, holder_bound=1.6)
+        want = importance_ensemble(30, params, 4)
+        monkeypatch.setattr(gibbs_sampler, "_SCREEN_ROWS", screen_rows)
+        got = importance_ensemble(30, params, 4)
+        assert got.diagnostics == want.diagnostics
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert (np.array([f.coeffs for f in got.samples]).tobytes()
+                == np.array([f.coeffs for f in want.samples]).tobytes())
 
     def test_negative_seed_raises_as_seed_sequence_does(self):
         with pytest.raises(ValueError) as expected:
@@ -272,20 +296,19 @@ class TestScreenedRounds:
             assert np.isin(accepted, screened).all()
 
 
-class TestRoundStates:
-    """The block hash gives the words numpy's SeedSequence((seed, r)) gives PCG64."""
+class TestStreamTags:
+    def test_tags_are_pairwise_distinct(self):
+        tags = [_REJECTION_TAG, _MCMC_TAG, _BOOTSTRAP_TAG, _LIPSCHITZ_TAG, _INVARIANCE_TAG]
+        assert len(set(tags)) == len(tags)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3])
-    def test_matches_seed_sequence(self, seed):
-        # rounds 0 and 1, each side of a hash block and of 2**32, and 2**20
-        for first, count in [(0, 2), (_HASH_ROUNDS - 2, 4), (2**32 - 2, 4), (2**20, 1)]:
-            got = _round_states(seed, first, count)
-            want = np.array([
-                np.random.SeedSequence((seed, r)).generate_state(4, np.uint64)
-                for r in range(first, first + count)
-            ])
-            assert got.dtype == np.uint64
-            assert got.tobytes() == want.tobytes()
+    def test_draw_reads_its_tag(self, monkeypatch):
+        # the oracle reads SeedSequence((seed, 1)); the draw reads _REJECTION_TAG
+        params = nls_params(kind="kdv", pi_periodic=True)
+        want, _, _ = rejection_oracle(40, params, 8)
+        assert _REJECTION_TAG == 1
+        monkeypatch.setattr(gibbs_sampler, "_REJECTION_TAG", _MCMC_TAG)
+        moved = importance_ensemble(40, params, 8)
+        assert np.array([f.coeffs for f in moved.samples]).tobytes() != want.tobytes()
 
 
 class TestMcmcEnsemble:

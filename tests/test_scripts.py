@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from gibbslab.gibbs_sampler import GibbsParams, effective_sample_size, importance_ensemble
 from gibbslab.hessian_convexity import embedding_constants
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,10 +48,13 @@ def test_concentration_pipeline(tmp_path):
 
 
 def test_concentration_pipeline_degenerate_weights(tmp_path):
-    # at ball 100 the importance weights of 30 members collapse onto one
+    # at ball 100 and beta = -4 the importance weights of 30 members collapse onto one
+    ens = importance_ensemble(30, GibbsParams(p=4.0, beta=-4.0, ball_radius=100.0, cutoff=8), 42)
+    assert effective_sample_size(ens) - 1.0 < 1e-9
     proc = run_script(
         "concentration_pipeline.py",
-        ["--count", "30", "--statistic", "l2", "--ball", "100", "--out", str(tmp_path / "c")],
+        ["--count", "30", "--statistic", "l2", "--ball", "100", "--beta", "-4",
+         "--seed", "42", "--out", str(tmp_path / "c")],
         tmp_path,
         ok=False,
     )
